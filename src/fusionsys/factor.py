@@ -220,39 +220,31 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 # enumeration of endomorphisms and automorphisms
 
 
-def _hom_candidates(F: FusionSystem, *, injective: bool) -> list[MapTuple]:
-    full = F.base.full_subgroup()
-    homs = injective_homs(full, full, injective=injective)
-    return [h.images for h in homs]
+def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphism]:
+    cached = F._automorphisms if injective else F._endomorphisms
+    if cached is None:
+        full = F.base.full_subgroup()
+        cached = []
+        for h in injective_homs(full, full, injective=injective):
+            try:
+                cached.append(check_morphism(F, F, h.images, hom_checked=True))
+            except NotFusionPreserving:
+                continue
+        if injective:
+            F._automorphisms = cached
+        else:
+            F._endomorphisms = cached
+    return cached
 
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:
     """All fusion-preserving self-maps, in image-tuple order."""
-    cached = getattr(F, "_endo_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    for images in _hom_candidates(F, injective=False):
-        try:
-            out.append(check_morphism(F, F, images, hom_checked=True))
-        except NotFusionPreserving:
-            continue
-    F._endo_cache = out
-    return out
+    return _fusion_self_maps(F, injective=False)
 
 
 def fusion_automorphisms(F: FusionSystem) -> list[FusionMorphism]:
-    cached = getattr(F, "_aut_cache", None)
-    if cached is not None:
-        return cached
-    out = []
-    for images in _hom_candidates(F, injective=True):
-        try:
-            out.append(check_morphism(F, F, images, hom_checked=True))
-        except NotFusionPreserving:
-            continue
-    F._aut_cache = out
-    return out
+    """All fusion-preserving automorphisms, in image-tuple order."""
+    return _fusion_self_maps(F, injective=True)
 
 
 def normal_endos(
@@ -301,9 +293,9 @@ def normal_automorphisms(
     """
     out = []
     for m in fusion_automorphisms(F):
-        if not _surjective_normal_criterion(F, m.images):
-            continue
         if omega is not None and not omega.commutes_with(m.images):
+            continue
+        if not _surjective_normal_criterion(F, m.images):
             continue
         out.append(m)
     for m in out[:validate_limit]:

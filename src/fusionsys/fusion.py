@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     GenerationMismatch,
@@ -36,6 +36,9 @@ from .groups import (
     sylow,
 )
 
+if TYPE_CHECKING:
+    from .morphisms import FusionMorphism
+
 MapTuple = tuple[int, ...]
 
 
@@ -44,37 +47,19 @@ MapTuple = tuple[int, ...]
 
 
 class SubgroupLattice:
-    """Precomputed containment data for all subgroups of a group."""
+    """Containment data for all subgroups of a group.
+
+    The index tables come from the group's memoized ``LatticeShape``, so
+    groups with equal multiplication tables share them.
+    """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         self.subs = subgroups(G)
-        self.idx = {s.members: i for i, s in enumerate(self.subs)}
+        shape = G._shape
+        self.idx = shape.idx
         self.member_sets = [s.member_set for s in self.subs]
-        self.pos = [{m: t for t, m in enumerate(s.members)} for s in self.subs]
-        n = len(self.subs)
-        subsets: list[list[int]] = [[] for _ in range(n)]
-        supersets: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if self.member_sets[j] <= self.member_sets[i]:
-                    subsets[i].append(j)
-                    supersets[j].append(i)
-        self.subsets_of = [tuple(v) for v in subsets]
-        self.supersets_of = [tuple(v) for v in supersets]
-        maximal: list[tuple[int, ...]] = []
-        for i in range(n):
-            proper = [j for j in subsets[i] if j != i]
-            tops = [
-                j
-                for j in proper
-                if not any(
-                    j != l and l != i and self.member_sets[j] < self.member_sets[l]
-                    for l in proper
-                )
-            ]
-            maximal.append(tuple(tops))
-        self.maximal_of = maximal
+        self.pos, self.subsets_of, self.supersets_of, self.maximal_of = shape.containment()
         self.full_index = self.idx[self.subs[-1].members]
         self.trivial_index = self.idx[(0,)]
 
@@ -86,11 +71,9 @@ class SubgroupLattice:
 
 
 def lattice_of(G: FiniteGroup) -> SubgroupLattice:
-    cached = getattr(G, "_fusion_lattice", None)
-    if cached is None:
-        cached = SubgroupLattice(G)
-        G._fusion_lattice = cached
-    return cached
+    if G._fusion_lattice is None:
+        G._fusion_lattice = SubgroupLattice(G)
+    return G._fusion_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +106,10 @@ class FusionSystem:
         self._saturation = None
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
+        # fusion-preserving self-maps, filled by factor.fusion_endomorphisms
+        # and factor.fusion_automorphisms
+        self._endomorphisms: Optional[list[FusionMorphism]] = None
+        self._automorphisms: Optional[list[FusionMorphism]] = None
         self._inner_check()
 
     # -- invariants ---------------------------------------------------------

@@ -10,7 +10,7 @@ and every search breaks ties by least id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
@@ -22,6 +22,9 @@ from .errors import (
     NotSubgroup,
 )
 from . import guardrails
+
+if TYPE_CHECKING:
+    from .fusion import SubgroupLattice
 
 Perm = tuple[int, ...]
 
@@ -126,7 +129,11 @@ class FiniteGroup:
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
         self._subgroups: Optional[list["Subgroup"]] = None
-        self._subgroup_pos: Optional[dict[tuple[int, ...], int]] = None
+        self._shape: Optional[LatticeShape] = None
+        self._fusion_lattice: Optional["SubgroupLattice"] = None
+        # Subgroup.as_group() results, keyed by member tuple, so equal
+        # subgroups share one standalone group (and its lattice).
+        self._as_groups: dict[tuple[int, ...], tuple[FiniteGroup, tuple[int, ...]]] = {}
         self._center: Optional[tuple[int, ...]] = None
         self._conj_classes: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -401,7 +408,6 @@ class Subgroup:
                     if parent.mul(x, y) not in self.member_set:
                         raise NotSubgroup(f"not closed under product at ({x},{y})")
         self._pos: Optional[dict[int, int]] = None
-        self._as_group: Optional[tuple[FiniteGroup, tuple[int, ...]]] = None
         self._canonical_index: Optional[int] = None
 
     @property
@@ -416,7 +422,7 @@ class Subgroup:
         """Position in the parent's canonical subgroup ordering."""
         if self._canonical_index is None:
             subgroups(self.parent)
-            self._canonical_index = self.parent._subgroup_pos[self.members]
+            self._canonical_index = self.parent._shape.idx[self.members]
         return self._canonical_index
 
     def pos(self, x: int) -> int:
@@ -449,9 +455,11 @@ class Subgroup:
         """Standalone FiniteGroup plus the member map new-id -> parent-id.
 
         New ids follow the sorted member order, so nested conversions are
-        consistent with each other.
+        consistent with each other.  The result is kept on the parent, so
+        equal subgroups return the same group object.
         """
-        if self._as_group is None:
+        cached = self.parent._as_groups.get(self.members)
+        if cached is None:
             to_parent = self.members
             pos = {m: i for i, m in enumerate(to_parent)}
             rows = [
@@ -470,8 +478,8 @@ class Subgroup:
                 perms=perms,
                 prime_hint=self.parent.prime_hint,
             )
-            self._as_group = (grp, to_parent)
-        return self._as_group
+            cached = self.parent._as_groups[self.members] = (grp, to_parent)
+        return cached
 
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy irredundant generating sequence (parent ids)."""
@@ -629,15 +637,89 @@ class GroupHom:
 # subgroup enumeration
 
 
+class LatticeShape:
+    """The canonical subgroup lattice of one multiplication table.
+
+    ``members`` lists the member tuples in (order, member tuple) order;
+    the containment tables are built on first use.  Both depend only on
+    the table, so one shape is shared by every group with that table.
+    """
+
+    def __init__(self, members: list[tuple[int, ...]]):
+        self.members = members
+        self.idx = {m: i for i, m in enumerate(members)}
+        self._containment: Optional[tuple[list, list, list, list]] = None
+
+    def containment(self) -> tuple[list, list, list, list]:
+        """``(pos, subsets_of, supersets_of, maximal_of)`` by subgroup index."""
+        if self._containment is None:
+            member_sets = [frozenset(m) for m in self.members]
+            pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
+            n = len(member_sets)
+            subsets: list[list[int]] = [[] for _ in range(n)]
+            supersets: list[list[int]] = [[] for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    if member_sets[j] <= member_sets[i]:
+                        subsets[i].append(j)
+                        supersets[j].append(i)
+            maximal: list[tuple[int, ...]] = []
+            for i in range(n):
+                proper = [j for j in subsets[i] if j != i]
+                tops = [
+                    j
+                    for j in proper
+                    if not any(
+                        j != l and l != i and member_sets[j] < member_sets[l]
+                        for l in proper
+                    )
+                ]
+                maximal.append(tuple(tops))
+            self._containment = (
+                pos,
+                [tuple(v) for v in subsets],
+                [tuple(v) for v in supersets],
+                maximal,
+            )
+        return self._containment
+
+
+# Canonical lattices for the life of the process, keyed by multiplication
+# table.  The exhaustive factor searches build the same few tables over
+# and over, as standalone subgroups and as direct products with no parent.
+_LATTICES: dict[tuple[tuple[int, ...], ...], LatticeShape] = {}
+
+
 def subgroups(G: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None) -> list[Subgroup]:
     """All subgroups of ``G`` in canonical (order, member tuple) order."""
-    if G._subgroups is not None:
-        return G._subgroups
-    limits = limits or guardrails.active()
-    if G.order > limits.subgroup_limit:
-        raise GroupTooLarge(
-            f"subgroup enumeration limited to order {limits.subgroup_limit}, got {G.order}"
-        )
+    if G._subgroups is None:
+        limits = limits or guardrails.active()
+        if G.order > limits.subgroup_limit:
+            raise GroupTooLarge(
+                f"subgroup enumeration limited to order {limits.subgroup_limit}, got {G.order}"
+            )
+        if G._mul is None:
+            shape = LatticeShape(enumerate_subgroups(G))
+        else:
+            key = tuple(map(tuple, G._mul))
+            shape = _LATTICES.get(key)
+            if shape is None:
+                shape = _LATTICES[key] = LatticeShape(enumerate_subgroups(G))
+        subs = [Subgroup(G, m, _checked=True) for m in shape.members]
+        for i, s in enumerate(subs):
+            s._canonical_index = i
+        G._shape = shape
+        G._subgroups = subs
+    return G._subgroups
+
+
+def enumerate_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Member tuples of all subgroups of ``G`` in canonical order, found by
+    closing each subgroup extended by one more element.
+
+    ``subgroups`` runs this once per multiplication table; the tests
+    compare the memoized lattices against it.
+    """
     trivial = (0,)
     found: dict[tuple[int, ...], tuple[int, ...]] = {trivial: ()}
     frontier = [(trivial, ())]
@@ -654,13 +736,7 @@ def subgroups(G: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None)
                     found[closed] = new_gens
                     nxt.append((closed, new_gens))
         frontier = nxt
-    ordered = sorted(found, key=lambda m: (len(m), m))
-    subs = [Subgroup(G, m, _checked=True) for m in ordered]
-    for i, s in enumerate(subs):
-        s._canonical_index = i
-    G._subgroups = subs
-    G._subgroup_pos = {s.members: i for i, s in enumerate(subs)}
-    return subs
+    return sorted(found, key=lambda m: (len(m), m))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from fusionsys import catalog
+from fusionsys import catalog, groups
 from fusionsys.errors import NotNormal, NotSaturated
 from fusionsys.groups import FiniteGroup, GroupHom, cycles_to_perm, fitting_split
 from fusionsys.fusion import (
@@ -252,6 +252,21 @@ def test_factorize_all_counts():
         assert len(facts) == expected, name
         keys = [f.key() for f in facts]
         assert len(set(keys)) == len(keys)
+
+
+def test_factorize_all_enumerates_each_table_once(monkeypatch):
+    tables = []
+    enumerate_subgroups = groups.enumerate_subgroups
+
+    def counting(G):
+        tables.append(tuple(map(tuple, G._mul)))
+        return enumerate_subgroups(G)
+
+    monkeypatch.setattr(groups, "_LATTICES", {})
+    monkeypatch.setattr(groups, "enumerate_subgroups", counting)
+    factorize_all(fusion("inner-c3c3"))
+    assert tables
+    assert len(tables) == len(set(tables))
 
 
 def test_factorization_count_formula():

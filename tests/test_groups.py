@@ -17,6 +17,7 @@ from fusionsys.errors import (
     NotPGroup,
     NotSubgroup,
 )
+from fusionsys import catalog
 from fusionsys.groups import (
     FiniteGroup,
     GroupHom,
@@ -26,6 +27,7 @@ from fusionsys.groups import (
     characteristic_subgroups,
     cycles_to_perm,
     direct_product,
+    enumerate_subgroups,
     fitting_split,
     injective_homs,
     normal_closure,
@@ -153,6 +155,29 @@ def test_subgroups_guardrail():
     d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
     with pytest.raises(GroupTooLarge):
         subgroups(d8, limits=small)
+    # a group whose table is already memoized is still refused
+    subgroups(d8)
+    same_table = FiniteGroup.from_cayley(
+        [[d8.mul(a, b) for b in range(8)] for a in range(8)]
+    )
+    with pytest.raises(GroupTooLarge):
+        subgroups(same_table, limits=small)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_memoized_lattices_match_enumeration(name):
+    S = catalog.built(name).fusion.base
+    for sub in subgroups(S):
+        SG, _ = sub.as_group()
+        assert [s.members for s in subgroups(SG)] == enumerate_subgroups(SG)
+
+
+def test_equal_subgroups_share_as_group():
+    d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
+    a = d8.generated_subgroup([1])
+    b = d8.generated_subgroup([1])
+    assert a is not b
+    assert a.as_group() is b.as_group()
 
 
 def test_subgroup_validation():
