@@ -365,32 +365,16 @@ def run(argv) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
+    """Run a command line and print the report, or write it to ``--out``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code, report = run(argv)
     except SystemExit as exc:  # argparse usage errors exit with code 2
         return int(exc.code or 0)
-    started = time.monotonic()
-    report = {"command": argv}
-    code = 0
-    try:
-        report["inputs"] = _input_digests(args)
-        results = args.handler(args)
-    except FusionError as exc:
-        report["error"] = exc.payload()
-        report["hash"] = serialize.digest(report["error"])
-        code = exc.exit_code
-    else:
-        report["results"] = results
-        report["hash"] = serialize.digest(results)
-        if args.handler is cmd_verify and not results.get("passed", True):
-            code = 1
-        if args.timings:
-            report["timings"] = {"seconds": round(time.monotonic() - started, 3)}
     payload = serialize.canonical_dumps(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    out = build_parser().parse_args(argv).out
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)

@@ -30,6 +30,7 @@ from . import guardrails
 from .groups import (
     FiniteGroup,
     Subgroup,
+    all_homs,
     injective_homs,
     normal_closure,
     p_part,
@@ -52,7 +53,6 @@ from .morphisms import (
     FusionMorphism,
     Subsystem,
     check_morphism,
-    commute_check,
     identity_morphism,
     image,
     is_product_decomposition,
@@ -78,11 +78,13 @@ class NormalEndomorphism:
 
 
 def _surjective_normal_criterion(F: FusionSystem, images: MapTuple) -> bool:
-    """[f,S] inside the center with f fixing the focal subgroup."""
+    """[f,S] inside the center with f fixing the focal subgroup.
+
+    The center is a subgroup, so it contains [f,S] exactly when it
+    contains the displacements x^-1 f(x) that generate it."""
     G = F.base
-    displacement = {G.mul(G.inv(x), images[x]) for x in range(G.order)}
-    bracket = G.generated_subgroup(displacement)
-    if not bracket.member_set <= center_of(F).member_set:
+    center = center_of(F).member_set
+    if any(G.mul(G.inv(x), images[x]) not in center for x in range(G.order)):
         return False
     return all(images[x] == x for x in focal_of(F).members)
 
@@ -92,50 +94,35 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
 
     The complement candidate sends x to f(x)^-1 x; ``f`` is normal exactly
     when that map is a fusion-preserving homomorphism whose image commutes
-    with the image of ``f``.  For surjective ``f`` the center/focal
-    criterion is cross-checked and any disagreement is fatal.
+    with the image of ``f``.  The verify check ``factor/surjective-criterion``
+    compares this test with the center/focal criterion.
     """
     if f.source is not F or f.target is not F:
         raise NotSubgroup("normality is only defined for endomorphisms")
     G = F.base
     chi_images = tuple(G.mul(G.inv(f.images[x]), x) for x in range(G.order))
-    failure: Optional[NotNormal] = None
-    chi = None
-    hom_ok = all(
+    if not all(
         chi_images[G.mul(x, y)] == G.mul(chi_images[x], chi_images[y])
         for x in range(G.order)
         for y in range(G.order)
-    )
-    if not hom_ok:
-        failure = NotNormal("complement is not a homomorphism")
-    if failure is None:
-        try:
-            chi = check_morphism(F, F, chi_images)
-        except NotFusionPreserving as exc:
-            failure = NotNormal(
-                "complement is not fusion-preserving", witness=exc.witness
-            )
-    if failure is None:
-        try:
-            total = sum_morphisms([f, chi])
-        except NotSummable as exc:
-            failure = NotNormal(
-                "images of f and its complement do not commute",
-                witness=exc.witness,
-            )
-        else:
-            if total.images != tuple(range(G.order)):
-                raise InternalInconsistency("f plus its complement is not the identity")
-
+    ):
+        raise NotNormal("complement is not a homomorphism")
+    try:
+        chi = check_morphism(F, F, chi_images, hom_checked=True)
+    except NotFusionPreserving as exc:
+        raise NotNormal(
+            "complement is not fusion-preserving", witness=exc.witness
+        ) from exc
+    try:
+        total = sum_morphisms([f, chi])
+    except NotSummable as exc:
+        raise NotNormal(
+            "images of f and its complement do not commute",
+            witness=exc.witness,
+        ) from exc
+    if total.images != tuple(range(G.order)):
+        raise InternalInconsistency("f plus its complement is not the identity")
     surjective = len(set(f.images)) == G.order
-    if surjective:
-        criterion = _surjective_normal_criterion(F, f.images)
-        if criterion != (failure is None):
-            raise InternalInconsistency(
-                "surjective normality criterion disagrees with the complement test"
-            )
-    if failure is not None:
-        raise failure
     # a bijective endomorphism of a finite-based system is an automorphism:
     # the induced functor injects the finite morphism set into itself
     return NormalEndomorphism(f, chi, surjective, surjective)
@@ -224,8 +211,9 @@ def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphis
     cached = F._automorphisms if injective else F._endomorphisms
     if cached is None:
         full = F.base.full_subgroup()
+        homs = injective_homs(full, full) if injective else all_homs(full, full)
         cached = []
-        for h in injective_homs(full, full, injective=injective):
+        for h in homs:
             try:
                 cached.append(check_morphism(F, F, h.images, hom_checked=True))
             except NotFusionPreserving:
@@ -248,16 +236,9 @@ def fusion_automorphisms(F: FusionSystem) -> list[FusionMorphism]:
 
 
 def normal_endos(
-    F: FusionSystem,
-    omega: Optional[OmegaContext] = None,
-    *,
-    monoid_check_limit: int = 60,
+    F: FusionSystem, omega: Optional[OmegaContext] = None
 ) -> list[NormalEndomorphism]:
-    """All normal (optionally equivariant) endomorphisms of ``F``.
-
-    Composition closure of the result is asserted, exhaustively up to
-    ``monoid_check_limit`` members and on a deterministic slice beyond.
-    """
+    """All normal (optionally equivariant) endomorphisms of ``F``."""
     out = []
     for m in fusion_endomorphisms(F):
         if omega is not None and not omega.commutes_with(m.images):
@@ -266,31 +247,14 @@ def normal_endos(
             out.append(normal_complement(F, m))
         except NotNormal:
             continue
-    image_set = {ne.images for ne in out}
-    pool = out if len(out) <= monoid_check_limit else out[:monoid_check_limit]
-    for a in pool:
-        for b in pool:
-            comp = tuple(a.images[v] for v in b.images)
-            if comp not in image_set:
-                raise InternalInconsistency(
-                    "normal endomorphisms are not closed under composition"
-                )
     return out
 
 
 def normal_automorphisms(
-    F: FusionSystem,
-    omega: Optional[OmegaContext] = None,
-    *,
-    validate_limit: int = 64,
+    F: FusionSystem, omega: Optional[OmegaContext] = None
 ) -> list[FusionMorphism]:
     """All invertible normal (equivariant) endomorphisms, via the
-    surjective criterion.
-
-    Survivors are re-validated through the complement construction (which
-    itself cross-checks the criterion); beyond ``validate_limit`` members
-    only a deterministic prefix is re-validated.
-    """
+    surjective criterion."""
     out = []
     for m in fusion_automorphisms(F):
         if omega is not None and not omega.commutes_with(m.images):
@@ -298,8 +262,6 @@ def normal_automorphisms(
         if not _surjective_normal_criterion(F, m.images):
             continue
         out.append(m)
-    for m in out[:validate_limit]:
-        normal_complement(F, m)
     return out
 
 
@@ -387,14 +349,10 @@ def _stable_image_kernel(G: FiniteGroup, images: MapTuple) -> tuple[frozenset, f
     return image, kern, n
 
 
-def fitting_factorize(
-    F: FusionSystem,
-    ne: NormalEndomorphism,
-    *,
-    verify_uniqueness: Optional[bool] = None,
-) -> FittingSplit:
+def fitting_factorize(F: FusionSystem, ne: NormalEndomorphism) -> FittingSplit:
     """Split ``F`` along the stable image and kernel of a normal
-    endomorphism.  Brute-force uniqueness is verified for small bases."""
+    endomorphism.  ``verify.fitting_candidates`` is the brute-force
+    uniqueness oracle."""
     if not is_saturated(F):
         raise NotSaturated("splitting requires a saturated system")
     G = F.base
@@ -422,57 +380,7 @@ def fitting_factorize(
     if stable_u != frozenset({0}):
         raise InternalInconsistency("endomorphism is not nilpotent on the kernel part")
     normal_complement(D, restricted_u)
-
-    if verify_uniqueness is None:
-        verify_uniqueness = G.order <= 64
-    if verify_uniqueness:
-        expected = (T.members, U.members)
-        for cand in _fitting_candidates(F, images):
-            if cand != expected:
-                raise InternalInconsistency(
-                    f"second stable/nil splitting found: {cand}"
-                )
     return FittingSplit(sub_e, sub_d, power)
-
-
-def _fitting_candidates(F: FusionSystem, images: MapTuple):
-    """All internal two-part decompositions on which the endomorphism is
-    an automorphism of one side and nilpotent on the other."""
-    G = F.base
-    subs = F.lattice.subs
-    n = G.order
-    for i, Ti in enumerate(subs):
-        ti = Ti.member_set
-        if {images[x] for x in ti} != ti:
-            continue
-        for j, Uj in enumerate(subs):
-            uj = Uj.member_set
-            if Ti.order * Uj.order != n or (ti & uj) != {0}:
-                continue
-            if any(images[x] not in uj for x in uj):
-                continue
-            # nilpotency of the restriction to Uj
-            cur = {images[x] for x in uj}
-            while True:
-                nxt = {images[x] for x in cur}
-                if nxt == cur:
-                    break
-                cur = nxt
-            if cur != {0}:
-                continue
-            if not all(
-                G.mul(a, b) == G.mul(b, a) for a in ti for b in uj
-            ):
-                continue
-            if len({G.mul(a, b) for a in ti for b in uj}) != n:
-                continue
-            if not (is_strongly_closed(F, i) and is_strongly_closed(F, j)):
-                continue
-            if not is_product_decomposition(
-                F, [subsystem_of(F, Ti), subsystem_of(F, Uj)]
-            ):
-                continue
-            yield (Ti.members, Uj.members)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +390,6 @@ def _fitting_candidates(F: FusionSystem, images: MapTuple):
 @dataclass(frozen=True)
 class Factorization:
     parts: tuple[Subsystem, ...]
-    witness: FusionMorphism
 
     @property
     def bases(self) -> tuple[tuple[int, ...], ...]:
@@ -530,10 +437,6 @@ def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, S
         raise InternalInconsistency(
             "strongly closed commuting split failed to cover the system"
         )
-    # factors of a saturated system are saturated
-    for sub in (sub_i, sub_j):
-        if not is_saturated(sub.system):
-            raise InternalInconsistency("direct factor is not saturated")
     return sub_i, sub_j
 
 
@@ -584,8 +487,7 @@ def _assemble_factorization(
     )
     if not is_product_decomposition(F, list(parts)):
         raise InternalInconsistency("assembled parts do not factor the system")
-    witness = commute_check(F, list(parts), build_inner=False).morphism
-    return Factorization(parts, witness)
+    return Factorization(parts)
 
 
 def factorize_all(

@@ -869,14 +869,14 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 # homomorphism enumeration
 
 
-def injective_homs(
+def _homs(
     P: Subgroup,
     Q: Subgroup,
-    *,
-    injective: bool = True,
-    limits: Optional[guardrails.Guardrails] = None,
+    injective: bool,
+    limits: Optional[guardrails.Guardrails],
 ) -> list[GroupHom]:
-    """All (injective) homomorphisms P -> Q by backtracking on generators.
+    """Homomorphisms P -> Q (only the injective ones when ``injective``)
+    by backtracking on generators.
 
     Results come in lexicographic order of the image tuple over
     ``P.members``.
@@ -945,13 +945,19 @@ def injective_homs(
     return [GroupHom(P, Q, images, _checked=True) for images in sorted(set(results))]
 
 
+def injective_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
+    """All injective homomorphisms P -> Q, in image-tuple order."""
+    return _homs(P, Q, True, limits)
+
+
 def all_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
-    return injective_homs(P, Q, injective=False, limits=limits)
+    """All homomorphisms P -> Q, in image-tuple order."""
+    return _homs(P, Q, False, limits)
 
 
 def automorphisms(G: FiniteGroup, *, limits=None) -> list[GroupHom]:
     full = G.full_subgroup()
-    return [h for h in injective_homs(full, full, limits=limits) if h.is_injective]
+    return injective_homs(full, full, limits=limits)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,7 @@ def fusion_from_json(data: dict) -> FusionSystem:
         for m in table[i][full]:
             maps[i].add(tuple(m))
     F = FusionSystem(base, p, maps, _lattice=lat)
+    F.validate_table()
     # per-pair entries must agree with the slices of the maps into S
     for i in range(len(lat.subs)):
         for j in range(len(lat.subs)):

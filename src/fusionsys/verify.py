@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from . import catalog
 from .errors import FusionError, NotCommuting, NotSummable, SuiteUnknown
@@ -55,6 +55,7 @@ from .factor import (
     NormalEndomorphism,
     OmegaContext,
     _stable_image_kernel,
+    _surjective_normal_criterion,
     aut_structure,
     factorize,
     factorize_all,
@@ -62,6 +63,7 @@ from .factor import (
     fusion_automorphisms,
     goldschmidt_factor,
     is_indecomposable,
+    is_normal_endo,
     krs_certificate,
     normal_automorphisms,
     normal_complement,
@@ -123,6 +125,50 @@ def catalog_normal_endos(name: str) -> list[NormalEndomorphism]:
     if name not in _ENDO_CACHE:
         _ENDO_CACHE[name] = normal_endos(_fusion(name))
     return _ENDO_CACHE[name]
+
+
+def fitting_candidates(
+    G: FiniteGroup,
+    images: tuple[int, ...],
+    F: Optional[FusionSystem] = None,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Brute-force oracle for stable/nil splittings: every pair (T, U) of
+    subgroups with G the internal direct product of T and U, on which
+    the endomorphism ``images`` is bijective on T and nilpotent on U.
+    Given a fusion system ``F`` over ``G``, only pairs of strongly closed
+    subgroups whose full subsystems factor ``F`` are kept."""
+    subs = subgroups(G)
+    out = []
+    for i, Ti in enumerate(subs):
+        ti = Ti.member_set
+        if {images[x] for x in ti} != ti:
+            continue
+        for j, Uj in enumerate(subs):
+            uj = Uj.member_set
+            if Ti.order * Uj.order != G.order or (ti & uj) != {0}:
+                continue
+            if any(images[x] not in uj for x in uj):
+                continue
+            cur = set(uj)
+            while True:
+                nxt = {images[x] for x in cur}
+                if nxt == cur:
+                    break
+                cur = nxt
+            if cur != {0}:
+                continue
+            if not all(G.mul(a, b) == G.mul(b, a) for a in ti for b in uj):
+                continue
+            if F is not None and not (
+                is_strongly_closed(F, i)
+                and is_strongly_closed(F, j)
+                and is_product_decomposition(
+                    F, [subsystem_of(F, Ti), subsystem_of(F, Uj)]
+                )
+            ):
+                continue
+            out.append((Ti.members, Uj.members))
+    return out
 
 
 def axis_subsystems():
@@ -257,29 +303,9 @@ def check_fitting_split() -> str:
                     break
                 cur = nxt
             assert cur == {0}
-            # uniqueness by brute force over subgroup pairs
-            subs = subgroups(A)
-            matches = []
-            for Ti in subs:
-                if {h.map(x) for x in Ti.members} != Ti.member_set:
-                    continue
-                for Uj in subs:
-                    if Ti.order * Uj.order != A.order:
-                        continue
-                    if (Ti.member_set & Uj.member_set) != {0}:
-                        continue
-                    if any(h.map(x) not in Uj.member_set for x in Uj.members):
-                        continue
-                    cur = set(Uj.members)
-                    while True:
-                        nxt = {h.map(x) for x in cur}
-                        if nxt == cur:
-                            break
-                        cur = nxt
-                    if cur != {0}:
-                        continue
-                    matches.append((Ti.members, Uj.members))
-            assert matches == [(T.members, U.members)], f"{name}: split not unique"
+            assert fitting_candidates(A, h.images) == [(T.members, U.members)], (
+                f"{name}: split not unique"
+            )
             cases += 1
     return f"{cases} endomorphisms split and unique"
 
@@ -476,7 +502,7 @@ def check_image_transport() -> str:
     fact = factorize(F)
     pr = ps.projections[0]
     parts = list(fact.parts)
-    commute_check(F, parts, build_witness=False)
+    commute_check(F, parts)
     transported = []
     for part in parts:
         incl = check_morphism(
@@ -486,11 +512,13 @@ def check_image_transport() -> str:
         transported.append(
             Subsystem(composed.image_subgroup(), image(composed))
         )
-    commute_check(pr.target, transported, build_witness=False)
+    commute_check(pr.target, transported)
     return "images of commuting subsystems commute in the image"
 
 
 def check_sum_bookkeeping() -> str:
+    """Sums are morphisms, and the image of a sum lies in the inner
+    product of the images of the summands."""
     count = 0
     for name in ["inner-c2c4", "sigma3-squared", "sigma3-cubed-full"]:
         F = _fusion(name)
@@ -503,7 +531,19 @@ def check_sum_bookkeeping() -> str:
                     continue
                 count += 1
                 check_morphism(F, F, total.images)
-    return f"{count} sums re-accepted as morphisms"
+                images = [
+                    Subsystem(m.image_subgroup(), image(m))
+                    for m in (ne1.morphism, ne2.morphism)
+                ]
+                res = commute_check(F, images)
+                inner_maps = set(
+                    Subsystem(res.inner_base, res.inner).translated_maps()
+                )
+                img_total = Subsystem(total.image_subgroup(), image(total))
+                assert set(img_total.translated_maps()) <= inner_maps, (
+                    f"{name}: image of the sum escapes the product of the images"
+                )
+    return f"{count} sums re-accepted as morphisms inside the product of the images"
 
 
 def check_commuting_criteria_agree() -> str:
@@ -522,11 +562,10 @@ def check_commuting_criteria_agree() -> str:
     cases.append((Fbar, [e12, subs[2]], True))
     for system, family, expected in cases:
         try:
-            commute_check(system, family, build_witness=True, build_inner=False)
-            tuple_verdict = True
+            res = commute_check(system, family)
         except NotCommuting:
-            tuple_verdict = False
-        assert tuple_verdict == expected
+            res = None
+        assert (res is not None) == expected
         # independent route: the inclusion-extending morphism out of the
         # external product is forced, so test it directly
         prod = product([s.system for s in family])
@@ -538,11 +577,14 @@ def check_commuting_criteria_agree() -> str:
                 acc = G.mul(acc, s.base.members[prod.components[i][x]])
             imgs.append(acc)
         try:
-            check_morphism(prod.product, system, tuple(imgs))
-            product_verdict = True
+            inclusion = check_morphism(prod.product, system, tuple(imgs))
         except FusionError:
-            product_verdict = False
-        assert product_verdict == expected, "criteria disagree"
+            inclusion = None
+        assert (inclusion is not None) == expected, "criteria disagree"
+        if res is not None:
+            assert fusion_equal(image(inclusion), res.inner), (
+                "inner product differs from the image of the inclusion"
+            )
     return f"{len(cases)} families agree under both criteria"
 
 
@@ -556,13 +598,13 @@ def check_factor_intersection_central() -> str:
     d8_part = max(fact.parts, key=lambda p: p.base.order).base
     sub1 = subsystem_of(F, d8_part)
     sub2 = subsystem_of(F, z)
-    res = commute_check(F, [sub1, sub2], build_witness=False)
+    res = commute_check(F, [sub1, sub2])
     assert res.inner_base.order == G.order
     assert fusion_equal(res.inner, F)
     overlap = d8_part.member_set & z.member_set
     assert len(overlap) == 2, "expected a nontrivial overlap"
     assert overlap <= z.member_set
-    # is_product_decomposition performs the same containment as a fatal check
+    # the overlap keeps the cover from being a direct decomposition
     assert not is_product_decomposition(F, [sub1, sub2])
     return "overlapping cover lands its intersection in the center"
 
@@ -730,6 +772,9 @@ def check_fitting_factorize() -> str:
             continue
         for ne in catalog_normal_endos(name):
             split = fitting_factorize(F, ne)
+            assert fitting_candidates(F.base, ne.images, F) == [
+                (split.stable.base.members, split.nil.base.members)
+            ], f"{name}: second stable/nil splitting"
             if F.base.is_abelian:
                 full = F.base.full_subgroup()
                 T, U = fitting_split(
@@ -741,6 +786,22 @@ def check_fitting_factorize() -> str:
     return f"{count} fitting splits verified (unique by brute force)"
 
 
+def check_surjective_criterion() -> str:
+    """The center/focal criterion that ``normal_automorphisms`` uses
+    agrees with the complement test on every fusion automorphism."""
+    count = 0
+    for name in catalog.names():
+        if name == "inner-c3c3c3":  # 11232 automorphisms: too slow here
+            continue
+        F = _fusion(name)
+        for m in fusion_automorphisms(F):
+            assert _surjective_normal_criterion(F, m.images) == is_normal_endo(F, m), (
+                f"{name}: criterion disagrees with the complement test on {m.images}"
+            )
+            count += 1
+    return f"{count} automorphisms: criterion agrees with the complement test"
+
+
 FACTOR_CHECKS = [
     ("dichotomy", check_dichotomy),
     ("sum-criterion", check_sum_criterion),
@@ -749,6 +810,7 @@ FACTOR_CHECKS = [
     ("projections-normal", check_projections_normal),
     ("normality-converse-fails", check_normality_converse_fails),
     ("fitting-factorize", check_fitting_factorize),
+    ("surjective-criterion", check_surjective_criterion),
 ]
 
 

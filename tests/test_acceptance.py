@@ -55,17 +55,17 @@ def test_criterion_01_twisted_triple_commuting():
         F, Fbar, subs = axis_subsystems()
         # pairwise in the smaller ambient: all three pairs commute
         for a, b in itertools.combinations(range(3), 2):
-            commute_check(F, [subs[a], subs[b]], build_witness=False)
+            commute_check(F, [subs[a], subs[b]])
         # the triple does not commute there
         with pytest.raises(NotCommuting):
-            commute_check(F, subs, build_witness=False)
+            commute_check(F, subs)
         # claim (b): the inner product of the first two commutes with the
         # third upstairs but not downstairs
         r12 = commute_check(F, subs[:2])
         e12 = Subsystem(r12.inner_base, r12.inner)
-        commute_check(Fbar, [e12, subs[2]], build_witness=False)
+        commute_check(Fbar, [e12, subs[2]])
         with pytest.raises(NotCommuting):
-            commute_check(F, [e12, subs[2]], build_witness=False)
+            commute_check(F, [e12, subs[2]])
 
 
 def test_criterion_02_saturation_battery():
@@ -100,6 +100,7 @@ LEMMA_SUITE = [
     ("factor", "normal-end-properties"),
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),
+    ("factor", "surjective-criterion"),
 ]
 
 
@@ -123,7 +124,10 @@ def test_criterion_05_fitting_factorization():
             if F.base.order > 64:
                 continue
             for ne in catalog_normal_endos(name):
-                split = fitting_factorize(F, ne)  # brute-force unique <= 64
+                split = fitting_factorize(F, ne)
+                assert verify.fitting_candidates(F.base, ne.images, F) == [
+                    (split.stable.base.members, split.nil.base.members)
+                ], f"{name}: stable/nil splitting not unique"
                 if F.base.is_abelian:
                     full = F.base.full_subgroup()
                     T, U = fitting_split(

@@ -199,6 +199,29 @@ def test_out_flag_writes_file(tmp_path):
     assert data["results"]["saturated"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--catalog", "sigma3"], 0),
+        (["goldschmidt", "--catalog", "sigma3"], 1),
+        (["analyze"], 2),
+    ],
+)
+def test_main_prints_the_run_report(argv, code, capsys):
+    expected_code, report = cli.run(argv)
+    assert expected_code == code
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == serialize.canonical_dumps(report) + "\n"
+
+
+def test_main_returns_argparse_exit_code(capsys):
+    with pytest.raises(SystemExit):
+        cli.run(["verify", "no-such-suite"])
+    capsys.readouterr()
+    assert cli.main(["verify", "no-such-suite"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_timings_flag_is_opt_in():
     _, plain = run_cli(["analyze", "--catalog", "sigma3"])
     assert "timings" not in plain

@@ -154,6 +154,22 @@ def test_normal_end_properties_run(paired_triple):
         assert report.image_saturated
 
 
+def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
+    from fusionsys import verify
+
+    name = "factor/surjective-criterion"
+    checks = dict(verify.FACTOR_CHECKS)
+    assert verify._run(name, checks["surjective-criterion"]).passed
+
+    def focal_clause_only(F, images):
+        return all(images[x] == x for x in focal_of(F).members)
+
+    monkeypatch.setattr(verify, "_surjective_normal_criterion", focal_clause_only)
+    result = verify._run(name, checks["surjective-criterion"])
+    assert not result.passed
+    assert "disagrees with the complement test" in result.detail
+
+
 def test_nontrivial_overlap_lands_in_center():
     # squaring on the order-8 abelian group: image and complement image
     # overlap in the order-2 subgroup, inside the center
@@ -262,6 +278,8 @@ def test_factorize_all_enumerates_each_table_once(monkeypatch):
         tables.append(tuple(map(tuple, G._mul)))
         return enumerate_subgroups(G)
 
+    # fresh catalog objects, so no lattice is already cached on a group
+    monkeypatch.setattr(catalog, "_BUILDS", {})
     monkeypatch.setattr(groups, "_LATTICES", {})
     monkeypatch.setattr(groups, "enumerate_subgroups", counting)
     factorize_all(fusion("inner-c3c3"))

@@ -82,6 +82,17 @@ def test_fusion_json_rejects_missing_inner_maps():
         serialize.fusion_from_json(data)
 
 
+def test_fusion_json_rejects_non_injective_map():
+    F = catalog.built("inner-c2c2").fusion
+    data = json.loads(json.dumps(serialize.fusion_to_json(F)))
+    line = data["subgroups"].index([0, 1])
+    # the collapse of a line onto the identity, consistent in every entry
+    for j in range(len(data["subgroups"])):
+        data["hom_table"][line][j].append([0, 0])
+    with pytest.raises(NotSubgroup, match="non-injective"):
+        serialize.fusion_from_json(data)
+
+
 def test_factorization_bases_accept_both_shapes():
     flat = {"parts": [[0, 1], [0, 2]]}
     rich = {"parts": [{"base": [0, 1], "fusion": {}}, {"base": [0, 2]}]}
