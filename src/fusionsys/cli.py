@@ -31,11 +31,11 @@ from .morphisms import check_morphism
 from .factor import (
     Factorization,
     OmegaContext,
+    factorization_of,
     factorize,
     factorize_all,
     krs_certificate,
     goldschmidt_factor,
-    _assemble_factorization,
 )
 
 
@@ -85,9 +85,8 @@ def _load_omega(args, F: FusionSystem) -> Optional[OmegaContext]:
 
 
 def _factorization_from_arg(F: FusionSystem, path: str) -> Factorization:
-    data = _load_json(path)
-    bases = serialize.factorization_bases_from_json(data)
-    return _assemble_factorization(F, bases)
+    bases = serialize.factorization_bases_from_json(_load_json(path))
+    return factorization_of(F, bases)
 
 
 # ---------------------------------------------------------------------------

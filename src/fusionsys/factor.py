@@ -12,8 +12,8 @@ all normal automorphisms is available as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     HypothesisFailed,
@@ -23,6 +23,7 @@ from .errors import (
     NotNormal,
     NotSaturated,
     NotSubgroup,
+    NotSubsystem,
     NotSummable,
     GuardrailExceeded,
 )
@@ -389,7 +390,11 @@ def fitting_factorize(F: FusionSystem, ne: NormalEndomorphism) -> FittingSplit:
 
 @dataclass(frozen=True)
 class Factorization:
+    """Indecomposable parts of ``system``, proven a direct factorization
+    where they were found (``factorization_of`` for bases from outside)."""
+
     parts: tuple[Subsystem, ...]
+    system: FusionSystem = field(compare=False, repr=False)
 
     @property
     def bases(self) -> tuple[tuple[int, ...], ...]:
@@ -440,6 +445,45 @@ def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, S
     return sub_i, sub_j
 
 
+def _proven_splits(
+    F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str = "asc"
+) -> Iterator[tuple[tuple[Subsystem, Optional[OmegaContext]], ...]]:
+    """Every direct split of ``F`` into two parts, each proven by
+    ``_split_works`` and paired with Omega restricted to it."""
+    splits = _admissible_splits(F, omega)
+    if search_order == "desc":
+        splits.reverse()
+    for i, j in splits:
+        found = _split_works(F, i, j)
+        if found is not None:
+            yield tuple(
+                (sub, omega.restrict_to(F, sub.base, sub.system) if omega is not None else None)
+                for sub in found
+            )
+
+
+def _factorization(F: FusionSystem, bases: Sequence[tuple[int, ...]]) -> Factorization:
+    """Parts of ``F`` on the given sorted member tuples, ordered by size."""
+    ordered = sorted(bases or [tuple(range(F.base.order))], key=lambda m: (len(m), m))
+    lat = F.lattice
+    return Factorization(
+        tuple(subsystem_of(F, lat.subs[lat.idx[m]]) for m in ordered), F
+    )
+
+
+def factorization_of(F: FusionSystem, bases: Sequence[Sequence[int]]) -> Factorization:
+    """The factorization of ``F`` on part bases given from outside the
+    program; the one place such bases are validated."""
+    keys = [tuple(sorted(members)) for members in bases]
+    for key in keys:
+        if key not in F.lattice.idx:
+            raise NotSubsystem(f"part base {key} is not a subgroup of the base group")
+    fact = _factorization(F, keys)
+    if not is_product_decomposition(F, list(fact.parts)):
+        raise NotSubgroup("input is not a factorization of the system")
+    return fact
+
+
 def factorize(
     F: FusionSystem,
     omega: Optional[OmegaContext] = None,
@@ -449,45 +493,19 @@ def factorize(
     """Greedy factorization into indecomposable (equivariant) parts."""
     if not is_saturated(F):
         raise NotSaturated("factorization requires a saturated system")
-    bases = _factor_bases(F, omega, search_order=search_order)
-    return _assemble_factorization(F, bases)
+    return _factorization(F, _factor_bases(F, omega, search_order=search_order))
 
 
 def _factor_bases(
     F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str
 ) -> list[tuple[int, ...]]:
-    splits = _admissible_splits(F, omega)
-    if search_order == "desc":
-        splits = list(reversed(splits))
-    for i, j in splits:
-        found = _split_works(F, i, j)
-        if found is None:
-            continue
-        sub_i, sub_j = found
-        parts = []
-        for sub in (sub_i, sub_j):
-            nested_omega = (
-                omega.restrict_to(F, sub.base, sub.system) if omega is not None else None
-            )
-            for inner in _factor_bases(sub.system, nested_omega, search_order=search_order):
-                parts.append(tuple(sub.base.members[t] for t in inner))
-        return parts
+    for split in _proven_splits(F, omega, search_order=search_order):
+        return [
+            tuple(sub.base.members[t] for t in inner)
+            for sub, og in split
+            for inner in _factor_bases(sub.system, og, search_order=search_order)
+        ]
     return [tuple(range(F.base.order))] if F.base.order > 1 else []
-
-
-def _assemble_factorization(
-    F: FusionSystem, bases: Sequence[tuple[int, ...]]
-) -> Factorization:
-    if not bases:
-        bases = [tuple(range(F.base.order))]
-    ordered = sorted(bases, key=lambda m: (len(m), m))
-    parts = tuple(
-        subsystem_of(F, Subgroup(F.base, members, _checked=True))
-        for members in ordered
-    )
-    if not is_product_decomposition(F, list(parts)):
-        raise InternalInconsistency("assembled parts do not factor the system")
-    return Factorization(parts)
 
 
 def factorize_all(
@@ -516,13 +534,7 @@ def factorize_all(
         if key in memo:
             return memo[key]
         results: set[tuple[tuple[int, ...], ...]] = set()
-        for i, j in _admissible_splits(sys, og):
-            found = _split_works(sys, i, j)
-            if found is None:
-                continue
-            sub_i, sub_j = found
-            og_i = og.restrict_to(sys, sub_i.base, sub_i.system) if og is not None else None
-            og_j = og.restrict_to(sys, sub_j.base, sub_j.system) if og is not None else None
+        for (sub_i, og_i), (sub_j, og_j) in _proven_splits(sys, og):
             for left in rec(sub_i.system, og_i):
                 for right in rec(sub_j.system, og_j):
                     combo = tuple(
@@ -538,18 +550,13 @@ def factorize_all(
         memo[key] = out
         return out
 
-    return [
-        _assemble_factorization(F, list(bases)) for bases in rec(F, omega)
-    ]
+    return [_factorization(F, bases) for bases in rec(F, omega)]
 
 
 def is_indecomposable(
     F: FusionSystem, omega: Optional[OmegaContext] = None
 ) -> bool:
-    for i, j in _admissible_splits(F, omega):
-        if _split_works(F, i, j) is not None:
-            return False
-    return True
+    return next(_proven_splits(F, omega), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -593,29 +600,17 @@ def _projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTu
     return out
 
 
-def _complement_projection(
-    G: FiniteGroup, bases: Sequence[tuple[int, ...]], drop: int
-) -> MapTuple:
-    decomp = _decomposition_components(G, bases)
-    images = []
-    for x in range(G.order):
-        acc = 0
-        for i, t in enumerate(decomp[x]):
-            if i != drop:
-                acc = G.mul(acc, t)
-        images.append(acc)
-    return tuple(images)
+def _check_system(F: FusionSystem, fact: Factorization) -> None:
+    if not fusion_equal(fact.system, F):
+        raise NotSubsystem("factorization belongs to a different system")
 
 
 def _check_factorization_input(
     F: FusionSystem, fact: Factorization, omega: Optional[OmegaContext]
 ) -> None:
-    if not is_product_decomposition(F, list(fact.parts)):
-        raise NotSubgroup("input is not a factorization of the system")
+    _check_system(F, fact)
     for part in fact.parts:
         og = omega.restrict_to(F, part.base, part.system) if omega is not None else None
-        if omega is not None and not omega.fixes_subgroup(part.base.members):
-            raise NotSubgroup("factorization part is not invariant under the context")
         if not is_indecomposable(part.system, og):
             raise NotSubgroup("factorization part is decomposable")
 
@@ -663,7 +658,6 @@ def _krs_constructive(
         t_star = current[r]
         star_set = set(t_star)
         g_proj = _projections(G, current)[r]
-        g_prime = _complement_projection(G, current, r)
         chosen = None
         for j in range(k):
             restricted = [g_proj[projections1[j][x]] for x in t_star]
@@ -677,7 +671,11 @@ def _krs_constructive(
         if chosen in assigned:
             raise InternalInconsistency("projection summand chosen twice")
         fj = projections1[chosen]
-        h_images = tuple(G.mul(fj[g_proj[x]], g_prime[x]) for x in range(G.order))
+        # the parts of ``current`` commute, so x's other components
+        # multiply to x * g_proj[x]^-1
+        h_images = tuple(
+            G.mul(fj[g_proj[x]], G.mul(x, G.inv(g_proj[x]))) for x in range(G.order)
+        )
         if len(set(h_images)) != G.order:
             raise InternalInconsistency("swap endomorphism is not bijective")
         try:
@@ -746,23 +744,18 @@ def _krs_fallback(
     autos = normal_automorphisms(F, omega)
     bases2 = {p.base.members: i for i, p in enumerate(fact2.parts)}
     for alpha in autos:
-        sigma = []
-        ok = True
-        for part in fact1.parts:
-            mapped = tuple(sorted(alpha.images[x] for x in part.base.members))
-            if mapped in bases2:
-                sigma.append(bases2[mapped])
-            else:
-                ok = False
-                break
-        if not ok or sorted(sigma) != list(range(len(fact2.parts))):
+        sigma = tuple(
+            bases2.get(tuple(sorted(alpha.images[x] for x in part.base.members)), -1)
+            for part in fact1.parts
+        )
+        if sorted(sigma) != list(range(len(fact2.parts))):
             continue
         try:
-            _verify_certificate(F, fact1, fact2, alpha, tuple(sigma))
+            _verify_certificate(F, fact1, fact2, alpha, sigma)
         except InternalInconsistency:
             continue
         ne = normal_complement(F, alpha)
-        return KrsCertificate(ne, tuple(sigma), (), False, note=note)
+        return KrsCertificate(ne, sigma, (), False, note=note)
     raise InternalInconsistency(
         f"no normal automorphism links the factorizations ({note})"
     )
@@ -807,8 +800,7 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
         raise HypothesisFailed(
             "requires a trivial center or a full focal subgroup"
         )
-    if not is_product_decomposition(F, list(fact.parts)):
-        raise NotSubgroup("input is not a factorization of the system")
+    _check_system(F, fact)
 
     autos = fusion_automorphisms(F)
     k = len(fact.parts)
@@ -903,11 +895,6 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
 # Goldschmidt-style transfer to a realizing group (p = 2)
 
 
-@dataclass(frozen=True)
-class GoldschmidtTransfer:
-    closures: tuple[Subgroup, ...]
-
-
 def goldschmidt_factor(
     G: FiniteGroup, fact: Factorization, *, p: int = 2
 ) -> list[Subgroup]:
@@ -922,8 +909,7 @@ def goldschmidt_factor(
         raise HypothesisFailed("group is not generated by its 2-elements")
     F = fusion_of_group(G, 2)
     S = sylow(G, 2)
-    if not is_product_decomposition(F, list(fact.parts)):
-        raise NotSubgroup("input is not a factorization of the fusion system")
+    _check_system(F, fact)
 
     closures = []
     part_subgroups_in_g = []

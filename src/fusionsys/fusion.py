@@ -88,14 +88,12 @@ class FusionSystem:
         base: FiniteGroup,
         p: int,
         maps_by_dom: Sequence[Iterable[MapTuple]],
-        *,
-        _lattice: Optional[SubgroupLattice] = None,
     ):
         self.base = base
         self.p = p
         if p_part(base.order, p) != base.order:
             raise NotPGroup(f"base group order {base.order} is not a power of {p}")
-        self.lattice = _lattice or lattice_of(base)
+        self.lattice = lattice_of(base)
         if len(maps_by_dom) != len(self.lattice.subs):
             raise NotSubgroup("morphism table does not match the subgroup list")
         self.maps = tuple(tuple(sorted(set(ms))) for ms in maps_by_dom)
@@ -335,7 +333,7 @@ def fusion_of_group(
         for i, sub in enumerate(lat.subs):
             if all(inside[m] for m in sub.members):
                 maps[i].add(tuple(translated[m] for m in sub.members))
-    return FusionSystem(SG, p, maps, _lattice=lat)
+    return FusionSystem(SG, p, maps)
 
 
 def inner_fusion(S: FiniteGroup) -> FusionSystem:
@@ -352,8 +350,6 @@ def close_maps(
     base: FiniteGroup,
     seeds: Iterable[tuple[int, MapTuple]],
     *,
-    lattice: Optional[SubgroupLattice] = None,
-    include_inner: bool = True,
     limits: Optional[guardrails.Guardrails] = None,
 ) -> list[set[MapTuple]]:
     """Least morphism table containing the seeds and the inner maps,
@@ -361,18 +357,15 @@ def close_maps(
     onto images.  Corestriction and codomain extension are implicit in
     the maps-into-S representation."""
     limits = limits or guardrails.active()
-    lat = lattice or lattice_of(base)
+    lat = lattice_of(base)
     store: list[set[MapTuple]] = [set() for _ in lat.subs]
     by_image: list[list[tuple[int, MapTuple]]] = [[] for _ in lat.subs]
     queue: deque[tuple[int, MapTuple]] = deque()
     total = 0
 
-    if include_inner:
-        full = lat.full_index
-        for s in range(base.order):
-            queue.append(
-                (full, tuple(base.conj(s, x) for x in range(base.order)))
-            )
+    full = lat.full_index
+    for s in range(base.order):
+        queue.append((full, tuple(base.conj(s, x) for x in range(base.order))))
     queue.extend(seeds)
 
     while queue:
@@ -425,8 +418,8 @@ def generated_fusion(
         if not h.is_injective:
             raise NotSubgroup("generators must be injective")
         seeds.append((lat.index_of(h.domain.members), h.images))
-    store = close_maps(S, seeds, lattice=lat, limits=limits)
-    return FusionSystem(S, p, store, _lattice=lat)
+    store = close_maps(S, seeds, limits=limits)
+    return FusionSystem(S, p, store)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +741,7 @@ def restrict_full(F: FusionSystem, T: Subgroup) -> FusionSystem:
         for m in ms:
             if set(m) <= t_set:
                 maps[local_dom].add(tuple(from_parent[v] for v in m))
-    return FusionSystem(TG, F.p, maps, _lattice=lat_t)
+    return FusionSystem(TG, F.p, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +763,7 @@ def alperin_generators(F: FusionSystem) -> list[tuple[Subgroup, list[GroupHom]]]
                 (sub, [GroupHom(sub, full, m, _checked=True) for m in auts])
             )
             seeds.extend((i, m) for m in auts)
-    regenerated = close_maps(F.base, seeds, lattice=F.lattice)
+    regenerated = close_maps(F.base, seeds)
     if [frozenset(s) for s in regenerated] != list(F.map_sets):
         raise GenerationMismatch(
             "centric-radical automorphisms do not regenerate the table"

@@ -198,22 +198,12 @@ def kernel(m: FusionMorphism) -> Subgroup:
 def image(m: FusionMorphism) -> FusionSystem:
     """Smallest subsystem of the target containing the functor image,
     returned as a fusion system over the image group."""
-    T = m.image_subgroup()
-    TG, to_parent = T.as_group()
-    from_parent = {pid: t for t, pid in enumerate(to_parent)}
-    lat_t = lattice_of(TG)
-    seeds = []
-    for dom_idx, ms in enumerate(m.source.maps):
-        for phi in ms:
-            new_idx, pushed = m.push_map(dom_idx, phi)
-            local_members = tuple(
-                from_parent[x] for x in m.target.lattice.subs[new_idx].members
-            )
-            seeds.append((lat_t.index_of(local_members), tuple(from_parent[v] for v in pushed)))
-    store = close_maps(TG, seeds, lattice=lat_t)
-    sub = FusionSystem(TG, m.target.p, store, _lattice=lat_t)
-    _assert_subsystem(m.target, T, sub)
-    return sub
+    seeds = [
+        m.push_map(dom_idx, phi)
+        for dom_idx, ms in enumerate(m.source.maps)
+        for phi in ms
+    ]
+    return _inner_from_seeds(m.target, m.image_subgroup(), seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +319,7 @@ class ProductSystem:
                     )
                     imgs.append(self.encode[parts])
                 maps[w_idx].add(tuple(imgs))
-        self.product = FusionSystem(group, p, maps, _lattice=lat)
+        self.product = FusionSystem(group, p, maps)
 
         self.embeddings = []
         self.projections = []
@@ -442,8 +432,7 @@ def _inner_from_seeds(
         members = F.lattice.subs[d_idx].members
         local_dom = lat_t.index_of(tuple(from_parent[x] for x in members))
         local_seeds.append((local_dom, tuple(from_parent[v] for v in psi)))
-    store = close_maps(TG, local_seeds, lattice=lat_t)
-    sub = FusionSystem(TG, F.p, store, _lattice=lat_t)
+    sub = FusionSystem(TG, F.p, close_maps(TG, local_seeds))
     _assert_subsystem(F, T, sub)
     return sub
 

@@ -106,8 +106,9 @@ def fusion_from_json(data: dict) -> FusionSystem:
     for i in range(len(lat.subs)):
         for m in table[i][full]:
             maps[i].add(tuple(m))
-    F = FusionSystem(base, p, maps, _lattice=lat)
+    F = FusionSystem(base, p, maps)
     F.validate_table()
+    F.validate_closure()
     # per-pair entries must agree with the slices of the maps into S
     for i in range(len(lat.subs)):
         for j in range(len(lat.subs)):

@@ -193,6 +193,27 @@ def axis_subsystems():
     return F, Fbar, subs
 
 
+def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
+    """The rank-three elementary abelian 2-group under the rotation of
+    its three transposition blocks (a relabelling of the permutation
+    points), and C2 x C4 under inversion."""
+    F8 = _fusion("inner-c2c2c2")
+    G8 = F8.base
+    sigma = (2, 3, 4, 5, 0, 1)
+    sigma_inv = (4, 5, 0, 1, 2, 3)
+    index = {G8.perms[x]: x for x in range(8)}
+    rot = tuple(
+        index[tuple(sigma[G8.perms[x][sigma_inv[pt]]] for pt in range(6))]
+        for x in range(8)
+    )
+    FA = _fusion("inner-c2c4")
+    inv = tuple(FA.base.inv(x) for x in range(8))
+    return [
+        (F8, OmegaContext.from_morphisms(F8, [check_morphism(F8, F8, rot)])),
+        (FA, OmegaContext.from_morphisms(FA, [check_morphism(FA, FA, inv)])),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # group-core suite
 
@@ -802,6 +823,25 @@ def check_surjective_criterion() -> str:
     return f"{count} automorphisms: criterion agrees with the complement test"
 
 
+def check_factorizations_are_products() -> str:
+    """Every factorization that ``factorize`` and ``factorize_all`` return
+    is a direct factorization: they prove each split once and assemble
+    the parts without proving the whole again."""
+    cases = [(_fusion(name), None) for name in catalog.names()]
+    cases += equivariant_contexts()
+    count = 0
+    for F, omega in cases:
+        facts = factorize_all(F, omega)
+        if omega is None:
+            facts += [factorize(F), factorize(F, search_order="desc")]
+        for fact in facts:
+            assert is_product_decomposition(F, list(fact.parts)), (
+                f"{fact.bases} do not factor the system"
+            )
+            count += 1
+    return f"{count} factorizations are direct products of their parts"
+
+
 FACTOR_CHECKS = [
     ("dichotomy", check_dichotomy),
     ("sum-criterion", check_sum_criterion),
@@ -811,6 +851,7 @@ FACTOR_CHECKS = [
     ("normality-converse-fails", check_normality_converse_fails),
     ("fitting-factorize", check_fitting_factorize),
     ("surjective-criterion", check_surjective_criterion),
+    ("factorizations-are-products", check_factorizations_are_products),
 ]
 
 
@@ -861,18 +902,7 @@ def check_krs_rigid() -> str:
 
 
 def check_krs_equivariant() -> str:
-    # rotate the three transposition blocks of the rank-three elementary
-    # abelian 2-group by relabelling the permutation points
-    F8 = _fusion("inner-c2c2c2")
-    G8 = F8.base
-    sigma = (2, 3, 4, 5, 0, 1)
-    sigma_inv = (4, 5, 0, 1, 2, 3)
-    index = {G8.perms[x]: x for x in range(8)}
-    rot = tuple(
-        index[tuple(sigma[G8.perms[x][sigma_inv[pt]]] for pt in range(6))]
-        for x in range(8)
-    )
-    omega = OmegaContext.from_morphisms(F8, [check_morphism(F8, F8, rot)])
+    (F8, omega), (FA, omega_a) = equivariant_contexts()
     plain = factorize_all(F8)
     fixed = factorize_all(F8, omega)
     assert len(plain) == 28 and len(fixed) == 1
@@ -880,9 +910,6 @@ def check_krs_equivariant() -> str:
     cert = krs_certificate(F8, fixed[0], fixed[0], omega)
     assert cert.alpha.images == tuple(range(8))
 
-    FA = _fusion("inner-c2c4")
-    inv = tuple(FA.base.inv(x) for x in range(8))
-    omega_a = OmegaContext.from_morphisms(FA, [check_morphism(FA, FA, inv)])
     facts = factorize_all(FA, omega_a)
     assert len(facts) == 4
     cert = krs_certificate(FA, facts[0], facts[2], omega_a)

@@ -101,6 +101,7 @@ LEMMA_SUITE = [
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),
     ("factor", "surjective-criterion"),
+    ("factor", "factorizations-are-products"),
 ]
 
 

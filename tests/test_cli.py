@@ -139,12 +139,21 @@ def test_verify_failure_exits_one(monkeypatch):
     assert report["results"]["passed"] is False
 
 
-def test_mathematical_rejection_exit_code(tmp_path):
-    # a krs request whose factorizations belong to a different system
-    code, report = run_cli(["factorize", "--catalog", "inner-c2c4", "--exhaustive"])
-    foreign = report["results"]["factorizations"][0]
-    f = tmp_path / "foreign.json"
-    f.write_text(json.dumps(foreign))
+@pytest.mark.parametrize(
+    "parts",
+    [None, [[0, 1], [0, 7]], [[0, 1, 2]]],
+    ids=["foreign", "id-outside-base", "not-a-subgroup"],
+)
+def test_mathematical_rejection_exit_code(tmp_path, parts):
+    if parts is None:  # a factorization of a different system
+        code, report = run_cli(
+            ["factorize", "--catalog", "inner-c2c4", "--exhaustive"]
+        )
+        fact = report["results"]["factorizations"][0]
+    else:
+        fact = {"parts": parts}
+    f = tmp_path / "fact.json"
+    f.write_text(json.dumps(fact))
     code, report = run_cli(
         ["krs", "--catalog", "inner-c2c2", "--fact1", str(f), "--fact2", str(f)]
     )

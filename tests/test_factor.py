@@ -1,11 +1,12 @@
 """Normal endomorphisms, the stable/nil splitting, and factorization."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from fusionsys import catalog, groups
-from fusionsys.errors import NotNormal, NotSaturated
+from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import FiniteGroup, GroupHom, cycles_to_perm, fitting_split
 from fusionsys.fusion import (
     center_of,
@@ -24,6 +25,7 @@ from fusionsys.morphisms import (
 )
 from fusionsys.factor import (
     _stable_image_kernel,
+    factorization_of,
     factorize,
     factorize_all,
     fitting_factorize,
@@ -168,6 +170,25 @@ def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
     result = verify._run(name, checks["surjective-criterion"])
     assert not result.passed
     assert "disagrees with the complement test" in result.detail
+
+
+def test_product_check_catches_a_dropped_part(monkeypatch):
+    from fusionsys import verify
+
+    name = "factor/factorizations-are-products"
+    checks = dict(verify.FACTOR_CHECKS)
+    assert verify._run(name, checks["factorizations-are-products"]).passed
+
+    def drop_last_part(F, omega=None):
+        return [
+            dataclasses.replace(fact, parts=fact.parts[:-1] or fact.parts)
+            for fact in factorize_all(F, omega)
+        ]
+
+    monkeypatch.setattr(verify, "factorize_all", drop_last_part)
+    result = verify._run(name, checks["factorizations-are-products"])
+    assert not result.passed
+    assert "do not factor the system" in result.detail
 
 
 def test_nontrivial_overlap_lands_in_center():
@@ -321,3 +342,17 @@ def test_factorization_parts_are_full_restrictions():
     fact = factorize(F)
     for part in fact.parts:
         assert fusion_equal(part.system, restrict_full(F, part.base))
+
+
+def test_factorization_of_validates_bases_from_outside():
+    F = fusion("inner-c2c4")
+    facts = factorize_all(F)
+    for fact in facts:
+        shuffled = [sorted(b, reverse=True) for b in reversed(fact.bases)]
+        again = factorization_of(F, shuffled)
+        assert again == fact and again.system is F
+    line = facts[0].bases[0]
+    with pytest.raises(NotSubgroup, match="not a factorization"):
+        factorization_of(F, [line, line])
+    with pytest.raises(NotSubsystem, match="not a subgroup"):
+        factorization_of(F, [line, (0, 8)])

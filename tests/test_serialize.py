@@ -93,6 +93,16 @@ def test_fusion_json_rejects_non_injective_map():
         serialize.fusion_from_json(data)
 
 
+def test_fusion_json_rejects_table_not_closed():
+    F = catalog.built("inner-c2c2").fusion
+    data = json.loads(json.dumps(serialize.fusion_to_json(F)))
+    full = len(data["subgroups"]) - 1
+    # an automorphism of the full group without its restrictions to lines
+    data["hom_table"][full][full].append([0, 2, 1, 3])
+    with pytest.raises(NotSubgroup, match="not closed under restriction"):
+        serialize.fusion_from_json(data)
+
+
 def test_factorization_bases_accept_both_shapes():
     flat = {"parts": [[0, 1], [0, 2]]}
     rich = {"parts": [{"base": [0, 1], "fusion": {}}, {"base": [0, 2]}]}
