@@ -50,7 +50,10 @@ class SubgroupLattice:
     """Containment data for all subgroups of a group.
 
     The index tables come from the group's memoized ``LatticeShape``, so
-    groups with equal multiplication tables share them.
+    groups with equal multiplication tables share them.  The conjugation
+    action of the group on its subgroups (normalizers, centralizers and
+    Aut_S of each subgroup) is read off one table of ``g x g^-1``, built
+    on first use.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -59,15 +62,65 @@ class SubgroupLattice:
         shape = G._shape
         self.idx = shape.idx
         self.member_sets = [s.member_set for s in self.subs]
-        self.pos, self.subsets_of, self.supersets_of, self.maximal_of = shape.containment()
+        self.pos, self.maximal_of = shape.containment()
         self.full_index = self.idx[self.subs[-1].members]
         self.trivial_index = self.idx[(0,)]
+        self._conj: Optional[list[list[int]]] = None
+        self._normalizers: Optional[list[tuple[int, ...]]] = None
+        self._centralizers: Optional[list[tuple[int, ...]]] = None
+        self._aut_s: dict[int, frozenset[MapTuple]] = {}
 
     def index_of(self, members: Iterable[int]) -> int:
         key = tuple(sorted(members))
         if key not in self.idx:
             raise NotSubgroup(f"{key} is not a subgroup of the base group")
         return self.idx[key]
+
+    def conj_table(self) -> list[list[int]]:
+        """``conj[g][x] = g x g^-1`` over the whole group."""
+        if self._conj is None:
+            G = self.group
+            n = G.order
+            self._conj = [[G.conj(g, x) for x in range(n)] for g in range(n)]
+        return self._conj
+
+    def normalizer(self, i: int) -> tuple[int, ...]:
+        """Members of N_S(P_i)."""
+        if self._normalizers is None:
+            conj = self.conj_table()
+            self._normalizers = [
+                tuple(
+                    g
+                    for g, row in enumerate(conj)
+                    if all(row[x] in target for x in sub.members)
+                )
+                for sub, target in zip(self.subs, self.member_sets)
+            ]
+        return self._normalizers[i]
+
+    def centralizer(self, i: int) -> tuple[int, ...]:
+        """Members of C_S(P_i)."""
+        if self._centralizers is None:
+            conj = self.conj_table()
+            self._centralizers = [
+                tuple(
+                    g
+                    for g in self.normalizer(k)
+                    if all(conj[g][x] == x for x in sub.members)
+                )
+                for k, sub in enumerate(self.subs)
+            ]
+        return self._centralizers[i]
+
+    def aut_s(self, i: int) -> frozenset[MapTuple]:
+        """Aut_S(P_i): the conjugation maps of N_S(P_i) on P_i."""
+        if i not in self._aut_s:
+            conj = self.conj_table()
+            members = self.subs[i].members
+            self._aut_s[i] = frozenset(
+                tuple(conj[g][x] for x in members) for g in self.normalizer(i)
+            )
+        return self._aut_s[i]
 
 
 def lattice_of(G: FiniteGroup) -> SubgroupLattice:
@@ -115,11 +168,8 @@ class FusionSystem:
         """Check a table read from outside: it holds every inner
         conjugation map and only injective maps.  Every internal
         constructor builds the inner maps itself."""
-        G = self.base
         full = self.lattice.full_index
-        inner = {
-            tuple(G.conj(s, x) for x in range(G.order)) for s in range(G.order)
-        }
+        inner = {tuple(row) for row in self.lattice.conj_table()}
         if not inner <= set(self.maps[full]):
             raise NotSubgroup("table does not contain all inner conjugation maps")
         for i, ms in enumerate(self.maps):
@@ -355,7 +405,15 @@ def close_maps(
     """Least morphism table containing the seeds and the inner maps,
     closed under restriction, composition and inversion of isomorphisms
     onto images.  Corestriction and codomain extension are implicit in
-    the maps-into-S representation."""
+    the maps-into-S representation.
+
+    Each stored map is composed only with the stored maps whose image is
+    exactly its domain, and with the stored maps on exactly its image.
+    Restriction closure makes that enough: if im(t) lies in dom(m), then
+    m o t = m|im(t) o t, and the restriction m|im(t) is in the table, with
+    domain exactly im(t).  Whichever of t and m|im(t) is stored second
+    meets the other, so the least fixed point is the one of the full
+    composition rule that ``FusionSystem.validate_closure`` checks."""
     limits = limits or guardrails.active()
     lat = lattice_of(base)
     store: list[set[MapTuple]] = [set() for _ in lat.subs]
@@ -364,8 +422,7 @@ def close_maps(
     total = 0
 
     full = lat.full_index
-    for s in range(base.order):
-        queue.append((full, tuple(base.conj(s, x) for x in range(base.order))))
+    queue.extend((full, tuple(row)) for row in lat.conj_table())
     queue.extend(seeds)
 
     while queue:
@@ -388,15 +445,13 @@ def close_maps(
         # restrictions through maximal subgroups reach every subgroup
         for e in lat.maximal_of[d]:
             queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
-        # m after stored maps with image inside dom(m)
-        for j2 in lat.subsets_of[d]:
-            for (d2, t2) in by_image[j2]:
-                queue.append((d2, tuple(m[pos[v]] for v in t2)))
-        # stored maps after m
-        for e in lat.supersets_of[j]:
-            pos_e = lat.pos[e]
-            for t3 in store[e]:
-                queue.append((d, tuple(t3[pos_e[v]] for v in m)))
+        # m after the stored maps onto exactly dom(m)
+        for (d2, t2) in by_image[d]:
+            queue.append((d2, tuple(m[pos[v]] for v in t2)))
+        # the stored maps on exactly im(m) after m
+        pos_j = lat.pos[j]
+        for t3 in store[j]:
+            queue.append((d, tuple(t3[pos_j[v]] for v in m)))
     return store
 
 
@@ -448,18 +503,9 @@ class SaturationReport:
     continuity: str = "vacuous for a finite base group"
 
 
-def _aut_s_maps(F: FusionSystem, i: int) -> frozenset[MapTuple]:
-    G = F.base
-    sub = F.lattice.subs[i]
-    norm = sub.normalizer_in()
-    return frozenset(
-        tuple(G.conj(g, x) for x in sub.members) for g in norm.members
-    )
-
-
 def is_fully_automized(F: FusionSystem, i: int) -> bool:
     aut_f = F.aut_maps(i)
-    aut_s = _aut_s_maps(F, i)
+    aut_s = F.lattice.aut_s(i)
     if not aut_s <= set(aut_f):
         raise InternalInconsistency("inner automorphisms missing from the table")
     if len(aut_f) % len(aut_s):
@@ -470,19 +516,20 @@ def is_fully_automized(F: FusionSystem, i: int) -> bool:
 def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> Subgroup:
     """The elements g of N_S(Q) whose conjugation transports through phi
     into conjugation on the target."""
-    G = F.base
-    Q = F.lattice.subs[q_idx]
-    P = F.lattice.subs[p_idx]
-    aut_s_p = _aut_s_maps(F, p_idx)
+    lat = F.lattice
+    conj = lat.conj_table()
+    Q = lat.subs[q_idx]
+    pos_q = lat.pos[q_idx]
+    aut_s_p = lat.aut_s(p_idx)
     back = {v: Q.members[t] for t, v in enumerate(phi)}
-    members = []
-    for g in Q.normalizer_in().members:
-        transported = tuple(
-            phi[Q.pos(G.conj(g, back[y]))] for y in P.members
-        )
-        if transported in aut_s_p:
-            members.append(g)
-    return Subgroup(G, members)
+    preimages = [back[y] for y in lat.subs[p_idx].members]
+    members = [
+        g
+        for g in lat.normalizer(q_idx)
+        if tuple(phi[pos_q[conj[g][x]]] for x in preimages) in aut_s_p
+    ]
+    # every subgroup is in the lattice, so this lookup is the closure check
+    return lat.subs[lat.index_of(members)]
 
 
 def is_receptive(
@@ -496,7 +543,7 @@ def is_receptive(
         Q = lat.subs[q_idx]
         for phi in F.iso_maps(q_idx, i):
             n_phi = control_subgroup(F, q_idx, phi, i)
-            n_idx = lat.index_of(n_phi.members)
+            n_idx = n_phi.canonical_index
             pos_q = [lat.pos[n_idx][x] for x in Q.members]
             extended = any(
                 all(psi[t] == phi[s] for s, t in enumerate(pos_q))
@@ -634,11 +681,11 @@ def is_strongly_closed(F: FusionSystem, i: int) -> bool:
 
 
 def is_centric(F: FusionSystem, i: int) -> bool:
-    for j in F.subgroup_class_of(i):
-        Q = F.lattice.subs[j]
-        if not Q.centralizer_in().member_set <= Q.member_set:
-            return False
-    return True
+    lat = F.lattice
+    return all(
+        lat.member_sets[j].issuperset(lat.centralizer(j))
+        for j in F.subgroup_class_of(i)
+    )
 
 
 def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list[int]]:
@@ -663,10 +710,8 @@ def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list
             comp = tuple(a[pos[v]] for v in b)
             row.append(idx[comp])
         rows.append(row)
-    G = F.base
-    inner = sorted(
-        {idx[tuple(G.conj(x, y) for y in members)] for x in members}
-    )
+    conj = F.lattice.conj_table()
+    inner = sorted({idx[tuple(conj[x][y] for y in members)] for x in members})
     aut_group = FiniteGroup.from_cayley(rows)
     inner_sub = Subgroup(aut_group, inner, _checked=True)
     quo, label = quotient(aut_group, inner_sub)

@@ -648,39 +648,23 @@ class LatticeShape:
     def __init__(self, members: list[tuple[int, ...]]):
         self.members = members
         self.idx = {m: i for i, m in enumerate(members)}
-        self._containment: Optional[tuple[list, list, list, list]] = None
+        self._containment: Optional[tuple[list, list]] = None
 
-    def containment(self) -> tuple[list, list, list, list]:
-        """``(pos, subsets_of, supersets_of, maximal_of)`` by subgroup index."""
+    def containment(self) -> tuple[list, list]:
+        """``(pos, maximal_of)`` by subgroup index."""
         if self._containment is None:
             member_sets = [frozenset(m) for m in self.members]
             pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-            n = len(member_sets)
-            subsets: list[list[int]] = [[] for _ in range(n)]
-            supersets: list[list[int]] = [[] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if member_sets[j] <= member_sets[i]:
-                        subsets[i].append(j)
-                        supersets[j].append(i)
             maximal: list[tuple[int, ...]] = []
-            for i in range(n):
-                proper = [j for j in subsets[i] if j != i]
+            for i, whole in enumerate(member_sets):
+                proper = [j for j, part in enumerate(member_sets) if part < whole]
                 tops = [
                     j
                     for j in proper
-                    if not any(
-                        j != l and l != i and member_sets[j] < member_sets[l]
-                        for l in proper
-                    )
+                    if not any(member_sets[j] < member_sets[l] for l in proper)
                 ]
                 maximal.append(tuple(tops))
-            self._containment = (
-                pos,
-                [tuple(v) for v in subsets],
-                [tuple(v) for v in supersets],
-                maximal,
-            )
+            self._containment = (pos, maximal)
         return self._containment
 
 

@@ -146,14 +146,26 @@ def factorization_to_json(fact) -> dict:
     }
 
 
+def _id_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise UsageError(f"{what} must be a list of element ids")
+    return tuple(value)
+
+
+def _list_field(data, key: str, what: str) -> list:
+    if not isinstance(data, dict) or not isinstance(data.get(key), list):
+        raise UsageError(f"{what} JSON needs a list under {key!r}")
+    return data[key]
+
+
 def factorization_bases_from_json(data: dict) -> list[tuple[int, ...]]:
-    parts = data["parts"]
     bases = []
-    for part in parts:
+    for part in _list_field(data, "parts", "factorization"):
         if isinstance(part, dict):
-            bases.append(tuple(int(x) for x in part["base"]))
-        else:
-            bases.append(tuple(int(x) for x in part))
+            part = part.get("base")
+        bases.append(_id_list(part, "a factorization part"))
     return bases
 
 
@@ -169,4 +181,7 @@ def certificate_to_json(cert) -> dict:
 
 
 def omega_maps_from_json(data: dict) -> list[tuple[int, ...]]:
-    return [tuple(int(v) for v in row) for row in data["maps"]]
+    return [
+        _id_list(row, "an automorphism map")
+        for row in _list_field(data, "maps", "automorphism context")
+    ]

@@ -20,6 +20,7 @@ from .groups import (
     direct_product,
     fitting_split,
     group_prime,
+    injective_homs,
     omega_central_series,
     quotient,
     subgroups,
@@ -28,9 +29,11 @@ from .groups import (
 from .fusion import (
     FusionSystem,
     center_of,
+    control_subgroup,
     focal_of,
     fusion_equal,
     fusion_of_group,
+    generated_fusion,
     inner_fusion,
     is_centric,
     is_radical,
@@ -428,9 +431,44 @@ def check_centric_radical_split() -> str:
 
 
 def check_table_closure() -> str:
+    """``validate_closure`` applies the full composition rule, so it is
+    the exact twin of ``close_maps``, which joins on exact images only.
+    Besides catalog tables it checks ``close_maps`` outputs from seeds
+    that are not closed."""
     for name in ["sigma3", "inner-d8", "sym4", "sigma3-cubed-paired", "inner-c2c4"]:
         _fusion(name).validate_closure()
-    return "tables closed under restriction/composition/inversion"
+    generated = 0
+    tables = set()
+    for name in catalog.names():
+        S = _fusion(name).base
+        table = tuple(tuple(S.mul(a, b) for b in range(S.order)) for a in range(S.order))
+        if table in tables:  # close_maps sees only the table and the seeds
+            continue
+        tables.add(table)
+        inner = {tuple(S.conj(s, x) for x in range(S.order)) for s in range(S.order)}
+        auts = automorphisms(S)
+        seeds = [[next((a for a in auts if a.images not in inner), auts[0])]]
+        # automorphisms of S close under composition through restriction
+        # alone; isomorphisms between maximal subgroups need both joins
+        maximal = [sub for sub in subgroups(S) if sub.order * group_prime(S) == S.order]
+        for Q in maximal[1:]:
+            isos = injective_homs(maximal[0], Q)
+            seeds += [[isos[-1]]] if isos else []
+        for gens in seeds:
+            generated_fusion(S, gens).validate_closure()
+            generated += 1
+    inner_systems = 0
+    for name in catalog.MULTI_FACTOR:
+        F = _fusion(name)
+        parts = list(factorize(F).parts)
+        for k in range(2, len(parts) + 1):
+            for family in itertools.combinations(parts, k):
+                commute_check(F, list(family)).inner.validate_closure()
+                inner_systems += 1
+    return (
+        f"catalog tables, {generated} generated systems and {inner_systems} "
+        "commuting inner systems closed under restriction/composition/inversion"
+    )
 
 
 def check_alperin_generation() -> str:
@@ -442,6 +480,58 @@ def check_alperin_generation() -> str:
     return f"{count} systems regenerated from centric-radical automorphisms"
 
 
+def _control_subgroup_twin(
+    F: FusionSystem, q_idx: int, phi: tuple[int, ...], p_idx: int
+) -> Subgroup:
+    """N_phi from ``normalizer_in`` and direct conjugation, closed by
+    ``Subgroup``: the slow twin of ``control_subgroup``."""
+    G = F.base
+    Q = F.lattice.subs[q_idx]
+    P = F.lattice.subs[p_idx]
+    aut_s_p = {
+        tuple(G.conj(g, x) for x in P.members) for g in P.normalizer_in().members
+    }
+    back = {v: Q.members[t] for t, v in enumerate(phi)}
+    members = [
+        g
+        for g in Q.normalizer_in().members
+        if tuple(phi[Q.pos(G.conj(g, back[y]))] for y in P.members) in aut_s_p
+    ]
+    return Subgroup(G, members)
+
+
+def check_conjugation_tables() -> str:
+    """The conjugation tables of each lattice agree with ``normalizer_in``,
+    ``centralizer_in`` and directly conjugated maps, and
+    ``control_subgroup`` agrees with its twin on every isomorphism
+    between members of a subgroup class."""
+    subs = controls = 0
+    for name in catalog.names():
+        F = _fusion(name)
+        G, lat = F.base, F.lattice
+        for i, sub in enumerate(lat.subs):
+            norm = sub.normalizer_in()
+            assert lat.normalizer(i) == norm.members, (
+                f"{name}: normalizer table of {sub.members} disagrees"
+            )
+            assert lat.centralizer(i) == sub.centralizer_in().members, (
+                f"{name}: centralizer table of {sub.members} disagrees"
+            )
+            direct = {tuple(G.conj(g, x) for x in sub.members) for g in norm.members}
+            assert lat.aut_s(i) == direct, (
+                f"{name}: Aut_S table of {sub.members} disagrees"
+            )
+            subs += 1
+        for cls in F.subgroup_classes():
+            for p_idx, q_idx in itertools.product(cls, repeat=2):
+                for phi in F.iso_maps(q_idx, p_idx):
+                    assert control_subgroup(F, q_idx, phi, p_idx) == (
+                        _control_subgroup_twin(F, q_idx, phi, p_idx)
+                    ), f"{name}: control subgroup of {phi} disagrees"
+                    controls += 1
+    return f"{subs} subgroups and {controls} control subgroups agree with direct conjugation"
+
+
 FUSION_CORE_CHECKS = [
     ("saturation-battery", check_saturation_battery),
     ("center-fixed-points", check_center_fixed_points),
@@ -450,6 +540,7 @@ FUSION_CORE_CHECKS = [
     ("centric-radical-split", check_centric_radical_split),
     ("table-closure", check_table_closure),
     ("alperin-generation", check_alperin_generation),
+    ("conjugation-tables", check_conjugation_tables),
 ]
 
 

@@ -89,6 +89,9 @@ LEMMA_SUITE = [
     ("fusion-core", "strongly-closed-bounds"),
     ("fusion-core", "restriction-saturated"),
     ("fusion-core", "centric-radical-split"),
+    ("fusion-core", "table-closure"),
+    ("fusion-core", "alperin-generation"),
+    ("fusion-core", "conjugation-tables"),
     ("morphisms", "kernel-strongly-closed"),
     ("morphisms", "iso-inverse"),
     ("morphisms", "commuting-criteria-agree"),

@@ -161,6 +161,27 @@ def test_mathematical_rejection_exit_code(tmp_path, parts):
     assert report["error"]["code"] == "NotSubsystem"
 
 
+@pytest.mark.parametrize(
+    "flag,data",
+    [
+        ("--fact", {"partz": []}),
+        ("--fact", {"parts": [["a"]]}),
+        ("--omega", {"mapz": []}),
+    ],
+    ids=["fact-missing-parts", "fact-non-integer-id", "omega-missing-maps"],
+)
+def test_malformed_input_json_is_a_usage_error(tmp_path, flag, data):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    if flag == "--fact":
+        argv = ["krs", "--catalog", "inner-c2c2", "--fact1", str(f), "--fact2", str(f)]
+    else:
+        argv = ["factorize", "--catalog", "inner-c2c2", "--omega", str(f)]
+    code, report = run_cli(argv)
+    assert code == 2
+    assert report["error"]["code"] == "UsageError"
+
+
 def test_usage_error_exit_code():
     code, report = run_cli(["analyze"])
     assert code == 2

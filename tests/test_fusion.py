@@ -214,6 +214,22 @@ def test_control_subgroup_proper_on_dihedral():
     assert n_id.order == 8  # the identity transports the whole normalizer
 
 
+def test_conjugation_tables_check_catches_a_dropped_normalizer_element(monkeypatch):
+    from fusionsys import verify
+
+    name = "fusion-core/conjugation-tables"
+    checks = dict(verify.FUSION_CORE_CHECKS)
+    assert verify._run(name, checks["conjugation-tables"]).passed
+
+    lat = fusion(catalog.names()[0]).lattice
+    dropped = list(lat._normalizers)
+    dropped[lat.full_index] = dropped[lat.full_index][:-1]
+    monkeypatch.setattr(lat, "_normalizers", dropped)
+    result = verify._run(name, checks["conjugation-tables"])
+    assert not result.passed
+    assert "normalizer table" in result.detail
+
+
 # -- conjugacy ------------------------------------------------------------------
 
 
