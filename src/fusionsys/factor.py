@@ -31,7 +31,8 @@ from . import guardrails
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_homs,
+    _homs,
+    automorphisms,
     injective_homs,
     normal_closure,
     p_part,
@@ -211,19 +212,75 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphism]:
     cached = F._automorphisms if injective else F._endomorphisms
     if cached is None:
-        full = F.base.full_subgroup()
-        homs = injective_homs(full, full) if injective else all_homs(full, full)
-        cached = []
-        for h in homs:
-            try:
-                cached.append(check_morphism(F, F, h.images, hom_checked=True))
-            except NotFusionPreserving:
-                continue
         if injective:
-            F._automorphisms = cached
+            cached = F._automorphisms = _fusion_subgroup(
+                F, [h.images for h in automorphisms(F.base)]
+            )
         else:
+            labels = [0] * F.base.order
+            for c, members in enumerate(F.element_classes()):
+                for x in members:
+                    labels[x] = c
+            full = F.base.full_subgroup()
+            cached = []
+            for h in _homs(full, full, False, None, labels):
+                try:
+                    cached.append(check_morphism(F, F, h.images, hom_checked=True))
+                except NotFusionPreserving:
+                    continue
             F._endomorphisms = cached
     return cached
+
+
+def _fusion_subgroup(F: FusionSystem, autos: list[MapTuple]) -> list[FusionMorphism]:
+    """The fusion-preserving members of the automorphism list ``autos``.
+
+    They form a group.  So a candidate in the group H generated by the
+    maps accepted so far is kept untested, and one in a coset r o H of a
+    rejected map r is skipped: if r o h preserved F for some h in H, so
+    would r = (r o h) o h^-1.  Every other candidate goes through
+    ``check_morphism``.
+    """
+    identity = tuple(range(F.base.order))
+    accepted: list[MapTuple] = []
+    H = {identity}
+    rejected: set[MapTuple] = set()
+    out = []
+    for a in autos:
+        if a in H:
+            out.append(FusionMorphism(F, F, a))
+            continue
+        if a in rejected:
+            continue
+        try:
+            out.append(check_morphism(F, F, a, hom_checked=True))
+        except NotFusionPreserving:
+            rejected.update(_coset(a, H))
+            continue
+        accepted.append(a)
+        H = _join(H, accepted)
+    return out
+
+
+def _coset(r: MapTuple, H: Iterable[MapTuple]) -> set[MapTuple]:
+    """r o H."""
+    return {tuple(r[v] for v in h) for h in H}
+
+
+def _join(H: set[MapTuple], gens: Sequence[MapTuple]) -> set[MapTuple]:
+    """The group generated by the group ``H`` and ``gens``, which must
+    include generators of H, built one left coset x o H at a time
+    (Dimino's method): left multiplication by the generators reaches
+    every coset."""
+    group = set(H)
+    reps = [tuple(range(len(gens[0])))]
+    for r in reps:
+        for g in gens:
+            x = tuple(g[v] for v in r)
+            if x not in group:
+                group.update(_coset(x, H))
+                reps.append(x)
+    return group
 
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:

@@ -694,14 +694,9 @@ def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list
     members = sub.members
     pos = F.lattice.pos[i]
     auts = sorted(F.aut_maps(i))
-    aut_index = {m: t for t, m in enumerate(auts)}
     identity = tuple(members)
-    # relabel so the identity automorphism gets id 0
-    order_ids = [aut_index[identity]] + [
-        t for t in range(len(auts)) if auts[t] != identity
-    ]
-    relabel = {old: new for new, old in enumerate(order_ids)}
-    elems = [auts[old] for old in order_ids]
+    # the identity automorphism gets id 0
+    elems = [identity] + [a for a in auts if a != identity]
     idx = {m: t for t, m in enumerate(elems)}
     rows = []
     for a in elems:

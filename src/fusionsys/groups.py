@@ -853,26 +853,19 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 # homomorphism enumeration
 
 
-def _homs(
+def _search_space(
     P: Subgroup,
     Q: Subgroup,
     injective: bool,
     limits: Optional[guardrails.Guardrails],
-) -> list[GroupHom]:
-    """Homomorphisms P -> Q (only the injective ones when ``injective``)
-    by backtracking on generators.
-
-    Results come in lexicographic order of the image tuple over
-    ``P.members``.
-    """
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The generating sequence of ``P`` and the image candidates of each
+    generator in ``Q``: same order when ``injective``, dividing order
+    otherwise.  Raises GuardrailExceeded when the candidate space is over
+    ``hom_search_limit``."""
     limits = limits or guardrails.active()
     A, B = P.parent, Q.parent
-    if injective and P.order > Q.order:
-        return []
     gens = _greedy_generating_sequence(A, P.members)
-    if not gens:
-        return [GroupHom(P, Q, (0,), _checked=True)]
-
     candidates: list[list[int]] = []
     space = 1
     for g in gens:
@@ -887,46 +880,104 @@ def _homs(
             raise GuardrailExceeded(
                 f"hom search space {space} exceeds {limits.hom_search_limit}"
             )
+    return gens, candidates
 
-    results: list[tuple[int, ...]] = []
 
-    def spread(assigned: dict[int, int]) -> Optional[dict[int, int]]:
-        # close the partial map over the subgroup generated by its keys;
-        # None on any inconsistency.
-        known = dict(assigned)
-        known[0] = 0
-        queue = list(known)
-        keys = list(assigned)
-        while queue:
-            x = queue.pop()
-            for g in keys:
-                y = A.mul(x, g)
-                img = B.mul(known[x], known[g])
-                if y in known:
-                    if known[y] != img:
-                        return None
-                else:
-                    known[y] = img
-                    queue.append(y)
-        return known
+def _spread(
+    A: FiniteGroup,
+    B: FiniteGroup,
+    assigned: dict[int, int],
+    keys: Sequence[int],
+    labels: Optional[Sequence[int]],
+) -> Optional[dict[int, int]]:
+    """Close a partial map over the subgroup generated by ``keys``.
 
-    def extend(assigned: dict[int, int], step: int) -> None:
-        if step == len(gens):
-            results.append(tuple(assigned[m] for m in P.members))
-            return
-        g = gens[step]
-        for q in candidates[step]:
-            trial = dict(assigned)
-            trial[g] = q
-            closed = spread(trial)
-            if closed is None:
-                continue
-            if injective and len(set(closed.values())) != len(closed):
-                continue
-            extend(closed, step + 1)
+    ``assigned`` holds the images of ``keys`` and may hold a closed map on
+    a subgroup they generate.  Checking ``f(x g) = f(x) f(g)`` for every
+    reached x and every key g makes the result a homomorphism.  None on
+    any inconsistency, and, given class ``labels``, at the first element
+    whose image breaks the class map (a fusion-preserving map sends each
+    F-class into one F-class, since f(phi(x)) = f_*(phi)(f(x))).
+    """
+    known = dict(assigned)
+    known[0] = 0
+    class_map: dict[int, int] = {}
+    if labels is not None:
+        for x, v in known.items():
+            if class_map.setdefault(labels[x], labels[v]) != labels[v]:
+                return None
+    queue = list(known)
+    while queue:
+        x = queue.pop()
+        for g in keys:
+            y = A.mul(x, g)
+            img = B.mul(known[x], known[g])
+            if y in known:
+                if known[y] != img:
+                    return None
+            else:
+                if labels is not None and (
+                    class_map.setdefault(labels[y], labels[img]) != labels[img]
+                ):
+                    return None
+                known[y] = img
+                queue.append(y)
+    return known
 
-    extend({}, 0)
-    return [GroupHom(P, Q, images, _checked=True) for images in sorted(set(results))]
+
+def _leaves(
+    A: FiniteGroup,
+    B: FiniteGroup,
+    gens: Sequence[int],
+    candidates: Sequence[Sequence[int]],
+    assigned: dict[int, int],
+    step: int,
+    injective: bool,
+    labels: Optional[Sequence[int]],
+):
+    """Extend a closed map on ``gens[:step]`` by each candidate image of
+    the next generator, depth first; yields every closed leaf."""
+    if step == len(gens):
+        yield assigned
+        return
+    g = gens[step]
+    for q in candidates[step]:
+        trial = dict(assigned)
+        trial[g] = q
+        closed = _spread(A, B, trial, gens[: step + 1], labels)
+        if closed is None:
+            continue
+        if injective and len(set(closed.values())) != len(closed):
+            continue
+        yield from _leaves(A, B, gens, candidates, closed, step + 1, injective, labels)
+
+
+def _homs(
+    P: Subgroup,
+    Q: Subgroup,
+    injective: bool,
+    limits: Optional[guardrails.Guardrails],
+    labels: Optional[Sequence[int]] = None,
+) -> list[GroupHom]:
+    """Homomorphisms P -> Q (only the injective ones when ``injective``)
+    by backtracking on generators.
+
+    ``labels`` (for self-maps of a fusion system's base group) gives each
+    element its F-class; branches that split a class are cut.  Results
+    come in lexicographic order of the image tuple over ``P.members``.
+    """
+    if injective and P.order > Q.order:
+        return []
+    gens, candidates = _search_space(P, Q, injective, limits)
+    if not gens:
+        return [GroupHom(P, Q, (0,), _checked=True)]
+    results = {
+        tuple(leaf[m] for m in P.members)
+        for leaf in _leaves(
+            P.parent, Q.parent, gens, candidates, {}, 0, injective, labels
+        )
+    }
+    return [GroupHom(P, Q, images, _checked=True) for images in sorted(results)]
 
 
 def injective_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
@@ -939,9 +990,38 @@ def all_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
     return _homs(P, Q, False, limits)
 
 
+def _transversal(
+    G: FiniteGroup, gens: Sequence[int], candidates: list[list[int]], i: int
+) -> list[Perm]:
+    """One automorphism per image of ``gens[i]`` among those that fix
+    ``gens[:i]``, each found as the first leaf of its search."""
+    fixed = _spread(G, G, {g: g for g in gens[:i]}, gens[:i], None)
+    level = []
+    for q in candidates[i]:
+        pinned = candidates[:i] + [[q]] + candidates[i + 1 :]
+        leaf = next(_leaves(G, G, gens, pinned, fixed, i, True, None), None)
+        if leaf is not None:
+            level.append(tuple(leaf[x] for x in range(G.order)))
+    return level
+
+
 def automorphisms(G: FiniteGroup, *, limits=None) -> list[GroupHom]:
+    """Aut(G) in image-tuple order, multiplied out of a stabiliser chain.
+
+    The generating sequence b_1..b_k is a base: level i holds one
+    automorphism u fixing b_1..b_{i-1} for each image of b_i.  Every
+    automorphism is u_1 o ... o u_k in exactly one way, because the b_i
+    generate G, so |Aut(G)| comes from a few first-leaf searches and not
+    from a search tree with one leaf per automorphism.  ``injective_homs``
+    is the exhaustive twin.
+    """
     full = G.full_subgroup()
-    return injective_homs(full, full, limits=limits)
+    gens, candidates = _search_space(full, full, True, limits)
+    autos: list[Perm] = [tuple(range(G.order))]
+    for i in reversed(range(len(gens))):
+        level = _transversal(G, gens, candidates, i)
+        autos = [tuple(u[v] for v in a) for u in level for a in autos]
+    return [GroupHom(full, full, images, _checked=True) for images in sorted(autos)]
 
 
 # ---------------------------------------------------------------------------

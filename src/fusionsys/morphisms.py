@@ -8,8 +8,8 @@ determined by the underlying map and cached.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -343,10 +343,22 @@ def product(factors: Sequence[FusionSystem]) -> ProductSystem:
 # commuting subsystems
 
 
-@dataclass(frozen=True)
+@dataclass
 class CommuteResult:
-    inner: FusionSystem
+    """The verdict of ``commute_check``.  The inner product subsystem is
+    built from the extension seeds on first use: sums and normal
+    complements need only the verdict."""
+
+    ambient: FusionSystem
     inner_base: Subgroup
+    seeds: frozenset[tuple[int, MapTuple]]
+    _inner: Optional[FusionSystem] = field(default=None, repr=False, compare=False)
+
+    @property
+    def inner(self) -> FusionSystem:
+        if self._inner is None:
+            self._inner = _inner_from_seeds(self.ambient, self.inner_base, self.seeds)
+        return self._inner
 
 
 def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteResult:
@@ -355,9 +367,9 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
     Uses the morphism-tuple criterion: the base subgroups must commute
     pairwise and every tuple of subsystem morphisms must extend to a
     single morphism of ``F`` on the product of the domains.  On success
-    the inner product subsystem is returned.  The verify check
-    ``morphisms/commuting-criteria-agree`` compares the criterion with
-    the morphism out of the external product.
+    the result carries the inner product subsystem, built when read.
+    The verify check ``morphisms/commuting-criteria-agree`` compares the
+    criterion with the morphism out of the external product.
     """
     if not subsystems:
         raise NotSubgroup("need at least one subsystem")
@@ -417,8 +429,7 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
             G.mul(u, x) for u in inner_members for x in sub.base.members
         }
     inner_base = Subgroup(G, inner_members, _checked=True)
-    inner = _inner_from_seeds(F, inner_base, extension_seeds)
-    return CommuteResult(inner, inner_base)
+    return CommuteResult(F, inner_base, frozenset(extension_seeds))
 
 
 def _inner_from_seeds(
@@ -446,9 +457,9 @@ def is_product_decomposition(
     total = 1
     for sub in subsystems:
         total *= sub.base.order
-    injective = total == res.inner_base.order
-    onto = res.inner_base.order == F.base.order and fusion_equal(res.inner, F)
-    return injective and onto
+    if not total == res.inner_base.order == F.base.order:
+        return False
+    return fusion_equal(res.inner, F)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import catalog
-from .errors import FusionError, NotCommuting, NotSummable, SuiteUnknown
+from .errors import (
+    FusionError,
+    NotCommuting,
+    NotFusionPreserving,
+    NotSummable,
+    SuiteUnknown,
+)
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -64,6 +70,7 @@ from .factor import (
     factorize_all,
     fitting_factorize,
     fusion_automorphisms,
+    fusion_endomorphisms,
     goldschmidt_factor,
     is_indecomposable,
     is_normal_endo,
@@ -933,6 +940,58 @@ def check_factorizations_are_products() -> str:
     return f"{count} factorizations are direct products of their parts"
 
 
+def _fusion_preserving(F: FusionSystem, homs: list[GroupHom]) -> list[tuple[int, ...]]:
+    out = []
+    for h in homs:
+        try:
+            out.append(check_morphism(F, F, h.images, hom_checked=True).images)
+        except NotFusionPreserving:
+            continue
+    return out
+
+
+def check_self_map_search() -> str:
+    """The fusion-aware self-map search against its plain twin: every
+    homomorphism S -> S from the exhaustive backtracker, filtered by
+    ``check_morphism``.  Aut(S) from the base transversals is compared
+    with ``injective_homs``.  The search runs on a fresh copy of each
+    system, so no list cached by an earlier call can hide a fault.  The
+    twin runs once per multiplication table; the endomorphisms of
+    ``inner-c3c3c3`` (19683 of them) are left out."""
+    plain_auts: dict[tuple[tuple[int, ...], ...], list[GroupHom]] = {}
+    plain_ends: dict[tuple[tuple[int, ...], ...], list[GroupHom]] = {}
+    autos = endos = 0
+    for name in catalog.names():
+        F = _fusion(name)
+        S = F.base
+        full = S.full_subgroup()
+        table = tuple(tuple(S.mul(a, b) for b in range(S.order)) for a in range(S.order))
+        if table not in plain_auts:
+            plain_auts[table] = injective_homs(full, full)
+            assert automorphisms(S) == plain_auts[table], (
+                f"{name}: Aut(S) from the base transversals differs from injective_homs"
+            )
+        fresh = FusionSystem(S, F.p, F.maps)
+        found = [m.images for m in fusion_automorphisms(fresh)]
+        assert found == _fusion_preserving(fresh, plain_auts[table]), (
+            f"{name}: fusion automorphisms differ from the plain filter"
+        )
+        autos += len(found)
+        if name == "inner-c3c3c3":
+            continue
+        if table not in plain_ends:
+            plain_ends[table] = all_homs(full, full)
+        found = [m.images for m in fusion_endomorphisms(fresh)]
+        assert found == _fusion_preserving(fresh, plain_ends[table]), (
+            f"{name}: fusion endomorphisms differ from the plain filter"
+        )
+        endos += len(found)
+    return (
+        f"{autos} automorphisms and {endos} endomorphisms match the plain "
+        f"search over {len(plain_auts)} tables"
+    )
+
+
 FACTOR_CHECKS = [
     ("dichotomy", check_dichotomy),
     ("sum-criterion", check_sum_criterion),
@@ -943,6 +1002,7 @@ FACTOR_CHECKS = [
     ("fitting-factorize", check_fitting_factorize),
     ("surjective-criterion", check_surjective_criterion),
     ("factorizations-are-products", check_factorizations_are_products),
+    ("self-map-search", check_self_map_search),
 ]
 
 

@@ -105,6 +105,7 @@ LEMMA_SUITE = [
     ("factor", "projections-normal"),
     ("factor", "surjective-criterion"),
     ("factor", "factorizations-are-products"),
+    ("factor", "self-map-search"),
 ]
 
 

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from fusionsys import catalog, groups
+from fusionsys import catalog, factor, groups
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import FiniteGroup, GroupHom, cycles_to_perm, fitting_split
 from fusionsys.fusion import (
@@ -189,6 +189,55 @@ def test_product_check_catches_a_dropped_part(monkeypatch):
     result = verify._run(name, checks["factorizations-are-products"])
     assert not result.passed
     assert "do not factor the system" in result.detail
+
+
+def _self_map_search_result():
+    # the lemma suite runs the unmutated check
+    from fusionsys import verify
+
+    check = dict(verify.FACTOR_CHECKS)["self-map-search"]
+    return verify._run("factor/self-map-search", check)
+
+
+def test_self_map_check_catches_classes_mapped_to_themselves(monkeypatch):
+    spread = groups._spread
+
+    def own_class_only(A, B, assigned, keys, labels):
+        closed = spread(A, B, assigned, keys, labels)
+        if closed is not None and labels is not None:
+            if any(labels[x] != labels[v] for x, v in closed.items()):
+                return None
+        return closed
+
+    monkeypatch.setattr(groups, "_spread", own_class_only)
+    result = _self_map_search_result()
+    assert not result.passed
+    assert "fusion endomorphisms differ" in result.detail
+
+
+def test_self_map_check_catches_a_coset_of_the_wrong_group(monkeypatch):
+    coset = factor._coset
+
+    def coset_of_powers(r, H):
+        # r o <r> is <r>, whose powers of r may preserve F
+        powers, x = [], r
+        while x not in powers:
+            powers.append(x)
+            x = tuple(r[v] for v in x)
+        return coset(r, powers)
+
+    monkeypatch.setattr(factor, "_coset", coset_of_powers)
+    result = _self_map_search_result()
+    assert not result.passed
+    assert "fusion automorphisms differ" in result.detail
+
+
+def test_self_map_check_catches_a_lost_transversal_element(monkeypatch):
+    transversal = groups._transversal
+    monkeypatch.setattr(groups, "_transversal", lambda *args: transversal(*args)[:-1])
+    result = _self_map_search_result()
+    assert not result.passed
+    assert "base transversals differs" in result.detail
 
 
 def test_nontrivial_overlap_lands_in_center():

@@ -4,7 +4,7 @@ import pytest
 
 from fusionsys import guardrails
 from fusionsys.errors import GuardrailExceeded
-from fusionsys.groups import FiniteGroup, cycles_to_perm, injective_homs
+from fusionsys.groups import FiniteGroup, automorphisms, cycles_to_perm, injective_homs
 from fusionsys.fusion import generated_fusion
 
 
@@ -35,6 +35,19 @@ def test_hom_search_guardrail():
     tiny = guardrails.Guardrails(hom_search_limit=10)
     with pytest.raises(GuardrailExceeded):
         injective_homs(full, full, limits=tiny)
+
+
+def test_automorphism_search_guardrail():
+    e27 = FiniteGroup.from_permutations(
+        [
+            cycles_to_perm([[1, 2, 3]], 9),
+            cycles_to_perm([[4, 5, 6]], 9),
+            cycles_to_perm([[7, 8, 9]], 9),
+        ]
+    )
+    tiny = guardrails.Guardrails(hom_search_limit=10)
+    with pytest.raises(GuardrailExceeded):
+        automorphisms(e27, limits=tiny)
 
 
 def test_table_limit_guardrail():
