@@ -376,8 +376,14 @@ def fusion_of_group(
     lat = lattice_of(SG)
     maps: list[set[MapTuple]] = [set() for _ in lat.subs]
     s_set = S.member_set
+    # g and g' with the same conjugation row on S (g' in g C_G(S), say)
+    # add the same maps, so each row is processed once
+    rows: set[tuple[int, ...]] = set()
     for g in range(G.order):
-        conj = [G.conj(g, pid) for pid in to_parent]
+        conj = tuple(G.conj(g, pid) for pid in to_parent)
+        if conj in rows:
+            continue
+        rows.add(conj)
         inside = [c in s_set for c in conj]
         translated = [from_parent[c] if ok else -1 for c, ok in zip(conj, inside)]
         for i, sub in enumerate(lat.subs):
@@ -638,14 +644,26 @@ def is_central_subgroup(F: FusionSystem, i: int) -> bool:
 
 
 def center_of(F: FusionSystem) -> Subgroup:
-    """Subgroup generated by all central subgroups."""
+    """Subgroup generated by all central subgroups.
+
+    Every central subgroup lies in the set Fix of elements of Z(S) whose
+    F-class is a single element: a morphism defined at z in a central Z
+    extends over Z by the identity there, so it fixes z.  So when <Fix>
+    is itself central (always, for a saturated system) it is the answer;
+    otherwise the central subgroups inside Fix are joined one by one.
+    """
     if F._center is not None:
         return F._center
     G = F.base
     z_s = set(G.center_members())
+    fixed = {cls[0] for cls in F.element_classes() if len(cls) == 1} & z_s
+    hull = G.generated_subgroup(fixed)
+    if hull.order == 1 or is_central_subgroup(F, F.lattice.idx[hull.members]):
+        F._center = hull
+        return hull
     members: set[int] = {0}
     for i, sub in enumerate(F.lattice.subs):
-        if sub.member_set <= z_s and is_central_subgroup(F, i):
+        if sub.member_set <= fixed and is_central_subgroup(F, i):
             members |= sub.member_set
     F._center = G.generated_subgroup(members)
     return F._center

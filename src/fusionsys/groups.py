@@ -229,27 +229,34 @@ class FiniteGroup:
         identity = tuple(range(k))
         elements: list[Perm] = [identity]
         index = {identity: 0}
-        queue = [identity]
+        # the BFS tree: elements[t] = elements[parent[t]] o norm[via[t]],
+        # and right[v][x] is the id of elements[x] o norm[v]
+        parent, via = [0], [0]
+        right: list[list[int]] = [[] for _ in norm]
+        queue = [0]
         while queue:
             nxt = []
-            for p in queue:
-                for g in norm:
+            for x in queue:
+                p = elements[x]
+                for v, g in enumerate(norm):
                     q = perm_compose(p, g)
-                    if q not in index:
-                        index[q] = len(elements)
+                    t = index.get(q)
+                    if t is None:
+                        t = index[q] = len(elements)
                         elements.append(q)
-                        nxt.append(q)
+                        parent.append(x)
+                        via.append(v)
+                        nxt.append(t)
                         if len(elements) > limits.closure_limit:
                             raise ClosureTooLarge(
                                 f"closure exceeds guardrail {limits.closure_limit}"
                             )
+                    right[v].append(t)
             queue = nxt
         n = len(elements)
         mul_rows = None
         if n <= _DENSE_MUL_LIMIT:
-            mul_rows = [
-                [index[perm_compose(a, b)] for b in elements] for a in elements
-            ]
+            mul_rows = _table_from_tree(parent, via, right)
         gen_ids = []
         for g in norm:
             gid = index[g]
@@ -363,6 +370,30 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _table_from_tree(
+    parent: Sequence[int], via: Sequence[int], right: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Dense multiplication rows from a BFS tree of the elements.
+
+    Element t is element parent[t] times generator via[t], and
+    ``right[v][x]`` is the id of x times generator v.  Associativity gives
+    g*t = (g*parent[t])*g', which fills the row of each generator, and
+    a*t = parent[a]*(g*t) for g = via[a], which reads every other row off
+    its parent's row and a generator's row.  No permutation is composed.
+    """
+    n = len(parent)
+    gen_rows = []
+    for r in right:
+        row = [r[0]] * n
+        for t in range(1, n):
+            row[t] = right[via[t]][row[parent[t]]]
+        gen_rows.append(row)
+    rows = [list(range(n))]
+    for a in range(1, n):
+        rows.append(list(map(rows[parent[a]].__getitem__, gen_rows[via[a]])))
+    return rows
 
 
 def _closure_ids(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
@@ -699,10 +730,13 @@ def subgroups(G: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None)
 
 def enumerate_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Member tuples of all subgroups of ``G`` in canonical order, found by
-    closing each subgroup extended by one more element.
+    closing each subgroup H extended by one element of each coset Hx.
 
-    ``subgroups`` runs this once per multiplication table; the tests
-    compare the memoized lattices against it.
+    <H, hx> = <H, x> for h in H, so one closure per coset is enough, and
+    every subgroup K is reached: K = <M, x> for a maximal subgroup M < K
+    and any x in K outside M.  ``subgroups`` runs this once per
+    multiplication table; ``verify.enumerate_subgroups_plain`` (one
+    closure per element) is its twin.
     """
     trivial = (0,)
     found: dict[tuple[int, ...], tuple[int, ...]] = {trivial: ()}
@@ -710,17 +744,23 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
     while frontier:
         nxt = []
         for members, gens in frontier:
-            member_set = set(members)
+            done = set(members)
             for x in range(1, G.order):
-                if x in member_set:
+                if x in done:
                     continue
                 new_gens = gens + (x,)
                 closed = _closure_ids(G, new_gens)
                 if closed not in found:
                     found[closed] = new_gens
                     nxt.append((closed, new_gens))
+                done.update(_right_coset(G, members, x))
         frontier = nxt
     return sorted(found, key=lambda m: (len(m), m))
+
+
+def _right_coset(G: FiniteGroup, members: Sequence[int], x: int) -> list[int]:
+    """The coset {h x : h in H} of the subgroup with these members."""
+    return [G.mul(h, x) for h in members]
 
 
 # ---------------------------------------------------------------------------

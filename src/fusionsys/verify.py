@@ -20,20 +20,24 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _closure_ids,
     all_homs,
     automorphisms,
     characteristic_subgroups,
+    cycles_to_perm,
     direct_product,
     fitting_split,
     group_prime,
     injective_homs,
     omega_central_series,
+    perm_compose,
     quotient,
     subgroups,
     sylow,
 )
 from .fusion import (
     FusionSystem,
+    MapTuple,
     center_of,
     control_subgroup,
     focal_of,
@@ -41,9 +45,12 @@ from .fusion import (
     fusion_of_group,
     generated_fusion,
     inner_fusion,
+    is_central_subgroup,
     is_centric,
     is_radical,
+    is_saturated,
     is_strongly_closed,
+    lattice_of,
     restrict_full,
     saturation_report,
     alperin_generators,
@@ -341,8 +348,51 @@ def check_fitting_split() -> str:
     return f"{cases} endomorphisms split and unique"
 
 
+def enumerate_subgroups_plain(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The slow twin of ``groups.enumerate_subgroups``: each subgroup is
+    extended by every element outside it, one closure per element."""
+    trivial = (0,)
+    found: dict[tuple[int, ...], tuple[int, ...]] = {trivial: ()}
+    frontier = [(trivial, ())]
+    while frontier:
+        nxt = []
+        for members, gens in frontier:
+            member_set = set(members)
+            for x in range(1, G.order):
+                if x in member_set:
+                    continue
+                new_gens = gens + (x,)
+                closed = _closure_ids(G, new_gens)
+                if closed not in found:
+                    found[closed] = new_gens
+                    nxt.append((closed, new_gens))
+        frontier = nxt
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def dense_table_plain(G: FiniteGroup) -> list[list[int]]:
+    """The slow twin of the dense table of ``from_permutations``: every
+    product composed as permutations and looked up."""
+    index = {p: i for i, p in enumerate(G.perms)}
+    return [[index[perm_compose(a, b)] for b in G.perms] for a in G.perms]
+
+
+def check_cayley_tables() -> str:
+    """The dense tables that ``from_permutations`` fills from its BFS tree
+    equal the tables composed product by product.  The groups are built
+    afresh, so no cached group can hide a fault."""
+    count = 0
+    for name in catalog.names():
+        e = catalog.entry(name)
+        G = FiniteGroup.from_permutations(e.permutations(), points=e.points)
+        assert G._mul == dense_table_plain(G), f"{name}: dense table differs"
+        count += 1
+    return f"{count} dense tables equal composing every product"
+
+
 GROUP_CORE_CHECKS = [
     ("group-axioms", check_group_axioms),
+    ("cayley-tables", check_cayley_tables),
     ("subgroup-lattice", check_subgroup_lattice),
     ("subgroup-counts", check_subgroup_counts),
     ("omega-series", check_omega_series),
@@ -364,17 +414,74 @@ def check_saturation_battery() -> str:
     return f"{count} group fusion systems saturated"
 
 
+def center_plain(F: FusionSystem) -> Subgroup:
+    """The slow twin of ``center_of``: the join of every subgroup of Z(S)
+    that passes the extension test."""
+    G = F.base
+    z_s = set(G.center_members())
+    members: set[int] = {0}
+    for i, sub in enumerate(F.lattice.subs):
+        if sub.member_set <= z_s and is_central_subgroup(F, i):
+            members |= sub.member_set
+    return G.generated_subgroup(members)
+
+
+# Small bases for generated systems, saturated or not, shared with the
+# closure property tests: (generator cycles, points).
+SMALL_BASES = {
+    "c4": ([[[1, 2, 3, 4]]], 4),
+    "v4": ([[[1, 2]], [[3, 4]]], 4),
+    "d8": ([[[1, 2, 3, 4]], [[1, 3]]], 4),
+    "c9": ([[[1, 2, 3, 4, 5, 6, 7, 8, 9]]], 9),
+    "c3c3": ([[[1, 2, 3]], [[4, 5, 6]]], 6),
+    "c2c4": ([[[1, 2]], [[3, 4, 5, 6]]], 6),
+}
+
+
+def unsaturated_battery() -> list[tuple[str, FusionSystem]]:
+    """Every system generated over a small base by one isomorphism
+    between nontrivial subgroups that is not saturated (115 systems).
+    It holds V4 with <(1 2)> -> <(3 4)>, where <Fix> = <(1 2)(3 4)> is
+    not central and Z(F) = 1."""
+    out = []
+    for base, (gens, points) in SMALL_BASES.items():
+        G = FiniteGroup.from_permutations(
+            [cycles_to_perm(c, points) for c in gens], points=points
+        )
+        subs = subgroups(G)
+        for P, Q in itertools.product(subs, repeat=2):
+            if 1 < P.order == Q.order:
+                for h in injective_homs(P, Q):
+                    F = generated_fusion(G, [h])
+                    if not is_saturated(F):
+                        out.append((f"{base}:{P.members}->{h.images}", F))
+    return out
+
+
 def check_center_fixed_points() -> str:
+    """``center_of`` against its twin on a fresh copy of every catalog
+    system, where it also equals the fixed points of Z(S), and on the
+    battery of systems that are not saturated."""
     for name in catalog.names():
         F = _fusion(name)
-        z = center_of(F)
+        z = center_of(FusionSystem(F.base, F.p, F.maps))
+        assert z == center_plain(F), f"{name}: center differs from the extension loop"
         fixed = {
             x
             for x in F.base.center_members()
             if F.element_class_of(x) == (x,)
         }
         assert z.member_set == fixed, f"{name}: center mismatch"
-    return "center equals fused-fixed elements on the battery"
+    battery = dict(unsaturated_battery())
+    for label, F in battery.items():
+        assert center_of(F) == center_plain(F), (
+            f"{label}: center differs from the extension loop"
+        )
+    assert center_plain(battery["v4:(0, 1)->(0, 2)"]).order == 1
+    return (
+        f"center equals the extension loop and the fused-fixed elements on "
+        f"the catalog, and the extension loop on {len(battery)} unsaturated systems"
+    )
 
 
 def check_strongly_closed_bounds() -> str:
@@ -478,13 +585,31 @@ def check_table_closure() -> str:
     )
 
 
+def gl32_fusion() -> FusionSystem:
+    """The 2-fusion of GL(3,2) = PSL(2,7) on 7 points (order 168, Sylow
+    D8, 44 morphisms).  Its two Klein four-groups are centric-radical, and
+    their outer involutions are fused only by composites through the
+    central involution, so regenerating its table needs the exact-image
+    joins of ``close_maps``; the catalog tables regenerate without them."""
+    G = FiniteGroup.from_permutations(
+        [cycles_to_perm(c, 7) for c in ([[1, 2, 3, 4, 5, 6, 7]], [[1, 2], [3, 6]])],
+        points=7,
+    )
+    F = fusion_of_group(G, 2)
+    assert (G.order, F.base.order, F.morphism_count()) == (168, 8, 44)
+    return F
+
+
 def check_alperin_generation() -> str:
-    count = 0
-    for name in ["sigma3", "inner-d8", "sym4", "alt4", "sigma3-cubed-paired",
-                 "inner-c2c4", "sigma3-squared", "dihedral18"]:
-        alperin_generators(_fusion(name))
-        count += 1
-    return f"{count} systems regenerated from centric-radical automorphisms"
+    systems = [
+        _fusion(name)
+        for name in ["sigma3", "inner-d8", "sym4", "alt4", "sigma3-cubed-paired",
+                     "inner-c2c4", "sigma3-squared", "dihedral18"]
+    ]
+    systems.append(gl32_fusion())
+    for F in systems:
+        alperin_generators(F)
+    return f"{len(systems)} systems regenerated from centric-radical automorphisms"
 
 
 def _control_subgroup_twin(
@@ -539,9 +664,44 @@ def check_conjugation_tables() -> str:
     return f"{subs} subgroups and {controls} control subgroups agree with direct conjugation"
 
 
+def fusion_table_plain(G: FiniteGroup, p: int) -> list[set[MapTuple]]:
+    """The slow twin of ``fusion_of_group``: the maps of conjugation by
+    every element of G, one pass per element."""
+    S = sylow(G, p)
+    SG, to_parent = S.as_group()
+    from_parent = {pid: i for i, pid in enumerate(to_parent)}
+    lat = lattice_of(SG)
+    maps: list[set[MapTuple]] = [set() for _ in lat.subs]
+    s_set = S.member_set
+    for g in range(G.order):
+        conj = [G.conj(g, pid) for pid in to_parent]
+        inside = [c in s_set for c in conj]
+        translated = [from_parent[c] if ok else -1 for c, ok in zip(conj, inside)]
+        for i, sub in enumerate(lat.subs):
+            if all(inside[m] for m in sub.members):
+                maps[i].add(tuple(translated[m] for m in sub.members))
+    return maps
+
+
+def check_conjugation_rows() -> str:
+    """``fusion_of_group``, which passes over each distinct conjugation
+    row once, gives the table of the pass over every element."""
+    count = 0
+    for name in catalog.names():
+        b = catalog.built(name)
+        F = fusion_of_group(b.group, b.entry.prime)
+        plain = fusion_table_plain(b.group, b.entry.prime)
+        assert list(F.map_sets) == [frozenset(ms) for ms in plain], (
+            f"{name}: fusion table differs from the pass over every element"
+        )
+        count += F.morphism_count()
+    return f"{count} morphisms equal the pass over every element"
+
+
 FUSION_CORE_CHECKS = [
     ("saturation-battery", check_saturation_battery),
     ("center-fixed-points", check_center_fixed_points),
+    ("conjugation-rows", check_conjugation_rows),
     ("strongly-closed-bounds", check_strongly_closed_bounds),
     ("restriction-saturated", check_restriction_saturated),
     ("centric-radical-split", check_centric_radical_split),

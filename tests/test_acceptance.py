@@ -86,6 +86,7 @@ def test_criterion_03_product_oracle():
 
 LEMMA_SUITE = [
     ("fusion-core", "center-fixed-points"),
+    ("fusion-core", "conjugation-rows"),
     ("fusion-core", "strongly-closed-bounds"),
     ("fusion-core", "restriction-saturated"),
     ("fusion-core", "centric-radical-split"),
@@ -100,6 +101,7 @@ LEMMA_SUITE = [
     ("morphisms", "distributivity"),
     ("group-core", "coprime-action-trivial"),
     ("group-core", "fitting-split"),
+    ("group-core", "cayley-tables"),
     ("factor", "normal-end-properties"),
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),

@@ -22,19 +22,12 @@ from fusionsys.fusion import (
 )
 from fusionsys.factor import OmegaContext, factorize_all
 from fusionsys.morphisms import check_morphism
+from fusionsys.verify import SMALL_BASES
 
 
 def _base_pool():
-    specs = {
-        "c4": ([[[1, 2, 3, 4]]], 4),
-        "v4": ([[[1, 2]], [[3, 4]]], 4),
-        "d8": ([[[1, 2, 3, 4]], [[1, 3]]], 4),
-        "c9": ([[[1, 2, 3, 4, 5, 6, 7, 8, 9]]], 9),
-        "c3c3": ([[[1, 2, 3]], [[4, 5, 6]]], 6),
-        "c2c4": ([[[1, 2]], [[3, 4, 5, 6]]], 6),
-    }
     pool = {}
-    for name, (gens, points) in specs.items():
+    for name, (gens, points) in SMALL_BASES.items():
         G = FiniteGroup.from_permutations(
             [cycles_to_perm(c, points) for c in gens], points=points
         )

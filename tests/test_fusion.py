@@ -1,10 +1,13 @@
 """Fusion-core: construction from groups, generated closure, saturation,
 invariants and full restrictions."""
 
+from collections import deque
+
 import pytest
 
 from fusionsys import catalog
-from fusionsys.errors import NotSylow
+from fusionsys import fusion as fusion_mod
+from fusionsys.errors import GenerationMismatch, NotSylow
 from fusionsys.groups import (
     FiniteGroup,
     GroupHom,
@@ -280,6 +283,43 @@ def test_center_orders(name, z_order):
     assert center_of(fusion(name)).order == z_order
 
 
+def test_center_of_c2_5_makes_one_extension_test(monkeypatch):
+    F = inner_fusion(
+        perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+    )
+    calls = []
+    central = fusion_mod.is_central_subgroup
+
+    def counting(F, i):
+        calls.append(i)
+        return central(F, i)
+
+    monkeypatch.setattr(fusion_mod, "is_central_subgroup", counting)
+    assert center_of(F).order == 32
+    assert len(calls) <= 1
+
+
+def _fusion_core_result(check_name):
+    from fusionsys import verify
+
+    check = dict(verify.FUSION_CORE_CHECKS)[check_name]
+    return verify._run(f"fusion-core/{check_name}", check)
+
+
+def test_center_check_catches_unchecked_fixed_points(monkeypatch):
+    from fusionsys import verify
+
+    def fixed_points_only(F):
+        G = F.base
+        fixed = {cls[0] for cls in F.element_classes() if len(cls) == 1}
+        return G.generated_subgroup(fixed & set(G.center_members()))
+
+    monkeypatch.setattr(verify, "center_of", fixed_points_only)
+    result = _fusion_core_result("center-fixed-points")
+    assert not result.passed
+    assert "differs from the extension loop" in result.detail
+
+
 def test_focal_against_derived_intersection():
     # oracle: for realized systems the focal subgroup is the intersection
     # of the Sylow subgroup with the derived subgroup of the ambient group
@@ -388,6 +428,40 @@ def test_alperin_regenerates_rigid_table(paired_triple):
     F, _, _ = paired_triple
     gens = alperin_generators(F)
     assert [sub.order for sub, _ in gens] == [27]
+
+
+def _close_without_image_joins(base, seeds, *, limits=None):
+    """``close_maps`` with both exact-image joins deleted: inner maps and
+    seeds closed under inversion and restriction only."""
+    lat = fusion_mod.lattice_of(base)
+    store = [set() for _ in lat.subs]
+    queue = deque((lat.full_index, tuple(row)) for row in lat.conj_table())
+    queue.extend(seeds)
+    while queue:
+        d, m = queue.popleft()
+        if m in store[d]:
+            continue
+        store[d].add(m)
+        members, pos = lat.subs[d].members, lat.pos[d]
+        image = tuple(sorted(m))
+        queue.append((lat.idx[image], fusion_mod._invert_map(m, members, image)))
+        for e in lat.maximal_of[d]:
+            queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
+    return store
+
+
+def test_alperin_check_catches_close_maps_without_image_joins(monkeypatch):
+    from fusionsys import verify
+
+    assert _fusion_core_result("alperin-generation").passed
+    monkeypatch.setattr(fusion_mod, "close_maps", _close_without_image_joins)
+    # in GL(3,2) the outer involutions of one Klein four-group reach those
+    # of the other only by a composite through the central involution
+    with pytest.raises(GenerationMismatch):
+        alperin_generators(verify.gl32_fusion())
+    result = _fusion_core_result("alperin-generation")
+    assert not result.passed
+    assert result.detail.startswith("GenerationMismatch")
 
 
 def test_alperin_on_product_splits(sigma3_squared_aligned):

@@ -17,7 +17,7 @@ from fusionsys.errors import (
     NotPGroup,
     NotSubgroup,
 )
-from fusionsys import catalog
+from fusionsys import catalog, groups
 from fusionsys.groups import (
     FiniteGroup,
     GroupHom,
@@ -37,6 +37,7 @@ from fusionsys.groups import (
     sylow,
 )
 from fusionsys import guardrails
+from fusionsys.verify import enumerate_subgroups_plain
 
 
 def perm_group(*cycle_lists, points):
@@ -120,6 +121,45 @@ def test_group_laws_random_generators(perms):
     G.verify_axioms()
 
 
+def test_from_permutations_composes_once_per_tree_edge(monkeypatch):
+    calls = []
+    compose = groups.perm_compose
+
+    def counting(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    monkeypatch.setattr(groups, "perm_compose", counting)
+    gens = [
+        cycles_to_perm(c, 8) for c in ([[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]])
+    ]
+    G = FiniteGroup.from_permutations(gens, points=8)
+    assert G.order == 576
+    assert len(calls) <= G.order * (len(gens) + 1)
+
+
+def _cayley_check():
+    from fusionsys import verify
+
+    check = dict(verify.GROUP_CORE_CHECKS)["cayley-tables"]
+    return verify._run("group-core/cayley-tables", check)
+
+
+def test_cayley_check_catches_a_wrong_tree_parent(monkeypatch):
+    assert _cayley_check().passed
+    table_from_tree = groups._table_from_tree
+
+    def wrong_parent(parent, via, right):
+        parent = list(parent)
+        parent[-1] = 1 if parent[-1] == 0 else 0
+        return table_from_tree(parent, via, right)
+
+    monkeypatch.setattr(groups, "_table_from_tree", wrong_parent)
+    result = _cayley_check()
+    assert not result.passed
+    assert "dense table differs" in result.detail
+
+
 # -- subgroup enumeration -----------------------------------------------------
 
 
@@ -164,12 +204,48 @@ def test_subgroups_guardrail():
         subgroups(same_table, limits=small)
 
 
+def _lattices_match_plain(name):
+    """The memoized lattice of every subgroup of the entry's Sylow
+    subgroup equals the one-closure-per-element enumeration."""
+    S = catalog.built(name).fusion.base
+    return all(
+        [s.members for s in subgroups(SG)] == enumerate_subgroups_plain(SG)
+        for SG in (sub.as_group()[0] for sub in subgroups(S))
+    )
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_memoized_lattices_match_enumeration(name):
-    S = catalog.built(name).fusion.base
-    for sub in subgroups(S):
-        SG, _ = sub.as_group()
-        assert [s.members for s in subgroups(SG)] == enumerate_subgroups(SG)
+    assert _lattices_match_plain(name)
+
+
+def test_lattice_oracle_catches_marking_the_whole_extension(monkeypatch):
+    # marking all of <H, x> done, not just the coset Hx, skips the
+    # subgroups of <H, x> that other elements of it generate with H
+    monkeypatch.setattr(catalog, "_BUILDS", {})
+    monkeypatch.setattr(groups, "_LATTICES", {})
+    monkeypatch.setattr(
+        groups,
+        "_right_coset",
+        lambda G, members, x: groups._closure_ids(G, tuple(members) + (x,)),
+    )
+    assert not _lattices_match_plain("inner-d8")
+
+
+def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
+    G = perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+    calls = []
+    closure = groups._closure_ids
+
+    def counting(G, seed):
+        calls.append(seed)
+        return closure(G, seed)
+
+    monkeypatch.setattr(groups, "_closure_ids", counting)
+    lattice = enumerate_subgroups(G)
+    assert len(lattice) == 374
+    # one closure per coset Hx other than H itself: 2077 for C2^5
+    assert len(calls) <= sum(G.order // len(m) - 1 for m in lattice)
 
 
 def test_equal_subgroups_share_as_group():
