@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     GenerationMismatch,
@@ -53,7 +53,9 @@ class SubgroupLattice:
     groups with equal multiplication tables share them.  The conjugation
     action of the group on its subgroups (normalizers, centralizers and
     Aut_S of each subgroup) is read off one table of ``g x g^-1``, built
-    on first use.
+    on first use.  ``coset_rows`` keeps, for each subgroup P, one row of
+    that table restricted to P per coset of C_S(P) in N_S(P), with the
+    coset; Aut_S(P) is the set of those rows.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -68,6 +70,7 @@ class SubgroupLattice:
         self._conj: Optional[list[list[int]]] = None
         self._normalizers: Optional[list[tuple[int, ...]]] = None
         self._centralizers: Optional[list[tuple[int, ...]]] = None
+        self._coset_rows: dict[int, tuple[tuple[MapTuple, tuple[int, ...]], ...]] = {}
         self._aut_s: dict[int, frozenset[MapTuple]] = {}
 
     def index_of(self, members: Iterable[int]) -> int:
@@ -99,27 +102,43 @@ class SubgroupLattice:
         return self._normalizers[i]
 
     def centralizer(self, i: int) -> tuple[int, ...]:
-        """Members of C_S(P_i)."""
+        """Members of C_S(P_i), the intersection of C_S(x) over x in P_i."""
         if self._centralizers is None:
             conj = self.conj_table()
+            fixers = [
+                frozenset(g for g, row in enumerate(conj) if row[x] == x)
+                for x in range(len(conj))
+            ]
             self._centralizers = [
-                tuple(
-                    g
-                    for g in self.normalizer(k)
-                    if all(conj[g][x] == x for x in sub.members)
-                )
-                for k, sub in enumerate(self.subs)
+                tuple(sorted(frozenset.intersection(*(fixers[x] for x in sub.members))))
+                for sub in self.subs
             ]
         return self._centralizers[i]
+
+    def coset_rows(self, i: int) -> tuple[tuple[MapTuple, tuple[int, ...]], ...]:
+        """The distinct conjugation maps of N_S(P_i) on P_i, each with the
+        elements giving it: g and g' give one map exactly when g' lies in
+        g C_S(P_i), so one row is read per coset (a row per element of
+        N_S(P_i) costs three to four times as much on ``p2-lattice``)."""
+        if i not in self._coset_rows:
+            conj = self.conj_table()
+            members = self.subs[i].members
+            centralizer = self.centralizer(i)
+            mul = self.group.mul
+            rows = []
+            done: set[int] = set()
+            for g in self.normalizer(i):
+                if g not in done:
+                    coset = sorted(mul(g, c) for c in centralizer)
+                    done.update(coset)
+                    rows.append((tuple(conj[g][x] for x in members), tuple(coset)))
+            self._coset_rows[i] = tuple(rows)
+        return self._coset_rows[i]
 
     def aut_s(self, i: int) -> frozenset[MapTuple]:
         """Aut_S(P_i): the conjugation maps of N_S(P_i) on P_i."""
         if i not in self._aut_s:
-            conj = self.conj_table()
-            members = self.subs[i].members
-            self._aut_s[i] = frozenset(
-                tuple(conj[g][x] for x in members) for g in self.normalizer(i)
-            )
+            self._aut_s[i] = frozenset(row for row, _ in self.coset_rows(i))
         return self._aut_s[i]
 
 
@@ -402,6 +421,133 @@ def inner_fusion(S: FiniteGroup) -> FusionSystem:
 # closure engine and generated fusion systems
 
 
+def _compose(x: MapTuple, y: MapTuple, pos: dict[int, int]) -> MapTuple:
+    """``x o y`` for maps on one subgroup P, with ``pos`` its positions:
+    ``y`` sends P into P and ``x`` is then applied."""
+    return tuple(x[pos[v]] for v in y)
+
+
+class _ClassClosure:
+    """The isomorphisms of a morphism table, held class by class.
+
+    Subgroups joined by isomorphisms form a class with a root P_r.  Each
+    member P_k keeps a transporter ``tau[k]``: P_r -> P_k and its inverse
+    ``sigma[k]``, and the root keeps its vertex group A_r <= Aut(P_r), so
+    that Iso(P, Q) = tau[Q] o A_r o sigma[P].  ``total`` is the size of
+    that table, the sum of |C|^2 |A_r| over the classes C.
+    """
+
+    def __init__(self, lat: SubgroupLattice, limit: int):
+        n = len(lat.subs)
+        self.lat = lat
+        self.limit = limit
+        self.root = list(range(n))
+        self.members = [[k] for k in range(n)]
+        self.tau = [s.members for s in lat.subs]
+        self.sigma = list(self.tau)
+        # None stands for the trivial vertex group
+        self.group: list[Optional[set[MapTuple]]] = [None] * n
+        self.gens: list[list[MapTuple]] = [[] for _ in range(n)]
+        self.total = 0
+        self._grow(n, "starting the table")
+
+    def _grow(self, count: int, step: str) -> None:
+        self.total += count
+        if self.total > self.limit:
+            raise GuardrailExceeded(
+                f"fusion closure exceeded {self.limit} morphisms while {step}"
+            )
+
+    def _weight(self, r: int) -> int:
+        """|C|^2 |A_r|: the maps of the class rooted at P_r."""
+        group = self.group[r]
+        return len(self.members[r]) ** 2 * (1 if group is None else len(group))
+
+    def join(self, d: int, m: MapTuple) -> bool:
+        """Add the isomorphism ``m``: P_d -> P_j.  True when it merged two
+        classes or grew a vertex group, so that its restrictions are new
+        generators too."""
+        lat = self.lat
+        j = lat.idx[tuple(sorted(m))]
+        r, s = self.root[d], self.root[j]
+        # a = sigma[j] o m o tau[d]: P_r -> P_s
+        a = _compose(self.sigma[j], _compose(m, self.tau[d], lat.pos[d]), lat.pos[j])
+        if r != s:
+            if len(self.members[r]) < len(self.members[s]):
+                r, s, a = s, r, _invert_map(a, lat.subs[r].members, lat.subs[s].members)
+            self._merge(r, s, a)
+            return True
+        return self._extend(r, [a], "growing a vertex group")
+
+    def _merge(self, r: int, s: int, a: MapTuple) -> None:
+        """Re-root the class of P_s under P_r along ``a``: P_r -> P_s, and
+        conjugate the generators of A_s into A_r."""
+        lat = self.lat
+        pos_s = lat.pos[s]
+        a_inv = _invert_map(a, lat.subs[r].members, lat.subs[s].members)
+        for k in self.members[s]:
+            self.tau[k] = _compose(self.tau[k], a, pos_s)
+            self.sigma[k] = _compose(a_inv, self.sigma[k], pos_s)
+            self.root[k] = r
+        before = self._weight(r) + self._weight(s)
+        self.members[r] += self.members[s]
+        self._grow(self._weight(r) - before, "merging two classes")
+        moved = [_compose(a_inv, _compose(g, a, pos_s), pos_s) for g in self.gens[s]]
+        self.members[s], self.group[s], self.gens[s] = [], None, []
+        self._extend(r, moved, "merging two classes")
+
+    def _extend(self, r: int, candidates: list[MapTuple], step: str) -> bool:
+        """Close A_r with each candidate that is not in it yet: old
+        elements times the new generator, then new elements times every
+        generator."""
+        group = self.group[r]
+        if group is None:
+            group = {self.lat.subs[r].members}
+        pos = self.lat.pos[r]
+        gens = self.gens[r]
+        weight = len(self.members[r]) ** 2
+        grew = False
+        for g in candidates:
+            if g in group:
+                continue
+            grew = True
+            gens.append(g)
+            new: list[MapTuple] = []
+            for y in [_compose(x, g, pos) for x in group]:
+                if y not in group:
+                    group.add(y)
+                    new.append(y)
+                    self._grow(weight, step)
+            for y in new:
+                for h in gens:
+                    z = _compose(y, h, pos)
+                    if z not in group:
+                        group.add(z)
+                        new.append(z)
+                        self._grow(weight, step)
+        if grew:
+            self.group[r] = group
+        return grew
+
+    def table(self) -> list[set[MapTuple]]:
+        """Iso(P, Q) = tau[Q] o A_r o sigma[P], stored by domain."""
+        lat = self.lat
+        store: list[set[MapTuple]] = [set() for _ in lat.subs]
+        for r, cls in enumerate(self.members):
+            if self.root[r] != r:
+                continue
+            if len(cls) == 1 and self.group[r] is None:
+                store[r].add(lat.subs[r].members)
+                continue
+            pos_r = lat.pos[r]
+            group = self.group[r] or {lat.subs[r].members}
+            # tau[Q] o a for every Q and a, as maps on P_r
+            onto = [_compose(self.tau[k], a, pos_r) for k in cls for a in group]
+            for k in cls:
+                store[k].update(_compose(b, self.sigma[k], pos_r) for b in onto)
+        return store
+
+
 def close_maps(
     base: FiniteGroup,
     seeds: Iterable[tuple[int, MapTuple]],
@@ -413,52 +559,36 @@ def close_maps(
     onto images.  Corestriction and codomain extension are implicit in
     the maps-into-S representation.
 
-    Each stored map is composed only with the stored maps whose image is
-    exactly its domain, and with the stored maps on exactly its image.
-    Restriction closure makes that enough: if im(t) lies in dom(m), then
-    m o t = m|im(t) o t, and the restriction m|im(t) is in the table, with
-    domain exactly im(t).  Whichever of t and m|im(t) is stored second
-    meets the other, so the least fixed point is the one of the full
-    composition rule that ``FusionSystem.validate_closure`` checks."""
+    The isomorphisms form a groupoid, held class by class in a
+    ``_ClassClosure``.  A map that merges two classes or grows a vertex
+    group is a generator, and only generators push their restrictions
+    to the maximal subgroups: the restriction of a product of generators
+    is a product of their restrictions, so every map of the groupoid
+    restricts into it.  Composition needs no step of its own, since m o t
+    = m|im(t) o t.  The table is the least fixed point that
+    ``FusionSystem.validate_closure`` checks; ``verify.close_maps_plain``,
+    the elementwise worklist, is its twin.  The guardrail counts the
+    table's size as it grows, so it trips exactly when the finished
+    table would exceed ``table_limit``."""
     limits = limits or guardrails.active()
     lat = lattice_of(base)
-    store: list[set[MapTuple]] = [set() for _ in lat.subs]
-    by_image: list[list[tuple[int, MapTuple]]] = [[] for _ in lat.subs]
-    queue: deque[tuple[int, MapTuple]] = deque()
-    total = 0
-
-    full = lat.full_index
-    queue.extend((full, tuple(row)) for row in lat.conj_table())
+    classes = _ClassClosure(lat, limits.table_limit)
+    queue: deque[tuple[int, MapTuple]] = deque(
+        (lat.full_index, tuple(row)) for row in lat.conj_table()
+    )
     queue.extend(seeds)
-
+    seen: set[tuple[int, MapTuple]] = set()
     while queue:
-        d, m = queue.popleft()
-        if m in store[d]:
+        item = queue.popleft()
+        d, m = item
+        if item in seen or m == lat.subs[d].members:
             continue
-        store[d].add(m)
-        total += 1
-        if total > limits.table_limit:
-            raise GuardrailExceeded(
-                f"fusion closure exceeded {limits.table_limit} morphisms"
-            )
-        members = lat.subs[d].members
-        pos = lat.pos[d]
-        image = tuple(sorted(m))
-        j = lat.idx[image]
-        by_image[j].append((d, m))
-        # inverse of the corestricted isomorphism
-        queue.append((j, _invert_map(m, members, image)))
-        # restrictions through maximal subgroups reach every subgroup
-        for e in lat.maximal_of[d]:
-            queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
-        # m after the stored maps onto exactly dom(m)
-        for (d2, t2) in by_image[d]:
-            queue.append((d2, tuple(m[pos[v]] for v in t2)))
-        # the stored maps on exactly im(m) after m
-        pos_j = lat.pos[j]
-        for t3 in store[j]:
-            queue.append((d, tuple(t3[pos_j[v]] for v in m)))
-    return store
+        seen.add(item)
+        if classes.join(d, m):
+            pos = lat.pos[d]
+            for e in lat.maximal_of[d]:
+                queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
+    return classes.table()
 
 
 def generated_fusion(
@@ -521,21 +651,46 @@ def is_fully_automized(F: FusionSystem, i: int) -> bool:
 
 def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> Subgroup:
     """The elements g of N_S(Q) whose conjugation transports through phi
-    into conjugation on the target."""
+    into conjugation on the target.  The test reads c_g on Q only, so it
+    runs once per coset of C_S(Q) in N_S(Q)."""
     lat = F.lattice
-    conj = lat.conj_table()
     Q = lat.subs[q_idx]
     pos_q = lat.pos[q_idx]
     aut_s_p = lat.aut_s(p_idx)
     back = {v: Q.members[t] for t, v in enumerate(phi)}
-    preimages = [back[y] for y in lat.subs[p_idx].members]
-    members = [
-        g
-        for g in lat.normalizer(q_idx)
-        if tuple(phi[pos_q[conj[g][x]]] for x in preimages) in aut_s_p
-    ]
+    # positions in Q of the preimages of the members of P
+    preimages = [pos_q[back[y]] for y in lat.subs[p_idx].members]
+    members: list[int] = []
+    for row, coset in lat.coset_rows(q_idx):
+        if tuple(phi[pos_q[row[t]]] for t in preimages) in aut_s_p:
+            members.extend(coset)
     # every subgroup is in the lattice, so this lookup is the closure check
     return lat.subs[lat.index_of(members)]
+
+
+def double_coset_reps(F: FusionSystem, q_idx: int, p_idx: int) -> Iterator[MapTuple]:
+    """The first isomorphism Q -> P, in table order, of each double coset
+    Aut_S(P) phi Aut_S(Q).
+
+    For phi' = c_h o phi o c_k, N_phi' = k^-1 N_phi k, and phi' extends
+    to N_phi' exactly when phi extends to N_phi, so receptivity needs one
+    phi per double coset.  A double coset is a union of the right cosets
+    (alpha o phi) Aut_S(Q), so each alpha whose product is already covered
+    skips its whole coset."""
+    lat = F.lattice
+    pos_p = lat.pos[p_idx]
+    pos_q = lat.pos[q_idx]
+    left = lat.aut_s(p_idx)
+    right = [[pos_q[y] for y in beta] for beta in lat.aut_s(q_idx)]
+    covered: set[MapTuple] = set()
+    for phi in F.iso_maps(q_idx, p_idx):
+        if phi in covered:
+            continue
+        yield phi
+        for alpha in left:
+            x = tuple(alpha[pos_p[v]] for v in phi)
+            if x not in covered:
+                covered.update(tuple(x[t] for t in beta) for beta in right)
 
 
 def is_receptive(
@@ -543,11 +698,13 @@ def is_receptive(
 ) -> tuple[bool, Optional[MapTuple], Optional[int], Optional[Subgroup]]:
     """Check receptivity of subgroup ``i``; on failure also return the
     failing isomorphism (as a map from the failing class member) and its
-    control subgroup."""
+    control subgroup.  One phi per double coset is tested, the first in
+    table order, so the first failing phi is the one a test of every
+    phi finds (``verify.is_receptive_plain``)."""
     lat = F.lattice
     for q_idx in F.subgroup_class_of(i):
         Q = lat.subs[q_idx]
-        for phi in F.iso_maps(q_idx, i):
+        for phi in double_coset_reps(F, q_idx, i):
             n_phi = control_subgroup(F, q_idx, phi, i)
             n_idx = n_phi.canonical_index
             pos_q = [lat.pos[n_idx][x] for x in Q.members]
@@ -562,15 +719,27 @@ def is_receptive(
 
 def saturation_report(F: FusionSystem) -> SaturationReport:
     """Scan every conjugacy class for a fully automized receptive member."""
-    if F._saturation is not None:
-        return F._saturation
+    if F._saturation is None:
+        F._saturation = saturation_scan(F, is_receptive)
+    return F._saturation
+
+
+def saturation_scan(
+    F: FusionSystem,
+    receptive: Callable[
+        [FusionSystem, int],
+        tuple[bool, Optional[MapTuple], Optional[int], Optional[Subgroup]],
+    ],
+) -> SaturationReport:
+    """The report of ``saturation_report``, with ``receptive`` as the
+    receptivity test (``verify`` passes its plain twin)."""
     reports = []
     verdict = True
     for cls in F.subgroup_classes():
         witness = None
         for i in cls:
             if is_fully_automized(F, i):
-                ok, _, _, _ = is_receptive(F, i)
+                ok, _, _, _ = receptive(F, i)
                 if ok:
                     witness = i
                     break
@@ -580,7 +749,7 @@ def saturation_report(F: FusionSystem) -> SaturationReport:
             if not is_fully_automized(F, rep):
                 failure = SaturationFailure(rep, "fully_automized", None, None)
             else:
-                _, phi, q_idx, n_phi = is_receptive(F, rep)
+                _, phi, q_idx, n_phi = receptive(F, rep)
                 hom = None
                 if phi is not None:
                     hom = GroupHom(
@@ -592,9 +761,7 @@ def saturation_report(F: FusionSystem) -> SaturationReport:
                 failure = SaturationFailure(rep, "receptive", hom, n_phi)
             verdict = False
         reports.append(ClassReport(cls, witness, failure))
-    report = SaturationReport(verdict, tuple(reports))
-    F._saturation = report
-    return report
+    return SaturationReport(verdict, tuple(reports))
 
 
 def is_saturated(F: FusionSystem) -> bool:
@@ -731,11 +898,32 @@ def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list
     return quo, label
 
 
+def out_order(F: FusionSystem, i: int) -> int:
+    """|Out_F(P_i)| = |Aut_F(P_i)| / |P_i : Z(P_i)|."""
+    lat = F.lattice
+    center = lat.member_sets[i].intersection(lat.centralizer(i))
+    return len(F.aut_maps(i)) * len(center) // len(lat.subs[i].members)
+
+
 def is_radical(F: FusionSystem, i: int) -> bool:
-    quo, _ = outer_automorphism_group(F, i)
+    """O_p(Out_F(P_i)) = 1.  When |Out_F(P_i)| is prime to p the group
+    has no nontrivial p-subgroup, and when it is a nontrivial power of p
+    the group is its own O_p; only the other orders build Out_F(P_i)."""
+    order = out_order(F, i)
+    share = p_part(order, F.p)
+    if share == 1:
+        return True
+    if share == order:
+        return False
+    return op_is_trivial(outer_automorphism_group(F, i)[0], F.p)
+
+
+def op_is_trivial(quo: FiniteGroup, p: int) -> bool:
+    """O_p(quo) = 1: the intersection of the conjugates of a Sylow
+    p-subgroup is trivial."""
     if quo.order == 1:
         return True
-    syl = sylow(quo, F.p)
+    syl = sylow(quo, p)
     if syl.order == 1:
         return True
     core = set(syl.members)

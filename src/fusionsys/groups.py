@@ -682,21 +682,36 @@ class LatticeShape:
         self._containment: Optional[tuple[list, list]] = None
 
     def containment(self) -> tuple[list, list]:
-        """``(pos, maximal_of)`` by subgroup index."""
+        """``(pos, maximal_of)`` by subgroup index, each maximal list in
+        ascending index order.
+
+        Only lattices of p-groups are asked for this (the bases of fusion
+        systems and their subgroups and products).  There the maximal
+        subgroups of H are exactly the subgroups of index p that lie in
+        H, so only the subgroups of order |H|/p are tested, as bitmasks;
+        ``verify.containment_plain`` compares every pair instead."""
         if self._containment is None:
-            member_sets = [frozenset(m) for m in self.members]
             pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-            maximal: list[tuple[int, ...]] = []
-            for i, whole in enumerate(member_sets):
-                proper = [j for j, part in enumerate(member_sets) if part < whole]
-                tops = [
-                    j
-                    for j in proper
-                    if not any(member_sets[j] < member_sets[l] for l in proper)
-                ]
-                maximal.append(tuple(tops))
-            self._containment = (pos, maximal)
+            order = len(self.members[-1])
+            p = 2
+            while order > 1 and order % p:
+                p += 1
+            self._containment = (pos, _maximal_of_index_p(self.members, p))
         return self._containment
+
+
+def _maximal_of_index_p(members: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
+    """Maximal subgroups in a p-group: the subgroups of order |H|/p in H,
+    tested as bitmasks in ascending index order."""
+    masks = [sum(1 << x for x in m) for m in members]
+    block: dict[int, list[int]] = {}
+    for j, m in enumerate(members):
+        block.setdefault(len(m), []).append(j)
+    maximal: list[tuple[int, ...]] = []
+    for m, whole in zip(members, masks):
+        below = block.get(len(m) // p, [])
+        maximal.append(tuple(j for j in below if masks[j] & whole == masks[j]))
+    return maximal
 
 
 # Canonical lattices for the life of the process, keyed by multiplication

@@ -5,6 +5,7 @@ these functions."""
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +20,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
+    LatticeShape,
     Subgroup,
     _closure_ids,
     all_homs,
@@ -38,7 +40,9 @@ from .groups import (
 from .fusion import (
     FusionSystem,
     MapTuple,
+    _invert_map,
     center_of,
+    close_maps,
     control_subgroup,
     focal_of,
     fusion_equal,
@@ -48,11 +52,15 @@ from .fusion import (
     is_central_subgroup,
     is_centric,
     is_radical,
+    is_receptive,
     is_saturated,
     is_strongly_closed,
     lattice_of,
+    op_is_trivial,
+    outer_automorphism_group,
     restrict_full,
     saturation_report,
+    saturation_scan,
     alperin_generators,
 )
 from .morphisms import (
@@ -390,9 +398,40 @@ def check_cayley_tables() -> str:
     return f"{count} dense tables equal composing every product"
 
 
+def containment_plain(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The slow twin of the maximal-subgroup table of a p-group's
+    ``LatticeShape``: every pair of subgroups compared."""
+    member_sets = [frozenset(s.members) for s in subgroups(G)]
+    maximal: list[tuple[int, ...]] = []
+    for whole in member_sets:
+        proper = [j for j, part in enumerate(member_sets) if part < whole]
+        tops = [
+            j
+            for j in proper
+            if not any(member_sets[j] < member_sets[l] for l in proper)
+        ]
+        maximal.append(tuple(tops))
+    return maximal
+
+
+def check_containment() -> str:
+    """The maximal subgroups of every catalog base group and every small
+    base, read off the subgroups of index p, equal the pairwise loop.  A
+    fresh shape is built each time, so no cached table can hide a fault."""
+    groups = [(name, _fusion(name).base) for name in catalog.names()]
+    groups += list(small_base_groups().items())
+    for name, G in groups:
+        fresh = LatticeShape([s.members for s in subgroups(G)])
+        assert fresh.containment()[1] == containment_plain(G), (
+            f"{name}: maximal subgroups differ from the pairwise loop"
+        )
+    return f"maximal subgroups of {len(groups)} p-group lattices equal the pairwise loop"
+
+
 GROUP_CORE_CHECKS = [
     ("group-axioms", check_group_axioms),
     ("cayley-tables", check_cayley_tables),
+    ("containment", check_containment),
     ("subgroup-lattice", check_subgroup_lattice),
     ("subgroup-counts", check_subgroup_counts),
     ("omega-series", check_omega_series),
@@ -438,23 +477,39 @@ SMALL_BASES = {
 }
 
 
+def small_base_groups() -> dict[str, FiniteGroup]:
+    """The group of each small base, built afresh."""
+    return {
+        base: FiniteGroup.from_permutations(
+            [cycles_to_perm(c, points) for c in gens], points=points
+        )
+        for base, (gens, points) in SMALL_BASES.items()
+    }
+
+
+def one_isomorphism_seeds() -> list[tuple[str, FiniteGroup, GroupHom]]:
+    """Every isomorphism between nontrivial subgroups of a small base
+    (196 of them), with a label."""
+    out = []
+    for base, G in small_base_groups().items():
+        subs = subgroups(G)
+        for P, Q in itertools.product(subs, repeat=2):
+            if 1 < P.order == Q.order:
+                for h in injective_homs(P, Q):
+                    out.append((f"{base}:{P.members}->{h.images}", G, h))
+    return out
+
+
 def unsaturated_battery() -> list[tuple[str, FusionSystem]]:
     """Every system generated over a small base by one isomorphism
     between nontrivial subgroups that is not saturated (115 systems).
     It holds V4 with <(1 2)> -> <(3 4)>, where <Fix> = <(1 2)(3 4)> is
     not central and Z(F) = 1."""
     out = []
-    for base, (gens, points) in SMALL_BASES.items():
-        G = FiniteGroup.from_permutations(
-            [cycles_to_perm(c, points) for c in gens], points=points
-        )
-        subs = subgroups(G)
-        for P, Q in itertools.product(subs, repeat=2):
-            if 1 < P.order == Q.order:
-                for h in injective_homs(P, Q):
-                    F = generated_fusion(G, [h])
-                    if not is_saturated(F):
-                        out.append((f"{base}:{P.members}->{h.images}", F))
+    for label, G, h in one_isomorphism_seeds():
+        F = generated_fusion(G, [h])
+        if not is_saturated(F):
+            out.append((label, F))
     return out
 
 
@@ -546,7 +601,7 @@ def check_centric_radical_split() -> str:
 
 def check_table_closure() -> str:
     """``validate_closure`` applies the full composition rule, so it is
-    the exact twin of ``close_maps``, which joins on exact images only.
+    an exact twin of ``close_maps``, which closes class by class.
     Besides catalog tables it checks ``close_maps`` outputs from seeds
     that are not closed."""
     for name in ["sigma3", "inner-d8", "sym4", "sigma3-cubed-paired", "inner-c2c4"]:
@@ -563,7 +618,7 @@ def check_table_closure() -> str:
         auts = automorphisms(S)
         seeds = [[next((a for a in auts if a.images not in inner), auts[0])]]
         # automorphisms of S close under composition through restriction
-        # alone; isomorphisms between maximal subgroups need both joins
+        # alone; isomorphisms between maximal subgroups need composition
         maximal = [sub for sub in subgroups(S) if sub.order * group_prime(S) == S.order]
         for Q in maximal[1:]:
             isos = injective_homs(maximal[0], Q)
@@ -589,8 +644,9 @@ def gl32_fusion() -> FusionSystem:
     """The 2-fusion of GL(3,2) = PSL(2,7) on 7 points (order 168, Sylow
     D8, 44 morphisms).  Its two Klein four-groups are centric-radical, and
     their outer involutions are fused only by composites through the
-    central involution, so regenerating its table needs the exact-image
-    joins of ``close_maps``; the catalog tables regenerate without them."""
+    central involution, so regenerating its table needs composition
+    (the exact-image joins of ``close_maps_plain``); the catalog tables
+    regenerate without it."""
     G = FiniteGroup.from_permutations(
         [cycles_to_perm(c, 7) for c in ([[1, 2, 3, 4, 5, 6, 7]], [[1, 2], [3, 6]])],
         points=7,
@@ -698,6 +754,167 @@ def check_conjugation_rows() -> str:
     return f"{count} morphisms equal the pass over every element"
 
 
+def close_maps_plain(
+    base: FiniteGroup, seeds: list[tuple[int, MapTuple]]
+) -> list[set[MapTuple]]:
+    """The slow twin of ``close_maps``: the elementwise worklist.  Every
+    stored map is inverted, restricted to its maximal subgroups and
+    composed with the stored maps onto exactly its domain and on exactly
+    its image."""
+    lat = lattice_of(base)
+    store: list[set[MapTuple]] = [set() for _ in lat.subs]
+    by_image: list[list[tuple[int, MapTuple]]] = [[] for _ in lat.subs]
+    queue: deque[tuple[int, MapTuple]] = deque(
+        (lat.full_index, tuple(row)) for row in lat.conj_table()
+    )
+    queue.extend(seeds)
+    while queue:
+        d, m = queue.popleft()
+        if m in store[d]:
+            continue
+        store[d].add(m)
+        members = lat.subs[d].members
+        pos = lat.pos[d]
+        image = tuple(sorted(m))
+        j = lat.idx[image]
+        by_image[j].append((d, m))
+        queue.append((j, _invert_map(m, members, image)))
+        for e in lat.maximal_of[d]:
+            queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
+        for (d2, t2) in by_image[d]:
+            queue.append((d2, tuple(m[pos[v]] for v in t2)))
+        pos_j = lat.pos[j]
+        for t3 in store[j]:
+            queue.append((d, tuple(t3[pos_j[v]] for v in m)))
+    return store
+
+
+def centric_radical_seeds(F: FusionSystem) -> list[tuple[int, MapTuple]]:
+    """The automorphisms of the centric-radical subgroups, the seeds of
+    ``alperin_generators``."""
+    return [
+        (i, m)
+        for i in range(len(F.lattice.subs))
+        if is_centric(F, i) and is_radical(F, i)
+        for m in F.aut_maps(i)
+    ]
+
+
+def closure_battery() -> list[tuple[str, FiniteGroup, list[tuple[int, MapTuple]]]]:
+    """Each catalog base with its full table, with its centric-radical
+    automorphisms and with no seeds; the centric-radical automorphisms
+    of GL(3,2); each one-isomorphism system over a small base; and, over
+    each small base and each pair of distinct subgroups P, Q of one
+    order, every automorphism of Q and then one isomorphism P -> Q.  In
+    the last family the automorphisms of P come only from conjugating
+    those of Q at the merge of the two classes."""
+    out = []
+    for name in catalog.names():
+        F = _fusion(name)
+        full = [(i, m) for i, ms in enumerate(F.maps) for m in ms]
+        out.append((f"{name}/full", F.base, full))
+        out.append((f"{name}/centric-radical", F.base, centric_radical_seeds(F)))
+        out.append((f"{name}/inner", F.base, []))
+    gl32 = gl32_fusion()
+    out.append(("gl32/centric-radical", gl32.base, centric_radical_seeds(gl32)))
+    for label, G, h in one_isomorphism_seeds():
+        seeds = [(lattice_of(G).index_of(h.domain.members), h.images)]
+        out.append((label, G, seeds))
+    for base, G in small_base_groups().items():
+        lat = lattice_of(G)
+        for P, Q in itertools.product(lat.subs, repeat=2):
+            isos = injective_homs(P, Q) if 1 < P.order == Q.order and P != Q else []
+            if isos:
+                q_idx = lat.index_of(Q.members)
+                seeds = [(q_idx, a.images) for a in injective_homs(Q, Q)]
+                seeds.append((lat.index_of(P.members), isos[0].images))
+                out.append((f"{base}:Aut{Q.members}+{P.members}->{Q.members}", G, seeds))
+    return out
+
+
+def check_class_closure() -> str:
+    """``close_maps``, which closes the table class by class, gives the
+    sets of the elementwise worklist on the whole battery."""
+    battery = closure_battery()
+    for label, base, seeds in battery:
+        assert close_maps(base, seeds) == close_maps_plain(base, seeds), (
+            f"{label}: class-by-class closure differs from the worklist"
+        )
+    return f"{len(battery)} closures equal the elementwise worklist"
+
+
+def is_receptive_plain(
+    F: FusionSystem, i: int
+) -> tuple[bool, Optional[MapTuple], Optional[int], Optional[Subgroup]]:
+    """The slow twin of ``is_receptive``: every isomorphism onto P_i from
+    its class is tested."""
+    lat = F.lattice
+    for q_idx in F.subgroup_class_of(i):
+        Q = lat.subs[q_idx]
+        for phi in F.iso_maps(q_idx, i):
+            n_phi = control_subgroup(F, q_idx, phi, i)
+            n_idx = n_phi.canonical_index
+            pos_q = [lat.pos[n_idx][x] for x in Q.members]
+            extended = any(
+                all(psi[t] == phi[s] for s, t in enumerate(pos_q))
+                for psi in F.maps[n_idx]
+            )
+            if not extended:
+                return False, phi, q_idx, n_phi
+    return True, None, None, None
+
+
+def is_radical_plain(F: FusionSystem, i: int) -> bool:
+    """The slow twin of ``is_radical``: O_p of the table of Out_F(P_i)."""
+    return op_is_trivial(outer_automorphism_group(F, i)[0], F.p)
+
+
+def orbit_battery() -> list[tuple[str, FusionSystem]]:
+    """The catalog systems, the unsaturated battery and GL(3,2)."""
+    systems = [(name, _fusion(name)) for name in catalog.names()]
+    systems += unsaturated_battery()
+    systems.append(("gl32", gl32_fusion()))
+    return systems
+
+
+def check_receptive_representatives() -> str:
+    """``is_receptive``, which tests one isomorphism per double coset,
+    returns what the test of every isomorphism returns, witnesses
+    included, on every subgroup; the saturation reports agree too."""
+    systems = orbit_battery()
+    subs = unsaturated = 0
+    for label, F in systems:
+        for i in range(len(F.lattice.subs)):
+            got = is_receptive(F, i)
+            assert got == is_receptive_plain(F, i), (
+                f"{label}: receptivity of subgroup {i} differs from the plain loop"
+            )
+            subs += 1
+        report = saturation_report(FusionSystem(F.base, F.p, F.maps))
+        assert report == saturation_scan(F, is_receptive_plain), (
+            f"{label}: saturation report differs from the plain loop"
+        )
+        unsaturated += not report.verdict
+    return (
+        f"{subs} subgroups and {len(systems)} saturation reports "
+        f"({unsaturated} with failure witnesses) equal the plain loop"
+    )
+
+
+def check_radical_by_order() -> str:
+    """``is_radical``, which reads most answers off |Out_F(P)|, agrees
+    with O_p of the table of Out_F(P) on every subgroup."""
+    systems = orbit_battery()
+    subs = 0
+    for label, F in systems:
+        for i in range(len(F.lattice.subs)):
+            assert is_radical(F, i) == is_radical_plain(F, i), (
+                f"{label}: radicality of subgroup {i} differs from the Out_F table"
+            )
+            subs += 1
+    return f"{subs} subgroups of {len(systems)} systems: radicality equals the Out_F table"
+
+
 FUSION_CORE_CHECKS = [
     ("saturation-battery", check_saturation_battery),
     ("center-fixed-points", check_center_fixed_points),
@@ -708,6 +925,9 @@ FUSION_CORE_CHECKS = [
     ("table-closure", check_table_closure),
     ("alperin-generation", check_alperin_generation),
     ("conjugation-tables", check_conjugation_tables),
+    ("class-closure", check_class_closure),
+    ("receptive-representatives", check_receptive_representatives),
+    ("radical-by-order", check_radical_by_order),
 ]
 
 

@@ -93,6 +93,9 @@ LEMMA_SUITE = [
     ("fusion-core", "table-closure"),
     ("fusion-core", "alperin-generation"),
     ("fusion-core", "conjugation-tables"),
+    ("fusion-core", "class-closure"),
+    ("fusion-core", "receptive-representatives"),
+    ("fusion-core", "radical-by-order"),
     ("morphisms", "kernel-strongly-closed"),
     ("morphisms", "iso-inverse"),
     ("morphisms", "commuting-criteria-agree"),
@@ -102,6 +105,7 @@ LEMMA_SUITE = [
     ("group-core", "coprime-action-trivial"),
     ("group-core", "fitting-split"),
     ("group-core", "cayley-tables"),
+    ("group-core", "containment"),
     ("factor", "normal-end-properties"),
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),

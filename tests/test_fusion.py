@@ -431,8 +431,9 @@ def test_alperin_regenerates_rigid_table(paired_triple):
 
 
 def _close_without_image_joins(base, seeds, *, limits=None):
-    """``close_maps`` with both exact-image joins deleted: inner maps and
-    seeds closed under inversion and restriction only."""
+    """The elementwise worklist (``verify.close_maps_plain``) with both
+    exact-image joins deleted: inner maps and seeds closed under
+    inversion and restriction only."""
     lat = fusion_mod.lattice_of(base)
     store = [set() for _ in lat.subs]
     queue = deque((lat.full_index, tuple(row)) for row in lat.conj_table())
@@ -471,3 +472,146 @@ def test_alperin_on_product_splits(sigma3_squared_aligned):
         left = {x // 3 for x in sub.members}
         right = {x % 3 for x in sub.members}
         assert {a * 3 + b for a in left for b in right} == sub.member_set
+
+
+# -- orbit-level kernels and their twins ------------------------------------------
+
+
+def test_class_closure_check_catches_a_merge_without_conjugated_generators(monkeypatch):
+    assert _fusion_core_result("class-closure").passed
+    extend = fusion_mod._ClassClosure._extend
+
+    def dropping(self, r, candidates, step):
+        if step == "merging two classes":
+            candidates = []
+        return extend(self, r, candidates, step)
+
+    monkeypatch.setattr(fusion_mod._ClassClosure, "_extend", dropping)
+    result = _fusion_core_result("class-closure")
+    assert not result.passed
+    assert "differs from the worklist" in result.detail
+
+
+def test_receptivity_check_catches_one_isomorphism_per_class_member(monkeypatch):
+    assert _fusion_core_result("receptive-representatives").passed
+
+    def first_only(F, q_idx, p_idx):
+        yield from F.iso_maps(q_idx, p_idx)[:1]
+
+    monkeypatch.setattr(fusion_mod, "double_coset_reps", first_only)
+    result = _fusion_core_result("receptive-representatives")
+    assert not result.passed
+    assert "differs from the plain loop" in result.detail
+
+
+def test_radical_check_catches_p_power_out_called_radical(monkeypatch):
+    from fusionsys import verify
+
+    assert _fusion_core_result("radical-by-order").passed
+    radical = fusion_mod.is_radical
+
+    def p_power_radical(F, i):
+        order = fusion_mod.out_order(F, i)
+        return True if fusion_mod.p_part(order, F.p) == order else radical(F, i)
+
+    monkeypatch.setattr(verify, "is_radical", p_power_radical)
+    result = _fusion_core_result("radical-by-order")
+    assert not result.passed
+    assert "differs from the Out_F table" in result.detail
+
+
+def _double_coset_count(F, q_idx, p_idx):
+    """Aut_S(P) \\ Iso_F(Q, P) / Aut_S(Q), counted by brute force."""
+    lat = F.lattice
+    pos_p, pos_q = lat.pos[p_idx], lat.pos[q_idx]
+    left, right = lat.aut_s(p_idx), lat.aut_s(q_idx)
+    isos = set(F.iso_maps(q_idx, p_idx))
+    count = 0
+    while isos:
+        phi = min(isos)
+        isos -= {
+            tuple(alpha[pos_p[phi[pos_q[b]]]] for b in beta)
+            for alpha in left
+            for beta in right
+        }
+        count += 1
+    return count
+
+
+def test_saturation_makes_one_control_subgroup_per_double_coset(monkeypatch):
+    control = fusion_mod.control_subgroup
+    receptive = fusion_mod.is_receptive
+    controls, tested = [], []
+
+    def counting_control(F, q_idx, phi, p_idx):
+        controls.append(p_idx)
+        return control(F, q_idx, phi, p_idx)
+
+    def recording_receptive(F, i):
+        tested.append(i)
+        return receptive(F, i)
+
+    monkeypatch.setattr(fusion_mod, "control_subgroup", counting_control)
+    monkeypatch.setattr(fusion_mod, "is_receptive", recording_receptive)
+    for name in catalog.names():
+        F = fusion(name)
+        fresh = fusion_mod.FusionSystem(F.base, F.p, F.maps)
+        controls.clear()
+        tested.clear()
+        saturation_report(fresh)
+        bound = sum(
+            _double_coset_count(fresh, q_idx, i)
+            for i in tested
+            for q_idx in fresh.subgroup_class_of(i)
+        )
+        assert len(controls) <= bound, name
+
+
+def test_radicality_builds_out_f_only_for_mixed_orders(monkeypatch):
+    outer = fusion_mod.outer_automorphism_group
+    built = []
+
+    def recording(F, i):
+        built.append((F, i))
+        return outer(F, i)
+
+    monkeypatch.setattr(fusion_mod, "outer_automorphism_group", recording)
+    for name in catalog.names():
+        fusion_invariants(fusion(name))
+    for F, i in built:
+        members = F.lattice.subs[i].members
+        inner = {tuple(F.base.conj(x, y) for y in members) for x in members}
+        order = len(F.aut_maps(i)) // len(inner)
+        assert fusion_mod.p_part(order, F.p) != order, (F, i, order)
+    # Out_F of the Klein four-group of Sym(4) at p = 2 is Sym(3)
+    assert built
+
+
+def test_sym4_regeneration_composes_less_than_the_worklist_pops(monkeypatch):
+    from fusionsys import verify
+
+    F = fusion("sym4")
+    seeds = verify.centric_radical_seeds(F)
+
+    class CountingDeque(deque):
+        pops = 0
+
+        def popleft(self):
+            CountingDeque.pops += 1
+            return super().popleft()
+
+    monkeypatch.setattr(verify, "deque", CountingDeque)
+    verify.close_maps_plain(F.base, seeds)
+    # every composition of the class closure (vertex groups, transporters,
+    # conjugated generators and the final table) goes through _compose
+    compositions = []
+    compose = fusion_mod._compose
+
+    def counting(x, y, pos):
+        compositions.append(1)
+        return compose(x, y, pos)
+
+    monkeypatch.setattr(fusion_mod, "_compose", counting)
+    table = fusion_mod.close_maps(F.base, seeds)
+    assert [frozenset(ms) for ms in table] == list(F.map_sets)
+    assert 0 < len(compositions) < CountingDeque.pops

@@ -160,6 +160,22 @@ def test_cayley_check_catches_a_wrong_tree_parent(monkeypatch):
     assert "dense table differs" in result.detail
 
 
+def test_containment_check_catches_a_dropped_maximal_subgroup(monkeypatch):
+    from fusionsys import verify
+
+    check = dict(verify.GROUP_CORE_CHECKS)["containment"]
+    assert verify._run("group-core/containment", check).passed
+    index_p = groups._maximal_of_index_p
+
+    def dropping(members, p):
+        return [tops[:-1] for tops in index_p(members, p)]
+
+    monkeypatch.setattr(groups, "_maximal_of_index_p", dropping)
+    result = verify._run("group-core/containment", check)
+    assert not result.passed
+    assert "differ from the pairwise loop" in result.detail
+
+
 # -- subgroup enumeration -----------------------------------------------------
 
 

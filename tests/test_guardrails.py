@@ -4,7 +4,13 @@ import pytest
 
 from fusionsys import guardrails
 from fusionsys.errors import GuardrailExceeded
-from fusionsys.groups import FiniteGroup, automorphisms, cycles_to_perm, injective_homs
+from fusionsys.groups import (
+    FiniteGroup,
+    automorphisms,
+    cycles_to_perm,
+    injective_homs,
+    subgroups,
+)
 from fusionsys.fusion import generated_fusion
 
 
@@ -57,3 +63,21 @@ def test_table_limit_guardrail():
     tiny = guardrails.Guardrails(table_limit=5)
     with pytest.raises(GuardrailExceeded):
         generated_fusion(d8, [], limits=tiny)
+
+
+def test_table_limit_trips_at_a_class_merge_exactly_over_the_table_size():
+    # fusing the reflection <(1 3)> with <(1 2)(3 4)> grows a 28-map
+    # table; its last growth is the merge of two involution classes
+    d8 = FiniteGroup.from_permutations(
+        [cycles_to_perm([[1, 2, 3, 4]], 4), cycles_to_perm([[1, 3]], 4)]
+    )
+    lines = {d8.perms[sub.members[1]]: sub for sub in subgroups(d8) if sub.order == 2}
+    iso = injective_homs(
+        lines[cycles_to_perm([[1, 3]], 4)], lines[cycles_to_perm([[1, 2], [3, 4]], 4)]
+    )[0]
+    size = generated_fusion(d8, [iso]).morphism_count()
+    assert size == 28
+    with pytest.raises(GuardrailExceeded, match="while merging two classes"):
+        generated_fusion(d8, [iso], limits=guardrails.Guardrails(table_limit=size - 1))
+    at_limit = generated_fusion(d8, [iso], limits=guardrails.Guardrails(table_limit=size))
+    assert at_limit.morphism_count() == size
