@@ -43,6 +43,7 @@ from .fusion import (
     FusionSystem,
     MapTuple,
     center_of,
+    focal_generators,
     focal_of,
     fusion_equal,
     fusion_of_group,
@@ -55,9 +56,11 @@ from .morphisms import (
     FusionMorphism,
     Subsystem,
     check_morphism,
+    decomposition_components,
     identity_morphism,
     image,
     is_product_decomposition,
+    projections,
     subsystem_of,
     sum_morphisms,
 )
@@ -80,15 +83,22 @@ class NormalEndomorphism:
 
 
 def _surjective_normal_criterion(F: FusionSystem, images: MapTuple) -> bool:
-    """[f,S] inside the center with f fixing the focal subgroup.
+    """[f,S] inside the center with f fixing the focal subgroup, tested
+    on generators.
 
-    The center is a subgroup, so it contains [f,S] exactly when it
-    contains the displacements x^-1 f(x) that generate it."""
+    With d(x) = x^-1 f(x), d(xy) = y^-1 d(x) f(y) = d(x) d(y) whenever
+    d(x) is central, so the center holds every d(x) once it holds d(g)
+    for the generators g of S; and f fixes foc(F) once it fixes a
+    generating set of it.  ``verify.surjective_criterion_plain`` tests
+    every element."""
     G = F.base
     center = center_of(F).member_set
-    if any(G.mul(G.inv(x), images[x]) not in center for x in range(G.order)):
+    if any(
+        G.mul(G.inv(g), images[g]) not in center
+        for g in G.generators or range(G.order)
+    ):
         return False
-    return all(images[x] == x for x in focal_of(F).members)
+    return all(images[x] == x for x in focal_generators(F))
 
 
 def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
@@ -462,30 +472,43 @@ class Factorization:
 
 
 def _admissible_splits(
-    F: FusionSystem, omega: Optional[OmegaContext]
-) -> list[tuple[int, int]]:
-    """Candidate (T, U) index pairs for a direct split of ``F``."""
+    F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str = "asc"
+) -> Iterator[tuple[int, int]]:
+    """Candidate (T, U) index pairs for a direct split of ``F``: strongly
+    closed (and Omega-invariant) proper subgroups with i < j, |T||U| = |S|,
+    trivial intersection and commuting elements.  They are produced one
+    at a time in (i, j) order, reversed for ``search_order="desc"``, so a
+    caller that needs one split tests no further pairs;
+    ``verify.admissible_splits_plain`` lists them all."""
     G = F.base
     subs = F.lattice.subs
     n = G.order
-    eligible = []
-    for i in range(len(subs)):
-        if 1 < subs[i].order < n and is_strongly_closed(F, i):
-            if omega is None or omega.fixes_subgroup(subs[i].members):
-                eligible.append(i)
-    out = []
-    for a_pos, i in enumerate(eligible):
-        ti = subs[i].member_set
-        for j in eligible[a_pos + 1 :]:
-            uj = subs[j].member_set
-            if subs[i].order * subs[j].order != n:
-                continue
-            if (ti & uj) != {0}:
-                continue
-            if not all(G.mul(a, b) == G.mul(b, a) for a in subs[i].members for b in uj):
-                continue
-            out.append((i, j))
-    return out
+    eligible = [
+        i
+        for i in range(len(subs))
+        if 1 < subs[i].order < n
+        and is_strongly_closed(F, i)
+        and (omega is None or omega.fixes_subgroup(subs[i].members))
+    ]
+    by_order: dict[int, list[int]] = {}
+    for i in eligible:
+        by_order.setdefault(subs[i].order, []).append(i)
+    step = -1 if search_order == "desc" else 1
+    for i in eligible[::step]:
+        for j in by_order.get(n // subs[i].order, [])[::step]:
+            if j > i and _meet_trivially(subs[i], subs[j]) and _commutes(
+                G, subs[i], subs[j]
+            ):
+                yield i, j
+
+
+def _meet_trivially(T: Subgroup, U: Subgroup) -> bool:
+    return T.member_set.isdisjoint(U.members[1:])
+
+
+def _commutes(G: FiniteGroup, T: Subgroup, U: Subgroup) -> bool:
+    """Every element of ``T`` commutes with every element of ``U``."""
+    return all(G.mul(a, b) == G.mul(b, a) for a in T.members for b in U.members)
 
 
 def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, Subsystem]]:
@@ -507,10 +530,7 @@ def _proven_splits(
 ) -> Iterator[tuple[tuple[Subsystem, Optional[OmegaContext]], ...]]:
     """Every direct split of ``F`` into two parts, each proven by
     ``_split_works`` and paired with Omega restricted to it."""
-    splits = _admissible_splits(F, omega)
-    if search_order == "desc":
-        splits.reverse()
-    for i, j in splits:
+    for i, j in _admissible_splits(F, omega, search_order=search_order):
         found = _split_works(F, i, j)
         if found is not None:
             yield tuple(
@@ -629,34 +649,6 @@ class KrsCertificate:
     note: Optional[str] = None
 
 
-def _decomposition_components(
-    G: FiniteGroup, bases: Sequence[tuple[int, ...]]
-) -> dict[int, tuple[int, ...]]:
-    """Unique factor components of every element of an internal direct
-    product."""
-    decomp: dict[int, tuple[int, ...]] = {0: ()}
-    for members in bases:
-        new = {}
-        for x, comps in decomp.items():
-            for t in members:
-                y = G.mul(x, t)
-                if y in new:
-                    raise InternalInconsistency("bases do not decompose independently")
-                new[y] = comps + (t,)
-        decomp = new
-    if len(decomp) != G.order:
-        raise InternalInconsistency("bases do not span the group")
-    return decomp
-
-
-def _projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTuple]:
-    decomp = _decomposition_components(G, bases)
-    out = []
-    for i in range(len(bases)):
-        out.append(tuple(decomp[x][i] for x in range(G.order)))
-    return out
-
-
 def _check_system(F: FusionSystem, fact: Factorization) -> None:
     if not fusion_equal(fact.system, F):
         raise NotSubsystem("factorization belongs to a different system")
@@ -704,7 +696,7 @@ def _krs_constructive(
     k = len(fact1.parts)
     m = len(fact2.parts)
     bases1 = [p.base.members for p in fact1.parts]
-    projections1 = _projections(G, bases1)
+    projections1 = projections(G, bases1)
 
     current = [p.base.members for p in fact2.parts]
     total = tuple(range(G.order))
@@ -714,7 +706,7 @@ def _krs_constructive(
     for r in range(m):
         t_star = current[r]
         star_set = set(t_star)
-        g_proj = _projections(G, current)[r]
+        g_proj = projections(G, current)[r]
         chosen = None
         for j in range(k):
             restricted = [g_proj[projections1[j][x]] for x in t_star]
@@ -918,7 +910,7 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
                 beta[i][j] = isos[rep][j].compose(isos[rep][i].inverse())
 
     section: dict[tuple[int, ...], MapTuple] = {}
-    decomp = _decomposition_components(F.base, [p.base.members for p in fact.parts])
+    decomp = decomposition_components(F.base, [p.base.members for p in fact.parts])
     for sigma in gamma:
         images = [0] * F.base.order
         for x in range(F.base.order):

@@ -171,11 +171,16 @@ class FusionSystem:
         self.maps = tuple(tuple(sorted(set(ms))) for ms in maps_by_dom)
         self.map_sets = [frozenset(ms) for ms in self.maps]
         self._hom_cache: dict[tuple[int, int], tuple[MapTuple, ...]] = {}
+        # Iso(P_i, P_j) for every j, filled by one scan of maps[i]
+        self._iso_cache: dict[int, dict[int, tuple[MapTuple, ...]]] = {}
+        # restrict_full(self, T), keyed by the members of T
+        self._restrictions: dict[tuple[int, ...], FusionSystem] = {}
         self._element_classes: Optional[tuple[tuple[int, ...], ...]] = None
         self._subgroup_classes: Optional[tuple[tuple[int, ...], ...]] = None
         self._saturation = None
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
+        self._focal_generators: Optional[tuple[int, ...]] = None
         # fusion-preserving self-maps, filled by factor.fusion_endomorphisms
         # and factor.fusion_automorphisms
         self._endomorphisms: Optional[list[FusionMorphism]] = None
@@ -249,8 +254,19 @@ class FusionSystem:
         return self._hom_cache[key]
 
     def iso_maps(self, i: int, j: int) -> tuple[MapTuple, ...]:
-        goal = self.lattice.subs[j].members
-        return tuple(m for m in self.maps[i] if tuple(sorted(m)) == goal)
+        """Isomorphisms P_i -> P_j in table order.  The first call on P_i
+        sorts the image of each of its maps once and files every
+        Iso(P_i, P_j) at the same time."""
+        by_image = self._iso_cache.get(i)
+        if by_image is None:
+            idx = self.lattice.idx
+            buckets: dict[Optional[int], list[MapTuple]] = {}
+            for m in self.maps[i]:
+                buckets.setdefault(idx.get(tuple(sorted(m))), []).append(m)
+            by_image = self._iso_cache[i] = {
+                j: tuple(ms) for j, ms in buckets.items()
+            }
+        return by_image.get(j, ())
 
     def aut_maps(self, i: int) -> tuple[MapTuple, ...]:
         return self.iso_maps(i, i)
@@ -415,6 +431,27 @@ def inner_fusion(S: FiniteGroup) -> FusionSystem:
     """The fusion system of a p-group on itself (conjugation only)."""
     p = group_prime(S)
     return fusion_of_group(S, p, S.full_subgroup())
+
+
+def class_generators(F: FusionSystem) -> Iterator[tuple[int, MapTuple]]:
+    """Morphisms (domain index, map) that generate ``F`` together with the
+    conjugation maps of S: for each F-class of subgroups with root R,
+    the automorphisms of R outside Aut_S(R) and one isomorphism from R
+    onto each other member.  ``F`` is closed under composition and
+    inverses, so Iso_F(P, Q) = tau_Q Aut_F(R) tau_P^-1 for these
+    isomorphisms tau."""
+    lat = F.lattice
+    for cls in F.subgroup_classes():
+        r = cls[0]
+        inner = lat.aut_s(r)
+        for a in F.aut_maps(r):
+            if a not in inner:
+                yield r, a
+        for q in cls[1:]:
+            isos = F.iso_maps(r, q)
+            if not isos:
+                raise NotSubgroup("table not closed under composition")
+            yield r, isos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +888,14 @@ def focal_of(F: FusionSystem) -> Subgroup:
     return focal
 
 
+def focal_generators(F: FusionSystem) -> tuple[int, ...]:
+    """An irredundant generating sequence of foc(F), found once per
+    system: a homomorphism fixes foc(F) exactly when it fixes these."""
+    if F._focal_generators is None:
+        F._focal_generators = focal_of(F).generating_sequence()
+    return F._focal_generators
+
+
 @dataclass(frozen=True)
 class SubgroupClassification:
     strongly_closed: bool
@@ -968,11 +1013,19 @@ def fusion_invariants(F: FusionSystem) -> FusionInvariants:
 
 
 def restrict_full(F: FusionSystem, T: Subgroup) -> FusionSystem:
-    """The full subsystem on the subgroups of ``T``."""
+    """The full subsystem on the subgroups of ``T``, built once per ``T``
+    and kept on ``F``."""
     if T.parent is not F.base:
         raise NotSubgroup("restriction subgroup lives in a different group")
     if T.order == F.base.order:
         return F
+    cached = F._restrictions.get(T.members)
+    if cached is None:
+        cached = F._restrictions[T.members] = _restricted_table(F, T)
+    return cached
+
+
+def _restricted_table(F: FusionSystem, T: Subgroup) -> FusionSystem:
     TG, to_parent = T.as_group()
     from_parent = {pid: t for t, pid in enumerate(to_parent)}
     lat_t = lattice_of(TG)

@@ -19,12 +19,12 @@ from .errors import (
     NotSubsystem,
     NotSummable,
 )
-from .groups import GroupHom, Subgroup, direct_product
+from .groups import FiniteGroup, GroupHom, Subgroup, direct_product
 from .fusion import (
     FusionSystem,
     MapTuple,
+    class_generators,
     close_maps,
-    fusion_equal,
     lattice_of,
 )
 
@@ -452,14 +452,81 @@ def is_product_decomposition(
     F: FusionSystem, subsystems: Sequence[Subsystem]
 ) -> bool:
     """True when the commuting subsystems give an internal direct
-    factorization of ``F``."""
+    factorization of ``F``.
+
+    Every tuple of part morphisms extends in ``F`` (``commute_check``),
+    so the product of the parts lies in ``F``; once their bases factor
+    S, equality is ``_within_product``.  The twin
+    ``verify.product_decomposition_plain`` builds the inner product and
+    compares it with ``F`` entrywise."""
     res = commute_check(F, subsystems)
     total = 1
     for sub in subsystems:
         total *= sub.base.order
     if not total == res.inner_base.order == F.base.order:
         return False
-    return fusion_equal(res.inner, F)
+    return _within_product(F, subsystems)
+
+
+def _within_product(F: FusionSystem, subsystems: Sequence[Subsystem]) -> bool:
+    """F lies in the product of the parts, whose bases must factor S as
+    an internal direct product T_1 ... T_k.
+
+    A morphism phi of F on W lies in the product exactly when, for each
+    part a, x -> pi_a(phi(x)) is a well-defined function of pi_a(x) and
+    that map on pi_a(W) is a morphism of the part's system.  The product
+    is a fusion system and holds the conjugation maps of S, since each
+    part holds those of its base, so testing ``class_generators(F)`` is
+    enough."""
+    lat = F.lattice
+    bases = [sub.base.members for sub in subsystems]
+    parts = [
+        (proj, {m: t for t, m in enumerate(members)}, members, sub.system)
+        for proj, members, sub in zip(projections(F.base, bases), bases, subsystems)
+    ]
+
+    def inside(i: int, m: MapTuple) -> bool:
+        members = lat.subs[i].members
+        for proj, local, to_parent, E in parts:
+            image: dict[int, int] = {}
+            for x, y in zip(members, m):
+                px, py = proj[x], proj[y]
+                if image.setdefault(px, py) != py:
+                    return False
+            dom = tuple(sorted(local[px] for px in image))
+            pushed = tuple(local[image[to_parent[t]]] for t in dom)
+            if pushed not in E.map_sets[E.lattice.idx[dom]]:
+                return False
+        return True
+
+    return all(inside(i, m) for i, m in class_generators(F))
+
+
+def decomposition_components(
+    G: FiniteGroup, bases: Sequence[tuple[int, ...]]
+) -> dict[int, tuple[int, ...]]:
+    """Unique factor components of every element of an internal direct
+    product."""
+    decomp: dict[int, tuple[int, ...]] = {0: ()}
+    for members in bases:
+        new = {}
+        for x, comps in decomp.items():
+            for t in members:
+                y = G.mul(x, t)
+                if y in new:
+                    raise InternalInconsistency("bases do not decompose independently")
+                new[y] = comps + (t,)
+        decomp = new
+    if len(decomp) != G.order:
+        raise InternalInconsistency("bases do not span the group")
+    return decomp
+
+
+def projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTuple]:
+    """The projection x -> pi_a(x) onto each base of an internal direct
+    product, as a tuple over the group."""
+    decomp = decomposition_components(G, bases)
+    return [tuple(decomp[x][a] for x in range(G.order)) for a in range(len(bases))]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ these functions."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -71,6 +71,7 @@ from .morphisms import (
     is_product_decomposition,
     kernel,
     product,
+    projections,
     subsystem_of,
     sum_morphisms,
     zero_morphism,
@@ -78,6 +79,7 @@ from .morphisms import (
 from .factor import (
     NormalEndomorphism,
     OmegaContext,
+    _admissible_splits,
     _stable_image_kernel,
     _surjective_normal_criterion,
     aut_structure,
@@ -1149,6 +1151,86 @@ def check_distributivity() -> str:
     return f"{checked} composites distributed"
 
 
+def product_decomposition_plain(
+    F: FusionSystem, subsystems: list[Subsystem]
+) -> bool:
+    """The slow twin of ``is_product_decomposition``: the inner product,
+    closed from the extension seeds, compared with ``F`` entrywise."""
+    res = commute_check(F, subsystems)
+    total = 1
+    for sub in subsystems:
+        total *= sub.base.order
+    if not total == res.inner_base.order == F.base.order:
+        return False
+    return fusion_equal(res.inner, F)
+
+
+def _product_verdicts(
+    label: str, F: FusionSystem, subsystems: list[Subsystem]
+) -> object:
+    """The verdict of ``is_product_decomposition``, "not commuting" when it
+    raises NotCommuting, asserted equal to the plain twin's."""
+    verdicts = []
+    for decide in (is_product_decomposition, product_decomposition_plain):
+        try:
+            verdicts.append(decide(F, subsystems))
+        except NotCommuting:
+            verdicts.append("not commuting")
+    assert verdicts[0] == verdicts[1], (
+        f"{label}: on {[s.base.members for s in subsystems]} the projection "
+        f"says {verdicts[0]}, "
+        f"the inner product says {verdicts[1]}"
+    )
+    return verdicts[0]
+
+
+def check_product_by_projection() -> str:
+    """``is_product_decomposition``, which projects generators of F onto
+    the parts class by class, gives the verdict of the entrywise
+    comparison with the inner product on every complementary pair of
+    subgroups of the catalog and the unsaturated battery, on every
+    factorization from ``factorize_all`` and on the overlapping cover of
+    inner-d8-c2.  The lazy pair generator of ``factorize`` yields the
+    plain list of candidate pairs, in both search orders."""
+    tally: Counter = Counter()
+    systems = [(name, _fusion(name)) for name in catalog.names()]
+    for label, F in systems + unsaturated_battery():
+        subs = F.lattice.subs
+        for T, U in itertools.combinations(subs, 2):
+            if T.order * U.order == F.base.order and T.member_set & U.member_set == {0}:
+                family = [subsystem_of(F, T), subsystem_of(F, U)]
+                tally[_product_verdicts(label, F, family)] += 1
+    assert tally[True] and tally[False], (
+        "both verdicts must occur on pairs that commute"
+    )
+    cases = [(name, F, None) for name, F in systems] + [
+        (f"equivariant {F.base.order}", F, omega) for F, omega in equivariant_contexts()
+    ]
+    facts = 0
+    for label, F, omega in cases:
+        for fact in factorize_all(F, omega):
+            assert _product_verdicts(label, F, list(fact.parts)) is True
+            facts += 1
+        plain = admissible_splits_plain(F, omega)
+        assert list(_admissible_splits(F, omega)) == plain, (
+            f"{label}: candidate pairs differ from the plain list"
+        )
+        assert list(_admissible_splits(F, omega, search_order="desc")) == plain[::-1], (
+            f"{label}: descending candidate pairs differ from the reversed plain list"
+        )
+    F = _fusion("inner-d8-c2")
+    d8_part = max(factorize(F).parts, key=lambda p: p.base.order).base
+    cover = [subsystem_of(F, d8_part), subsystem_of(F, center_of(F))]
+    assert _product_verdicts("inner-d8-c2", F, cover) is False
+    return (
+        f"{sum(tally.values())} complementary pairs ({tally[True]} products, "
+        f"{tally[False]} commuting non-products, {tally['not commuting']} not "
+        f"commuting), {facts} factorizations and one overlapping cover agree "
+        f"with the inner product; candidate pairs of {len(cases)} systems "
+        f"equal the plain list in both orders"
+    )
+
+
 MORPHISM_CHECKS = [
     ("kernel-strongly-closed", check_kernel_strongly_closed),
     ("iso-inverse", check_iso_inverse),
@@ -1160,6 +1242,7 @@ MORPHISM_CHECKS = [
     ("image-transport", check_image_transport),
     ("sum-bookkeeping", check_sum_bookkeeping),
     ("distributivity", check_distributivity),
+    ("product-by-projection", check_product_by_projection),
 ]
 
 
@@ -1231,10 +1314,7 @@ def check_projections_normal() -> str:
         fact = factorize(F)
         if len(fact.parts) < 2:
             continue
-        from .factor import _projections
-
-        projections = _projections(F.base, [p.base.members for p in fact.parts])
-        for arr in projections:
+        for arr in projections(F.base, [p.base.members for p in fact.parts]):
             m = check_morphism(F, F, arr)
             normal_complement(F, m)
             count += 1
@@ -1285,6 +1365,16 @@ def check_fitting_factorize() -> str:
     return f"{count} fitting splits verified (unique by brute force)"
 
 
+def surjective_criterion_plain(F: FusionSystem, images: MapTuple) -> bool:
+    """The slow twin of ``_surjective_normal_criterion``: the displacement
+    x^-1 f(x) of every element, and every element of foc(F)."""
+    G = F.base
+    center = center_of(F).member_set
+    if any(G.mul(G.inv(x), images[x]) not in center for x in range(G.order)):
+        return False
+    return all(images[x] == x for x in focal_of(F).members)
+
+
 def check_surjective_criterion() -> str:
     """The center/focal criterion that ``normal_automorphisms`` uses
     agrees with the complement test on every fusion automorphism."""
@@ -1301,10 +1391,64 @@ def check_surjective_criterion() -> str:
     return f"{count} automorphisms: criterion agrees with the complement test"
 
 
+def check_surjective_on_generators() -> str:
+    """The center/focal criterion, tested on generators of S and of
+    foc(F), agrees with its all-element twin on every fusion
+    automorphism of the catalog (inner-c3c3c3 included) and on the
+    normal automorphisms of the equivariant contexts."""
+    count = 0
+    for name in catalog.names():
+        F = _fusion(name)
+        for m in fusion_automorphisms(F):
+            assert _surjective_normal_criterion(F, m.images) == surjective_criterion_plain(
+                F, m.images
+            ), f"{name}: criterion differs from the all-element criterion on {m.images}"
+            count += 1
+    for F, omega in equivariant_contexts():
+        plain = [
+            m
+            for m in fusion_automorphisms(F)
+            if omega.commutes_with(m.images) and surjective_criterion_plain(F, m.images)
+        ]
+        assert normal_automorphisms(F, omega) == plain, (
+            "equivariant normal automorphisms differ from the all-element criterion"
+        )
+    return f"{count} automorphisms: criterion agrees with the all-element criterion"
+
+
+def admissible_splits_plain(
+    F: FusionSystem, omega: Optional[OmegaContext]
+) -> list[tuple[int, int]]:
+    """The slow twin of ``factor._admissible_splits``: every pair of
+    eligible subgroups tested, and the candidates listed at once."""
+    G = F.base
+    subs = F.lattice.subs
+    n = G.order
+    eligible = []
+    for i in range(len(subs)):
+        if 1 < subs[i].order < n and is_strongly_closed(F, i):
+            if omega is None or omega.fixes_subgroup(subs[i].members):
+                eligible.append(i)
+    out = []
+    for a_pos, i in enumerate(eligible):
+        ti = subs[i].member_set
+        for j in eligible[a_pos + 1 :]:
+            uj = subs[j].member_set
+            if subs[i].order * subs[j].order != n:
+                continue
+            if (ti & uj) != {0}:
+                continue
+            if not all(G.mul(a, b) == G.mul(b, a) for a in subs[i].members for b in uj):
+                continue
+            out.append((i, j))
+    return out
+
+
 def check_factorizations_are_products() -> str:
     """Every factorization that ``factorize`` and ``factorize_all`` return
     is a direct factorization: they prove each split once and assemble
-    the parts without proving the whole again."""
+    the parts without proving the whole again.  The proof here is the
+    plain one, the inner product compared entrywise."""
     cases = [(_fusion(name), None) for name in catalog.names()]
     cases += equivariant_contexts()
     count = 0
@@ -1313,7 +1457,7 @@ def check_factorizations_are_products() -> str:
         if omega is None:
             facts += [factorize(F), factorize(F, search_order="desc")]
         for fact in facts:
-            assert is_product_decomposition(F, list(fact.parts)), (
+            assert product_decomposition_plain(F, list(fact.parts)), (
                 f"{fact.bases} do not factor the system"
             )
             count += 1
@@ -1381,6 +1525,7 @@ FACTOR_CHECKS = [
     ("normality-converse-fails", check_normality_converse_fails),
     ("fitting-factorize", check_fitting_factorize),
     ("surjective-criterion", check_surjective_criterion),
+    ("surjective-on-generators", check_surjective_on_generators),
     ("factorizations-are-products", check_factorizations_are_products),
     ("self-map-search", check_self_map_search),
 ]

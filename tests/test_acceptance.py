@@ -102,6 +102,7 @@ LEMMA_SUITE = [
     ("morphisms", "factor-intersection-central"),
     ("morphisms", "sum-bookkeeping"),
     ("morphisms", "distributivity"),
+    ("morphisms", "product-by-projection"),
     ("group-core", "coprime-action-trivial"),
     ("group-core", "fitting-split"),
     ("group-core", "cayley-tables"),
@@ -110,6 +111,7 @@ LEMMA_SUITE = [
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),
     ("factor", "surjective-criterion"),
+    ("factor", "surjective-on-generators"),
     ("factor", "factorizations-are-products"),
     ("factor", "self-map-search"),
 ]

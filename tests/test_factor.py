@@ -2,14 +2,18 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
 from fusionsys import catalog, factor, groups
+from fusionsys import fusion as fusion_mod
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import FiniteGroup, GroupHom, cycles_to_perm, fitting_split
 from fusionsys.fusion import (
+    FusionSystem,
     center_of,
+    focal_generators,
     focal_of,
     fusion_equal,
     generated_fusion,
@@ -170,6 +174,25 @@ def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
     result = verify._run(name, checks["surjective-criterion"])
     assert not result.passed
     assert "disagrees with the complement test" in result.detail
+
+
+def test_surjective_check_catches_a_dropped_generator(monkeypatch):
+    from fusionsys import verify
+
+    def one_generator_short(F, images):
+        G = F.base
+        center = center_of(F).member_set
+        if any(G.mul(G.inv(g), images[g]) not in center for g in G.generators[:-1]):
+            return False
+        return all(images[x] == x for x in focal_generators(F))
+
+    monkeypatch.setattr(verify, "_surjective_normal_criterion", one_generator_short)
+    result = verify._run(
+        "factor/surjective-on-generators",
+        dict(verify.FACTOR_CHECKS)["surjective-on-generators"],
+    )
+    assert not result.passed
+    assert "differs from the all-element criterion" in result.detail
 
 
 def test_product_check_catches_a_dropped_part(monkeypatch):
@@ -355,6 +378,54 @@ def test_factorize_all_enumerates_each_table_once(monkeypatch):
     factorize_all(fusion("inner-c3c3"))
     assert tables
     assert len(tables) == len(set(tables))
+
+
+def test_factorize_commutation_tests_one_pair_per_level(monkeypatch):
+    tested = Counter()
+    commutes = factor._commutes
+
+    def counting(G, T, U):
+        tested[G.order] += 1
+        return commutes(G, T, U)
+
+    monkeypatch.setattr(factor, "_commutes", counting)
+    fact = factorize(fusion("inner-c3c3c3"))
+    assert len(fact.parts) == 3
+    # C3^3 splits as C3 x C3^2, and C3^2 as C3 x C3; C3 has no pair
+    assert tested == {27: 1, 9: 1}
+
+
+def test_factorize_all_restricts_each_subgroup_once(monkeypatch):
+    F = fusion("inner-c3c3c3")
+    F = FusionSystem(F.base, F.p, F.maps)
+    built: dict = {}
+    calls = []
+    restrict_full = fusion_mod.restrict_full
+
+    def recording(E, T):
+        part = restrict_full(E, T)
+        # keep every system alive, so that no id is reused
+        calls.append((E, part))
+        built.setdefault((id(E), T.members), set()).add(id(part))
+        return part
+
+    monkeypatch.setattr(fusion_mod, "restrict_full", recording)
+    monkeypatch.setattr(factor, "restrict_full", recording)
+    assert len(factorize_all(F)) == catalog.FACTORIZATION_COUNTS["inner-c3c3c3"]
+    assert len(calls) > len(built)
+    assert all(len(parts) == 1 for parts in built.values())
+
+
+def test_pair_check_catches_a_skipped_intersection_test(monkeypatch):
+    from fusionsys import verify
+
+    monkeypatch.setattr(factor, "_meet_trivially", lambda T, U: True)
+    result = verify._run(
+        "morphisms/product-by-projection",
+        dict(verify.MORPHISM_CHECKS)["product-by-projection"],
+    )
+    assert not result.passed
+    assert "candidate pairs differ from the plain list" in result.detail
 
 
 def test_factorization_count_formula():

@@ -19,6 +19,7 @@ from fusionsys.groups import (
     sylow,
 )
 from fusionsys.fusion import (
+    FusionSystem,
     alperin_generators,
     center_of,
     classify_subgroup,
@@ -231,6 +232,25 @@ def test_conjugation_tables_check_catches_a_dropped_normalizer_element(monkeypat
     result = verify._run(name, checks["conjugation-tables"])
     assert not result.passed
     assert "normalizer table" in result.detail
+
+
+def test_iso_maps_are_filed_once_per_domain():
+    F = fusion("sym4")
+    F = FusionSystem(F.base, F.p, F.maps)
+    subs = F.lattice.subs
+    isos = {
+        (i, j): F.iso_maps(i, j)
+        for i in range(len(subs))
+        for j in range(len(subs))
+    }
+    for (i, j), ms in isos.items():
+        assert ms == tuple(m for m in F.maps[i] if tuple(sorted(m)) == subs[j].members)
+    assert any(ms and i != j for (i, j), ms in isos.items())
+    # a rescan would now find no maps at all
+    F.maps = tuple(() for _ in F.maps)
+    for (i, j), ms in isos.items():
+        assert F.iso_maps(i, j) is ms
+        assert F.aut_maps(i) is isos[i, i]
 
 
 # -- conjugacy ------------------------------------------------------------------

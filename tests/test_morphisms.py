@@ -3,7 +3,8 @@ products, commuting subsystems and sums."""
 
 import pytest
 
-from fusionsys import catalog
+from fusionsys import catalog, morphisms
+from fusionsys import fusion as fusion_mod
 from fusionsys.errors import (
     NotCommuting,
     NotFusionPreserving,
@@ -17,6 +18,7 @@ from fusionsys.fusion import (
     is_saturated,
     restrict_full,
 )
+from fusionsys.factor import factorize
 from fusionsys.morphisms import (
     Subsystem,
     check_morphism,
@@ -282,10 +284,44 @@ def test_strongly_closed_split_decomposes():
     # two strongly closed halves with commuting restrictions cover the
     # inner product system
     F = fusion("inner-d8-c2")
-    from fusionsys.factor import factorize
-
     fact = factorize(F)
     assert is_product_decomposition(F, list(fact.parts))
+
+
+def test_product_check_on_a_factorization_makes_no_closure(monkeypatch):
+    F = fusion("inner-d8-c2")
+    parts = list(factorize(F).parts)
+    closures = []
+
+    def recording(*args, **kwargs):
+        closures.append(args)
+        return fusion_mod.close_maps(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "close_maps", recording)
+    assert is_product_decomposition(F, parts)
+    assert closures == []
+
+
+def _product_by_projection_result():
+    from fusionsys import verify
+
+    check = dict(verify.MORPHISM_CHECKS)["product-by-projection"]
+    return verify._run("morphisms/product-by-projection", check)
+
+
+def test_projection_check_catches_automorphisms_without_transporters(monkeypatch):
+    class_generators = fusion_mod.class_generators
+
+    def automorphisms_only(F):
+        subs = F.lattice.subs
+        for i, m in class_generators(F):
+            if tuple(sorted(m)) == subs[i].members:
+                yield i, m
+
+    monkeypatch.setattr(morphisms, "class_generators", automorphisms_only)
+    result = _product_by_projection_result()
+    assert not result.passed
+    assert "the inner product says False" in result.detail
 
 
 # -- sums ------------------------------------------------------------------------
