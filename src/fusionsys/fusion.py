@@ -28,12 +28,17 @@ from . import guardrails
 from .groups import (
     FiniteGroup,
     GroupHom,
+    LatticeShape,
     Subgroup,
     group_prime,
+    mask_of,
+    members_of,
+    normalizer_mask,
     p_part,
     quotient,
     subgroups,
     sylow,
+    transporters,
 )
 
 if TYPE_CHECKING:
@@ -49,24 +54,26 @@ MapTuple = tuple[int, ...]
 class SubgroupLattice:
     """Containment data for all subgroups of a group.
 
-    The index tables come from the group's memoized ``LatticeShape``, so
-    groups with equal multiplication tables share them.  The conjugation
-    action of the group on its subgroups (normalizers, centralizers and
-    Aut_S of each subgroup) is read off one table of ``g x g^-1``, built
-    on first use.  ``coset_rows`` keeps, for each subgroup P, one row of
-    that table restricted to P per coset of C_S(P) in N_S(P), with the
-    coset; Aut_S(P) is the set of those rows.
+    The index tables, member masks and generating sequences come from the
+    group's memoized ``LatticeShape``, so groups with equal multiplication
+    tables share them.  The conjugation action of the group on its
+    subgroups (normalizers, centralizers and Aut_S of each subgroup) is
+    read off one table of ``g x g^-1``, built on first use, and tested on
+    the generators of each subgroup.  ``coset_rows`` keeps, for each
+    subgroup P, one row of that table restricted to P per coset of C_S(P)
+    in N_S(P), with the coset; Aut_S(P) is the set of those rows.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         self.subs = subgroups(G)
-        shape = G._shape
+        shape = self.shape = G._shape
         self.idx = shape.idx
         self.member_sets = [s.member_set for s in self.subs]
         self.pos, self.maximal_of = shape.containment()
         self.full_index = self.idx[self.subs[-1].members]
         self.trivial_index = self.idx[(0,)]
+        self._bits = [1 << x for x in range(G.order)]
         self._conj: Optional[list[list[int]]] = None
         self._normalizers: Optional[list[tuple[int, ...]]] = None
         self._centralizers: Optional[list[tuple[int, ...]]] = None
@@ -79,40 +86,49 @@ class SubgroupLattice:
             raise NotSubgroup(f"{key} is not a subgroup of the base group")
         return self.idx[key]
 
+    def image_index(self, m: MapTuple) -> Optional[int]:
+        """The index of the subgroup whose members ``m`` lists in some
+        order without repeats, found by mask; None when there is none."""
+        mask = sum(map(self._bits.__getitem__, m))
+        # a repeated entry carries, which leaves fewer bits than entries
+        if mask.bit_count() != len(m):
+            return None
+        return self.shape.mask_index.get(mask)
+
     def conj_table(self) -> list[list[int]]:
         """``conj[g][x] = g x g^-1`` over the whole group."""
         if self._conj is None:
             G = self.group
-            n = G.order
-            self._conj = [[G.conj(g, x) for x in range(n)] for g in range(n)]
+            every = range(G.order)
+            self._conj = [G.conj_row(g, every) for g in every]
         return self._conj
 
     def normalizer(self, i: int) -> tuple[int, ...]:
-        """Members of N_S(P_i)."""
+        """Members of N_S(P_i): the g that conjugate each generator of P_i
+        into P_i."""
         if self._normalizers is None:
-            conj = self.conj_table()
             self._normalizers = [
-                tuple(
-                    g
-                    for g, row in enumerate(conj)
-                    if all(row[x] in target for x in sub.members)
-                )
-                for sub, target in zip(self.subs, self.member_sets)
+                members_of(m) for m in _normalizer_masks(self.conj_table(), self.shape)
             ]
         return self._normalizers[i]
 
     def centralizer(self, i: int) -> tuple[int, ...]:
-        """Members of C_S(P_i), the intersection of C_S(x) over x in P_i."""
+        """Members of C_S(P_i), the intersection of C_S(x) over the
+        generators x of P_i."""
         if self._centralizers is None:
             conj = self.conj_table()
             fixers = [
-                frozenset(g for g, row in enumerate(conj) if row[x] == x)
+                mask_of(g for g, row in enumerate(conj) if row[x] == x)
                 for x in range(len(conj))
             ]
-            self._centralizers = [
-                tuple(sorted(frozenset.intersection(*(fixers[x] for x in sub.members))))
-                for sub in self.subs
-            ]
+            every = (1 << len(conj)) - 1
+            centralizers = []
+            for gens in self.shape.gens:
+                mask = every
+                for x in gens:
+                    mask &= fixers[x]
+                centralizers.append(members_of(mask))
+            self._centralizers = centralizers
         return self._centralizers[i]
 
     def coset_rows(self, i: int) -> tuple[tuple[MapTuple, tuple[int, ...]], ...]:
@@ -140,6 +156,14 @@ class SubgroupLattice:
         if i not in self._aut_s:
             self._aut_s[i] = frozenset(row for row, _ in self.coset_rows(i))
         return self._aut_s[i]
+
+
+def _normalizer_masks(conj: list[list[int]], shape: LatticeShape) -> list[int]:
+    """N(P) as a mask for every subgroup P of the shape: the AND over the
+    generators x of P of the transporters of x into P.  The transporter
+    table is dropped when this returns."""
+    trans = transporters(conj)
+    return [normalizer_mask(trans, gens, mask) for gens, mask in zip(shape.gens, shape.masks)]
 
 
 def lattice_of(G: FiniteGroup) -> SubgroupLattice:
@@ -177,6 +201,10 @@ class FusionSystem:
         self._restrictions: dict[tuple[int, ...], FusionSystem] = {}
         self._element_classes: Optional[tuple[tuple[int, ...], ...]] = None
         self._subgroup_classes: Optional[tuple[tuple[int, ...], ...]] = None
+        # the position of each element's and each subgroup's class in
+        # the tuples above
+        self._element_class_index: Optional[list[int]] = None
+        self._subgroup_class_index: Optional[list[int]] = None
         self._saturation = None
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
@@ -259,10 +287,10 @@ class FusionSystem:
         Iso(P_i, P_j) at the same time."""
         by_image = self._iso_cache.get(i)
         if by_image is None:
-            idx = self.lattice.idx
+            image_index = self.lattice.image_index
             buckets: dict[Optional[int], list[MapTuple]] = {}
             for m in self.maps[i]:
-                buckets.setdefault(idx.get(tuple(sorted(m))), []).append(m)
+                buckets.setdefault(image_index(m), []).append(m)
             by_image = self._iso_cache[i] = {
                 j: tuple(ms) for j, ms in buckets.items()
             }
@@ -308,13 +336,12 @@ class FusionSystem:
             self._element_classes = tuple(
                 tuple(sorted(v)) for _, v in sorted(buckets.items())
             )
+            self._element_class_index = _class_index(self._element_classes, n)
         return self._element_classes
 
     def element_class_of(self, x: int) -> tuple[int, ...]:
-        for cls in self.element_classes():
-            if x in cls:
-                return cls
-        raise KeyError(x)
+        classes = self.element_classes()
+        return classes[self._element_class_index[x]]
 
     def subgroup_classes(self) -> tuple[tuple[int, ...], ...]:
         if self._subgroup_classes is None:
@@ -327,28 +354,24 @@ class FusionSystem:
                     x = parent[x]
                 return x
 
+            image_index = self.lattice.image_index
             for i, ms in enumerate(self.maps):
-                size = len(self.lattice.subs[i].members)
                 for m in ms:
-                    image = tuple(sorted(m))
-                    if len(image) == size:
-                        j = self.lattice.idx[image]
-                        ri, rj = find(i), find(j)
-                        if ri != rj:
-                            parent[max(ri, rj)] = min(ri, rj)
+                    ri, rj = find(i), find(image_index(m))
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
             buckets: dict[int, list[int]] = {}
             for i in range(k):
                 buckets.setdefault(find(i), []).append(i)
             self._subgroup_classes = tuple(
                 tuple(sorted(v)) for _, v in sorted(buckets.items())
             )
+            self._subgroup_class_index = _class_index(self._subgroup_classes, k)
         return self._subgroup_classes
 
     def subgroup_class_of(self, i: int) -> tuple[int, ...]:
-        for cls in self.subgroup_classes():
-            if i in cls:
-                return cls
-        raise KeyError(i)
+        classes = self.subgroup_classes()
+        return classes[self._subgroup_class_index[i]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionSystem):
@@ -362,6 +385,15 @@ class FusionSystem:
             f"FusionSystem(|S|={self.base.order}, p={self.p}, "
             f"subgroups={len(self.lattice.subs)}, morphisms={self.morphism_count()})"
         )
+
+
+def _class_index(classes: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    """The position in ``classes`` of the class of each of 0..n-1."""
+    index = [0] * n
+    for c, cls in enumerate(classes):
+        for x in cls:
+            index[x] = c
+    return index
 
 
 def _invert_map(m: MapTuple, members: tuple[int, ...], image: tuple[int, ...]) -> MapTuple:
@@ -410,20 +442,22 @@ def fusion_of_group(
     from_parent = {pid: i for i, pid in enumerate(to_parent)}
     lat = lattice_of(SG)
     maps: list[set[MapTuple]] = [set() for _ in lat.subs]
-    s_set = S.member_set
+    subs = list(zip(lat.shape.members, lat.shape.masks, maps))
     # g and g' with the same conjugation row on S (g' in g C_G(S), say)
     # add the same maps, so each row is processed once
     rows: set[tuple[int, ...]] = set()
     for g in range(G.order):
-        conj = tuple(G.conj(g, pid) for pid in to_parent)
+        conj = tuple(G.conj_row(g, to_parent))
         if conj in rows:
             continue
         rows.add(conj)
-        inside = [c in s_set for c in conj]
-        translated = [from_parent[c] if ok else -1 for c, ok in zip(conj, inside)]
-        for i, sub in enumerate(lat.subs):
-            if all(inside[m] for m in sub.members):
-                maps[i].add(tuple(translated[m] for m in sub.members))
+        # local ids of the conjugates, None outside S; a subgroup maps
+        # into S exactly when its mask lies in the mask of those inside
+        translated = list(map(from_parent.get, conj))
+        inside = mask_of(t for t, c in enumerate(translated) if c is not None)
+        for members, mask, into in subs:
+            if mask & inside == mask:
+                into.add(tuple(map(translated.__getitem__, members)))
     return FusionSystem(SG, p, maps)
 
 
@@ -505,7 +539,7 @@ class _ClassClosure:
         classes or grew a vertex group, so that its restrictions are new
         generators too."""
         lat = self.lat
-        j = lat.idx[tuple(sorted(m))]
+        j = lat.image_index(m)
         r, s = self.root[d], self.root[j]
         # a = sigma[j] o m o tau[d]: P_r -> P_s
         a = _compose(self.sigma[j], _compose(m, self.tau[d], lat.pos[d]), lat.pos[j])

@@ -153,6 +153,23 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
+    def conj_row(self, g: int, xs: Iterable[int]) -> list[int]:
+        """[g x g^-1 for x in xs], read off the dense rows when there are."""
+        rows = self._mul
+        if rows is None:
+            return [self.conj(g, x) for x in xs]
+        g_inv = self.inv(g)
+        row = rows[g]
+        return [rows[row[x]][g_inv] for x in xs]
+
+    def products(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[x y for x in xs for y in ys], read off the dense rows when
+        there are."""
+        rows = self._mul
+        if rows is None:
+            return [self.mul(x, y) for x in xs for y in ys]
+        return [rows[x][y] for x in xs for y in ys]
+
     def power(self, x: int, n: int) -> int:
         out, base = 0, x
         n = n % max(self.element_order(x), 1) if n < 0 else n
@@ -668,17 +685,38 @@ class GroupHom:
 # subgroup enumeration
 
 
+def mask_of(members: Iterable[int]) -> int:
+    """The bitmask of a set of element ids: bit x for member x."""
+    return sum(1 << x for x in set(members))
+
+
+def members_of(mask: int) -> tuple[int, ...]:
+    """The element ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class LatticeShape:
     """The canonical subgroup lattice of one multiplication table.
 
-    ``members`` lists the member tuples in (order, member tuple) order;
-    the containment tables are built on first use.  Both depend only on
+    ``members`` lists the member tuples in (order, member tuple) order,
+    ``masks`` the same sets as bitmasks and ``gens`` a generating sequence
+    of each, the one the enumerator reached it by; ``idx`` and
+    ``mask_index`` find a subgroup by its members or its mask.  The
+    containment tables are built on first use.  All of it depends only on
     the table, so one shape is shared by every group with that table.
     """
 
-    def __init__(self, members: list[tuple[int, ...]]):
-        self.members = members
-        self.idx = {m: i for i, m in enumerate(members)}
+    def __init__(self, lattice: dict[tuple[int, ...], tuple[int, ...]]):
+        self.members = list(lattice)
+        self.gens = list(lattice.values())
+        self.idx = {m: i for i, m in enumerate(self.members)}
+        self.masks = [mask_of(m) for m in self.members]
+        self.mask_index = {m: i for i, m in enumerate(self.masks)}
         self._containment: Optional[tuple[list, list]] = None
 
     def containment(self) -> tuple[list, list]:
@@ -692,10 +730,7 @@ class LatticeShape:
         ``verify.containment_plain`` compares every pair instead."""
         if self._containment is None:
             pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-            order = len(self.members[-1])
-            p = 2
-            while order > 1 and order % p:
-                p += 1
+            p = _least_prime(len(self.members[-1]))
             self._containment = (pos, _maximal_of_index_p(self.members, p))
         return self._containment
 
@@ -703,7 +738,7 @@ class LatticeShape:
 def _maximal_of_index_p(members: list[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
     """Maximal subgroups in a p-group: the subgroups of order |H|/p in H,
     tested as bitmasks in ascending index order."""
-    masks = [sum(1 << x for x in m) for m in members]
+    masks = [mask_of(m) for m in members]
     block: dict[int, list[int]] = {}
     for j, m in enumerate(members):
         block.setdefault(len(m), []).append(j)
@@ -712,6 +747,14 @@ def _maximal_of_index_p(members: list[tuple[int, ...]], p: int) -> list[tuple[in
         below = block.get(len(m) // p, [])
         maximal.append(tuple(j for j in below if masks[j] & whole == masks[j]))
     return maximal
+
+
+def _least_prime(n: int) -> int:
+    """The least prime dividing n (2 for n = 1)."""
+    p = 2
+    while n > 1 and n % p:
+        p += 1
+    return p
 
 
 # Canonical lattices for the life of the process, keyed by multiplication
@@ -743,15 +786,95 @@ def subgroups(G: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None)
     return G._subgroups
 
 
-def enumerate_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Member tuples of all subgroups of ``G`` in canonical order, found by
-    closing each subgroup H extended by one element of each coset Hx.
+def enumerate_subgroups(G: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Member tuples of all subgroups of ``G`` in canonical order, each
+    mapped to the generating sequence it was reached by.
+
+    A p-group with a dense table is extended normally by index p
+    (``_extend_normally``); any other group closes each subgroup extended
+    by one element of each coset (``_extend_by_cosets``).  ``subgroups``
+    runs this once per multiplication table;
+    ``verify.enumerate_subgroups_plain`` (one closure per element) is its
+    twin.
+    """
+    p = _least_prime(G.order)
+    if G.order > 1 and _is_p_power(G.order, p) and G._mul is not None:
+        found = list(_extend_normally(G, p).values())
+    else:
+        found = list(_extend_by_cosets(G).items())
+    return dict(sorted(found, key=lambda mg: (len(mg[0]), mg[0])))
+
+
+def transporters(conj: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every x
+    and every conjugate y of x, from the rows ``conj[g][x] = g x g^-1``."""
+    trans: list[dict[int, int]] = [{} for _ in conj]
+    for g, row in enumerate(conj):
+        bit = 1 << g
+        for t, y in zip(trans, row):
+            t[y] = t.get(y, 0) | bit
+    return trans
+
+
+def normalizer_mask(trans: list[dict[int, int]], gens: Sequence[int], mask: int) -> int:
+    """N(H) as a mask, for H generated by ``gens`` with member ``mask``:
+    the g that conjugate each generator into H, an AND over the
+    generators of the transporters into H."""
+    out = (1 << len(trans)) - 1
+    for x in gens:
+        out &= sum(m for y, m in trans[x].items() if mask >> y & 1)
+    return out
+
+
+def _extend_normally(
+    G: FiniteGroup, p: int
+) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The subgroups of a p-group, by mask, each with its members and
+    generating sequence.
+
+    Every maximal subgroup H of a p-group K is normal of index p, so
+    K = H<x> = H u xH u ... u x^(p-1)H for any x in K outside H, and that
+    x normalizes H and has x^p in H.  So each H is extended only by the
+    x in N(H) with x^p in H (N(H) read off the generators of H), K is
+    read off the table rows with no closure, and all of K outside H,
+    which gives the same K, is marked done at once.
+    """
+    rows = G._mul
+    every = range(G.order)
+    trans = transporters([G.conj_row(g, every) for g in every])
+    found = {1: ((0,), ())}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            members, gens = found[mask]
+            todo = normalizer_mask(trans, gens, mask) & ~mask
+            while todo:
+                x = (todo & -todo).bit_length() - 1
+                powers = [x]
+                for _ in range(p - 2):
+                    powers.append(rows[powers[-1]][x])
+                if not mask >> rows[powers[-1]][x] & 1:
+                    todo &= todo - 1
+                    continue
+                extension = [z for y in powers for z in map(rows[y].__getitem__, members)]
+                k = mask | mask_of(extension)
+                todo &= ~k
+                if k not in found:
+                    found[k] = (tuple(sorted(members + tuple(extension))), gens + (x,))
+                    nxt.append(k)
+        frontier = nxt
+    return found
+
+
+def _extend_by_cosets(G: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The subgroups of any group, each with its generating sequence,
+    found by closing each subgroup H extended by one element of each
+    coset Hx.
 
     <H, hx> = <H, x> for h in H, so one closure per coset is enough, and
     every subgroup K is reached: K = <M, x> for a maximal subgroup M < K
-    and any x in K outside M.  ``subgroups`` runs this once per
-    multiplication table; ``verify.enumerate_subgroups_plain`` (one
-    closure per element) is its twin.
+    and any x in K outside M.
     """
     trivial = (0,)
     found: dict[tuple[int, ...], tuple[int, ...]] = {trivial: ()}
@@ -770,7 +893,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
                     nxt.append((closed, new_gens))
                 done.update(_right_coset(G, members, x))
         frontier = nxt
-    return sorted(found, key=lambda m: (len(m), m))
+    return found
 
 
 def _right_coset(G: FiniteGroup, members: Sequence[int], x: int) -> list[int]:
@@ -874,34 +997,42 @@ def normal_closure(G: FiniteGroup, X: Subgroup) -> Subgroup:
 
 
 def sylow(G: FiniteGroup, p: int) -> Subgroup:
-    """A deterministic Sylow p-subgroup (least member tuple among all)."""
+    """A deterministic Sylow p-subgroup (least member tuple among all).
+
+    A p-subgroup H = <gens> grows by the least p-element outside it that
+    normalizes it, tested on ``gens``; then the least conjugate is found
+    by masks: of two sets of one size, the one holding the least element
+    of their symmetric difference has the smaller member tuple."""
     target = p_part(G.order, p)
     if target == 1:
         return G.trivial_subgroup()
-    current = G.trivial_subgroup()
-    while current.order < target:
-        normalizer = current.normalizer_in()
-        extension = None
-        for x in normalizer.members:
-            if x in current.member_set:
-                continue
-            if _is_p_power(G.element_order(x), p):
-                extension = x
-                break
+    gens: list[int] = []
+    members: tuple[int, ...] = (0,)
+    while len(members) < target:
+        mask = mask_of(members)
+        extension = next(
+            (
+                x
+                for x in range(1, G.order)
+                if not mask >> x & 1
+                and _is_p_power(G.element_order(x), p)
+                and all(mask >> y & 1 for y in G.conj_row(x, gens))
+            ),
+            None,
+        )
         if extension is None:
             break
-        current = G.generated_subgroup(set(current.members) | {extension})
-    if current.order != target:
+        gens.append(extension)
+        members = _closure_ids(G, gens)
+    if len(members) != target:
         raise NotSubgroup("maximal p-subgroup is not of full p-part order")
-    best = current.members
-    seen = {best}
+    best = mask_of(members)
     for g in range(G.order):
-        cand = tuple(sorted(G.conj(g, x) for x in current.members))
-        if cand not in seen:
-            seen.add(cand)
-            if cand < best:
-                best = cand
-    return Subgroup(G, best, _checked=True)
+        cand = mask_of(G.conj_row(g, members))
+        diff = cand ^ best
+        if cand & diff & -diff:
+            best = cand
+    return Subgroup(G, members_of(best), _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,12 +1250,9 @@ class OmegaSeries:
 
 def group_prime(G: FiniteGroup) -> int:
     """The prime p for a p-group; raises otherwise."""
-    n = G.order
-    if n == 1:
+    if G.order == 1:
         return G.prime_hint or 2
-    p = 2
-    while n % p:
-        p += 1
+    p = _least_prime(G.order)
     if not _is_p_power(G.order, p):
         raise NotPGroup(f"order {G.order} is not a prime power")
     return p

@@ -237,10 +237,11 @@ def _assert_subsystem(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
     if not T.member_set <= set(range(F.base.order)):
         raise NotSubsystem("subsystem subgroup does not live in the base group")
     to_parent = T.members
-    for t in range(E.base.order):
-        for u in range(E.base.order):
-            if to_parent[E.base.mul(t, u)] != F.base.mul(to_parent[t], to_parent[u]):
-                raise NotSubsystem("subsystem base is not the induced subgroup table")
+    local = range(E.base.order)
+    if list(map(to_parent.__getitem__, E.base.products(local, local))) != F.base.products(
+        to_parent, to_parent
+    ):
+        raise NotSubsystem("subsystem base is not the induced subgroup table")
     for members, mp in Subsystem(T, E).translated_maps():
         idx = F.index_of(members)
         if not F.has_map(idx, mp):
@@ -378,35 +379,33 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
         _assert_subsystem(F, sub.base, sub.system)
     for a in range(len(subsystems)):
         for b in range(a + 1, len(subsystems)):
-            for x in subsystems[a].base.members:
-                for y in subsystems[b].base.members:
-                    if G.mul(x, y) != G.mul(y, x):
-                        raise NotCommuting(
-                            "base subgroups do not commute elementwise",
-                            witness={"pair": (a, b), "elements": (x, y)},
-                        )
+            xs, ys = subsystems[a].base.members, subsystems[b].base.members
+            # x y for every (x, y) in order, against y x in the same order
+            yx = G.products(ys, xs)
+            for t, xy in enumerate(G.products(xs, ys)):
+                i, j = divmod(t, len(ys))
+                if xy != yx[j * len(xs) + i]:
+                    raise NotCommuting(
+                        "base subgroups do not commute elementwise",
+                        witness={"pair": (a, b), "elements": (xs[i], ys[j])},
+                    )
 
     # a found extension restricted to the product of the domains is the
     # image of the tuple under the induced functor, so collecting one per
     # tuple seeds the inner product subsystem exactly
     extension_seeds: set[tuple[int, MapTuple]] = set()
     morphism_lists = [sub.translated_maps() for sub in subsystems]
+    # the domains generate their product D, so a morphism on D is fixed
+    # by its values on them: the maps on D are filed by those values for
+    # each run of tuples with the same domains, and each tuple looks its
+    # extension up
+    filed: Optional[tuple[tuple[int, ...], ...]] = None
     for tup in itertools.product(*morphism_lists):
-        dom_union: set[int] = {0}
-        for members, _ in tup:
-            dom_union = {G.mul(u, x) for u in dom_union for x in members}
-        dom_members = tuple(sorted(dom_union))
-        d_idx = F.index_of(dom_members)
-        pos = F.lattice.pos[d_idx]
-        found = None
-        for psi in F.maps[d_idx]:
-            if all(
-                psi[pos[x]] == mp[t]
-                for members, mp in tup
-                for t, x in enumerate(members)
-            ):
-                found = psi
-                break
+        domains = tuple(members for members, _ in tup)
+        if domains != filed:
+            filed = domains
+            d_idx, by_restriction = _extensions_by_restriction(F, domains)
+        found = by_restriction.get(sum((mp for _, mp in tup), ()))
         if found is None:
             raise NotCommuting(
                 "morphism tuple does not extend",
@@ -430,6 +429,20 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
         }
     inner_base = Subgroup(G, inner_members, _checked=True)
     return CommuteResult(F, inner_base, frozenset(extension_seeds))
+
+
+def _extensions_by_restriction(
+    F: FusionSystem, domains: tuple[tuple[int, ...], ...]
+) -> tuple[int, dict[MapTuple, MapTuple]]:
+    """The index of the product D of commuting domains, and the maps of
+    ``F`` on D keyed by their values on the domains, one after another."""
+    words = domains[0]
+    for members in domains[1:]:
+        words = F.base.products(words, members)
+    d_idx = F.index_of(set(words))
+    pos = F.lattice.pos[d_idx]
+    at = [pos[x] for members in domains for x in members]
+    return d_idx, {tuple(map(psi.__getitem__, at)): psi for psi in F.maps[d_idx]}
 
 
 def _inner_from_seeds(

@@ -423,7 +423,8 @@ def check_containment() -> str:
     groups = [(name, _fusion(name).base) for name in catalog.names()]
     groups += list(small_base_groups().items())
     for name, G in groups:
-        fresh = LatticeShape([s.members for s in subgroups(G)])
+        subgroups(G)
+        fresh = LatticeShape(dict(zip(G._shape.members, G._shape.gens)))
         assert fresh.containment()[1] == containment_plain(G), (
             f"{name}: maximal subgroups differ from the pairwise loop"
         )

@@ -234,6 +234,50 @@ def test_conjugation_tables_check_catches_a_dropped_normalizer_element(monkeypat
     assert "normalizer table" in result.detail
 
 
+def test_conjugation_tables_check_catches_a_normalizer_of_the_first_generator(monkeypatch):
+    from fusionsys import groups, verify
+    from fusionsys.groups import normalizer_mask, transporters
+
+    def first_generator_only(conj, shape):
+        trans = transporters(conj)
+        return [
+            normalizer_mask(trans, gens[:1], mask)
+            for gens, mask in zip(shape.gens, shape.masks)
+        ]
+
+    # fresh catalog objects, so no normalizer table is already cached
+    monkeypatch.setattr(catalog, "_BUILDS", {})
+    monkeypatch.setattr(groups, "_LATTICES", {})
+    monkeypatch.setattr(fusion_mod, "_normalizer_masks", first_generator_only)
+    checks = dict(verify.FUSION_CORE_CHECKS)
+    result = verify._run("fusion-core/conjugation-tables", checks["conjugation-tables"])
+    assert not result.passed
+    assert "normalizer table" in result.detail
+
+
+# D8 x D8, Sym4 x Sym4 and C2^5 at p = 2, the groups of the p2-lattice
+# benchmark workload: lattices of 374 to 389 subgroups.
+P2_GROUPS = {
+    "d8xd8": ([[[1, 2, 3, 4]], [[1, 3]], [[5, 6, 7, 8]], [[5, 7]]], 8),
+    "sym4xsym4": ([[[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]]], 8),
+    "c2^5": ([[[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]]], 10),
+}
+
+
+@pytest.mark.parametrize("name", list(P2_GROUPS))
+def test_large_p2_lattices_match_their_plain_twins(name):
+    from fusionsys.verify import enumerate_subgroups_plain, fusion_table_plain
+
+    cycles, points = P2_GROUPS[name]
+    G = perm_group(*cycles, points=points)
+    F = fusion_of_group(G, 2)
+    S, lat = F.base, F.lattice
+    assert [s.members for s in lat.subs] == enumerate_subgroups_plain(S)
+    for i, sub in enumerate(lat.subs):
+        assert lat.normalizer(i) == sub.normalizer_in().members, sub.members
+    assert list(F.map_sets) == [frozenset(ms) for ms in fusion_table_plain(G, 2)]
+
+
 def test_iso_maps_are_filed_once_per_domain():
     F = fusion("sym4")
     F = FusionSystem(F.base, F.p, F.maps)

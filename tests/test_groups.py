@@ -220,13 +220,29 @@ def test_subgroups_guardrail():
         subgroups(same_table, limits=small)
 
 
+# The plain enumeration of the 216-element sigma3-cubed-full group takes
+# about 15 s; every other full catalog group takes about a second or less.
+FULL_GROUP_LIMIT = 108
+
+
 def _lattices_match_plain(name):
-    """The memoized lattice of every subgroup of the entry's Sylow
-    subgroup equals the one-closure-per-element enumeration."""
-    S = catalog.built(name).fusion.base
+    """The memoized lattices of the entry's full group (up to
+    FULL_GROUP_LIMIT elements), of its Sylow subgroup and of every
+    subgroup of that equal the one-closure-per-element enumeration.  The
+    full group goes first, then the Sylow subgroup, so a wrong lattice is
+    caught before its members are taken for subgroups."""
+    b = catalog.built(name)
+    full = [b.group] if b.group.order <= FULL_GROUP_LIMIT else []
+
+    def sylow_lattices():
+        S = b.fusion.base
+        yield S
+        for sub in subgroups(S):
+            yield sub.as_group()[0]
+
     return all(
-        [s.members for s in subgroups(SG)] == enumerate_subgroups_plain(SG)
-        for SG in (sub.as_group()[0] for sub in subgroups(S))
+        [s.members for s in subgroups(G)] == enumerate_subgroups_plain(G)
+        for G in itertools.chain(full, sylow_lattices())
     )
 
 
@@ -237,7 +253,8 @@ def test_memoized_lattices_match_enumeration(name):
 
 def test_lattice_oracle_catches_marking_the_whole_extension(monkeypatch):
     # marking all of <H, x> done, not just the coset Hx, skips the
-    # subgroups of <H, x> that other elements of it generate with H
+    # subgroups of <H, x> that other elements of it generate with H; only
+    # groups that are not p-groups take the coset path
     monkeypatch.setattr(catalog, "_BUILDS", {})
     monkeypatch.setattr(groups, "_LATTICES", {})
     monkeypatch.setattr(
@@ -245,11 +262,21 @@ def test_lattice_oracle_catches_marking_the_whole_extension(monkeypatch):
         "_right_coset",
         lambda G, members, x: groups._closure_ids(G, tuple(members) + (x,)),
     )
+    assert not _lattices_match_plain("sym4")
+
+
+def test_lattice_oracle_catches_skipping_the_normalizer_test(monkeypatch):
+    # H <x> is a subgroup only when x normalizes H, so extending a p-group's
+    # subgroups by every x with x^p in H records sets that are no subgroups
+    monkeypatch.setattr(catalog, "_BUILDS", {})
+    monkeypatch.setattr(groups, "_LATTICES", {})
+    monkeypatch.setattr(
+        groups, "normalizer_mask", lambda trans, gens, mask: (1 << len(trans)) - 1
+    )
     assert not _lattices_match_plain("inner-d8")
 
 
-def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
-    G = perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+def _counting_closures(monkeypatch):
     calls = []
     closure = groups._closure_ids
 
@@ -258,10 +285,36 @@ def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
         return closure(G, seed)
 
     monkeypatch.setattr(groups, "_closure_ids", counting)
+    return calls
+
+
+def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
+    # Sym4 x C2 is no p-group, so its subgroups are found by coset closure
+    G = perm_group([[1, 2]], [[1, 2, 3, 4]], [[5, 6]], points=6)
+    calls = _counting_closures(monkeypatch)
     lattice = enumerate_subgroups(G)
-    assert len(lattice) == 374
-    # one closure per coset Hx other than H itself: 2077 for C2^5
+    assert len(lattice) == 98
+    # one closure per coset Hx other than H itself
     assert len(calls) <= sum(G.order // len(m) - 1 for m in lattice)
+
+
+def test_p_group_lattice_makes_no_closure(monkeypatch):
+    G = perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+    calls = _counting_closures(monkeypatch)
+    lattice = enumerate_subgroups(G)
+    # sum over k of the Gaussian binomials [5, k]_2
+    assert len(lattice) == 374
+    assert calls == []
+
+
+def test_lattice_shape_records_masks_and_generators():
+    d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
+    subgroups(d8)
+    shape = d8._shape
+    for members, mask, gens in zip(shape.members, shape.masks, shape.gens):
+        assert groups.members_of(mask) == members
+        assert shape.mask_index[mask] == shape.idx[members]
+        assert d8.generated_subgroup(gens).members == members
 
 
 def test_equal_subgroups_share_as_group():
