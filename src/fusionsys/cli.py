@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Optional
 
-from . import catalog, serialize, verify
+from . import catalog, serialize
 from .errors import FusionError, UsageError
 from .groups import FiniteGroup, GroupHom, Subgroup, sylow
 from .fusion import (
@@ -37,6 +37,10 @@ from .factor import (
     krs_certificate,
     goldschmidt_factor,
 )
+
+# The names of ``verify.SUITES``, sorted, so that building the parser
+# does not load the property suites.
+SUITE_NAMES = ("all", "factor", "fusion-core", "group-core", "krs", "morphisms")
 
 
 def _load_json(path: str) -> dict:
@@ -205,6 +209,9 @@ def cmd_goldschmidt(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    # the property suites are loaded only by this command
+    from . import verify
+
     results = verify.run_suite(args.suite)
     return {
         "suite": args.suite,
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_goldschmidt)
 
     sp = sub.add_parser("verify", parents=[common], help="run a property suite")
-    sp.add_argument("suite", choices=sorted(verify.SUITES))
+    sp.add_argument("suite", choices=SUITE_NAMES)
     sp.set_defaults(handler=cmd_verify)
 
     c = sub.add_parser("catalog", help="bundled example groups")

@@ -55,14 +55,6 @@ class FusionMorphism:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.images)
 
-    def group_hom(self) -> GroupHom:
-        return GroupHom(
-            self.source.base.full_subgroup(),
-            self.target.base.full_subgroup(),
-            self.images,
-            _checked=True,
-        )
-
     def push_map(self, dom_idx: int, m: MapTuple) -> tuple[int, MapTuple]:
         """Image of a source morphism under the induced functor."""
         key = (dom_idx, m)

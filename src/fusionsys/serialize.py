@@ -126,14 +126,6 @@ def subgroup_to_json(S: Subgroup) -> list[int]:
 # morphisms, factorizations, certificates
 
 
-def morphism_to_json(m) -> dict:
-    return {
-        "source": m.source.base.order,
-        "target": m.target.base.order,
-        "map": list(m.images),
-    }
-
-
 def factorization_to_json(fact) -> dict:
     return {
         "parts": [

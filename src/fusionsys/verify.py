@@ -12,6 +12,7 @@ from typing import Callable, Optional
 from . import catalog
 from .errors import (
     FusionError,
+    GenerationMismatch,
     NotCommuting,
     NotFusionPreserving,
     NotSummable,
@@ -31,6 +32,7 @@ from .groups import (
     fitting_split,
     group_prime,
     injective_homs,
+    members_of,
     omega_central_series,
     perm_compose,
     quotient,
@@ -40,6 +42,7 @@ from .groups import (
 from .fusion import (
     FusionSystem,
     MapTuple,
+    SubgroupLattice,
     _invert_map,
     center_of,
     close_maps,
@@ -517,13 +520,20 @@ def unsaturated_battery() -> list[tuple[str, FusionSystem]]:
 
 
 def check_center_fixed_points() -> str:
-    """``center_of`` against its twin on a fresh copy of every catalog
-    system, where it also equals the fixed points of Z(S), and on the
-    battery of systems that are not saturated."""
+    """``center_of`` against its twin on every catalog system, on a fresh
+    copy (the extension test) and on a copy with its saturation verdict
+    cached (the saturated shortcut), where it also equals the fixed
+    points of Z(S); and on the battery of systems that are not
+    saturated."""
     for name in catalog.names():
         F = _fusion(name)
         z = center_of(FusionSystem(F.base, F.p, F.maps))
         assert z == center_plain(F), f"{name}: center differs from the extension loop"
+        known = FusionSystem(F.base, F.p, F.maps)
+        if saturation_report(known).verdict:
+            assert center_of(known) == z, (
+                f"{name}: saturated center differs from the extension loop"
+            )
         fixed = {
             x
             for x in F.base.center_members()
@@ -659,6 +669,20 @@ def gl32_fusion() -> FusionSystem:
     return F
 
 
+def regenerate_from_alperin(F: FusionSystem) -> list[tuple[Subgroup, list[GroupHom]]]:
+    """``alperin_generators(F)``, after checking Alperin's fusion theorem
+    on ``F``: closing the centric-radical automorphisms gives the table
+    back, or ``GenerationMismatch`` is raised."""
+    gens = alperin_generators(F)
+    seeds = [(F.index_of(sub.members), h.images) for sub, homs in gens for h in homs]
+    regenerated = close_maps(F.base, seeds)
+    if [frozenset(s) for s in regenerated] != list(F.map_sets):
+        raise GenerationMismatch(
+            "centric-radical automorphisms do not regenerate the table"
+        )
+    return gens
+
+
 def check_alperin_generation() -> str:
     systems = [
         _fusion(name)
@@ -667,7 +691,7 @@ def check_alperin_generation() -> str:
     ]
     systems.append(gl32_fusion())
     for F in systems:
-        alperin_generators(F)
+        regenerate_from_alperin(F)
     return f"{len(systems)} systems regenerated from centric-radical automorphisms"
 
 
@@ -721,6 +745,86 @@ def check_conjugation_tables() -> str:
                     ), f"{name}: control subgroup of {phi} disagrees"
                     controls += 1
     return f"{subs} subgroups and {controls} control subgroups agree with direct conjugation"
+
+
+def coset_rows_plain(
+    F: FusionSystem, i: int
+) -> tuple[tuple[MapTuple, tuple[int, ...]], ...]:
+    """The slow twin of ``SubgroupLattice.coset_rows``, with each coset
+    as a member tuple: the cosets g C_S(P_i) multiplied out through
+    ``FiniteGroup.mul`` and sorted, in the order of their least element."""
+    lat = F.lattice
+    G = F.base
+    members = lat.subs[i].members
+    centralizer = lat.centralizer(i)
+    rows = []
+    done: set[int] = set()
+    for g in lat.normalizer(i):
+        if g not in done:
+            coset = sorted(G.mul(g, c) for c in centralizer)
+            done.update(coset)
+            rows.append((tuple(G.conj(g, x) for x in members), tuple(coset)))
+    return tuple(rows)
+
+
+def check_coset_rows() -> str:
+    """The coset rows of every catalog lattice, whose cosets are read off
+    the product rows as masks, equal the cosets multiplied out and
+    sorted.  Fresh lattices are built, so no cached row can hide a
+    fault."""
+    count = 0
+    for name in catalog.names():
+        F = _fusion(name)
+        lat = SubgroupLattice(F.base)
+        for i in range(len(lat.subs)):
+            fast = tuple((row, members_of(mask)) for row, mask in lat.coset_rows(i))
+            assert fast == coset_rows_plain(F, i), (
+                f"{name}: coset rows of {lat.subs[i].members} differ from the plain cosets"
+            )
+            count += len(fast)
+    return f"{count} coset rows equal the cosets multiplied out"
+
+
+def element_classes_plain(F: FusionSystem) -> tuple[tuple[int, ...], ...]:
+    """The slow twin of ``FusionSystem.element_classes``: x is joined
+    with phi(x) for every map phi of the table and every x in its
+    domain."""
+    n = F.base.order
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, ms in enumerate(F.maps):
+        members = F.lattice.subs[i].members
+        for m in ms:
+            for x, y in zip(members, m):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+    buckets: dict[int, list[int]] = {}
+    for x in range(n):
+        buckets.setdefault(find(x), []).append(x)
+    return tuple(tuple(v) for _, v in sorted(buckets.items()))
+
+
+def check_element_classes() -> str:
+    """``element_classes``, which joins each x only along the maps on
+    <x>, equals the join along every map on every catalog system, every
+    table of the closure battery and a product system.  Fresh systems
+    are built, so no cached class can hide a fault."""
+    systems = [(name, _fusion(name)) for name in catalog.names()]
+    for label, base, seeds in closure_battery():
+        systems.append((label, FusionSystem(base, group_prime(base), close_maps(base, seeds))))
+    systems.append(("sym4 x alt4", product([_fusion("sym4"), _fusion("alt4")]).product))
+    for label, F in systems:
+        fresh = FusionSystem(F.base, F.p, F.maps)
+        assert fresh.element_classes() == element_classes_plain(F), (
+            f"{label}: element classes differ from the join along every map"
+        )
+    return f"element classes of {len(systems)} systems equal the join along every map"
 
 
 def fusion_table_plain(G: FiniteGroup, p: int) -> list[set[MapTuple]]:
@@ -928,6 +1032,8 @@ FUSION_CORE_CHECKS = [
     ("table-closure", check_table_closure),
     ("alperin-generation", check_alperin_generation),
     ("conjugation-tables", check_conjugation_tables),
+    ("coset-rows", check_coset_rows),
+    ("element-classes", check_element_classes),
     ("class-closure", check_class_closure),
     ("receptive-representatives", check_receptive_representatives),
     ("radical-by-order", check_radical_by_order),

@@ -93,6 +93,8 @@ LEMMA_SUITE = [
     ("fusion-core", "table-closure"),
     ("fusion-core", "alperin-generation"),
     ("fusion-core", "conjugation-tables"),
+    ("fusion-core", "coset-rows"),
+    ("fusion-core", "element-classes"),
     ("fusion-core", "class-closure"),
     ("fusion-core", "receptive-representatives"),
     ("fusion-core", "radical-by-order"),

@@ -193,6 +193,22 @@ def test_unknown_suite_exit_code():
         run_cli(["verify", "nonsense"])
 
 
+def test_suite_names_match_the_verify_suites():
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_cli_loads_verify_only_for_the_verify_command():
+    probe = (
+        "import sys; from fusionsys import cli; "
+        "cli.run(['catalog', 'show', 'sigma3']); "
+        "print('fusionsys.verify' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["False"]
+
+
 def test_exit_code_attributes():
     assert UsageError("x").exit_code == 2
     assert InternalInconsistency("x").exit_code == 3

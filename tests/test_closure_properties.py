@@ -13,7 +13,6 @@ from fusionsys.groups import (
     subgroups,
 )
 from fusionsys.fusion import (
-    alperin_generators,
     center_of,
     focal_of,
     generated_fusion,
@@ -22,7 +21,7 @@ from fusionsys.fusion import (
 )
 from fusionsys.factor import OmegaContext, factorize_all
 from fusionsys.morphisms import check_morphism
-from fusionsys.verify import SMALL_BASES
+from fusionsys.verify import SMALL_BASES, regenerate_from_alperin
 
 
 def _base_pool():
@@ -73,7 +72,7 @@ def test_generated_fusion_is_well_formed(name, picks):
                 assert G.mul(x, G.inv(y)) in foc.member_set
     # saturated closures regenerate from centric-radical automorphisms
     if is_saturated(F):
-        alperin_generators(F)
+        regenerate_from_alperin(F)
 
 
 def test_omega_swap_on_rank_two():

@@ -227,7 +227,9 @@ def test_conjugation_tables_check_catches_a_dropped_normalizer_element(monkeypat
 
     lat = fusion(catalog.names()[0]).lattice
     dropped = list(lat._normalizers)
-    dropped[lat.full_index] = dropped[lat.full_index][:-1]
+    whole = dropped[lat.full_index]
+    # clear the highest bit: the last member of the normalizer
+    dropped[lat.full_index] = whole ^ (1 << (whole.bit_length() - 1))
     monkeypatch.setattr(lat, "_normalizers", dropped)
     result = verify._run(name, checks["conjugation-tables"])
     assert not result.passed
@@ -324,6 +326,35 @@ def test_sym4_fuses_klein_involutions():
     assert len(cls) > 1  # the central involution fuses away from the center
 
 
+def test_element_classes_check_catches_a_skipped_cyclic_subgroup(monkeypatch):
+    assert _fusion_core_result("element-classes").passed
+    cyclic = fusion_mod.SubgroupLattice.cyclic_generators
+
+    def skipping(self):
+        return cyclic(self)[:-1]
+
+    monkeypatch.setattr(fusion_mod.SubgroupLattice, "cyclic_generators", skipping)
+    result = _fusion_core_result("element-classes")
+    assert not result.passed
+    assert "differ from the join along every map" in result.detail
+
+
+def test_coset_rows_check_catches_a_coset_mask_missing_a_member(monkeypatch):
+    assert _fusion_core_result("coset-rows").passed
+    coset_rows = fusion_mod.SubgroupLattice.coset_rows
+
+    def dropping(self, i):
+        rows = coset_rows(self, i)
+        row, coset = rows[-1]
+        # clear the lowest bit of the last coset
+        return rows[:-1] + ((row, coset & (coset - 1)),)
+
+    monkeypatch.setattr(fusion_mod.SubgroupLattice, "coset_rows", dropping)
+    result = _fusion_core_result("coset-rows")
+    assert not result.passed
+    assert "differ from the plain cosets" in result.detail
+
+
 # -- center, focal subgroup, classification -------------------------------------
 
 
@@ -382,6 +413,36 @@ def test_center_check_catches_unchecked_fixed_points(monkeypatch):
     result = _fusion_core_result("center-fixed-points")
     assert not result.passed
     assert "differs from the extension loop" in result.detail
+
+
+def test_center_check_catches_the_saturated_shortcut_without_saturation(monkeypatch):
+    assert _fusion_core_result("center-fixed-points").passed
+    # V4 with <(1 2)> -> <(3 4)> is not saturated, and its <Fix> is not central
+    monkeypatch.setattr(fusion_mod, "_known_saturated", lambda F: True)
+    result = _fusion_core_result("center-fixed-points")
+    assert not result.passed
+    assert "differs from the extension loop" in result.detail
+
+
+def test_center_of_a_saturated_system_makes_no_extension_test(monkeypatch):
+    from fusionsys.verify import center_plain
+
+    calls = []
+    central = fusion_mod.is_central_subgroup
+
+    def counting(F, i):
+        calls.append(i)
+        return central(F, i)
+
+    monkeypatch.setattr(fusion_mod, "is_central_subgroup", counting)
+    for name in ["sym4-c2", "inner-d8-c2", "sigma3-cubed-paired"]:
+        F = fusion(name)
+        F = FusionSystem(F.base, F.p, F.maps)
+        assert saturation_report(F).verdict
+        z = center_of(F)
+        assert calls == []
+        assert z == center_plain(F)
+        calls.clear()
 
 
 def test_focal_against_derived_intersection():
@@ -519,11 +580,11 @@ def test_alperin_check_catches_close_maps_without_image_joins(monkeypatch):
     from fusionsys import verify
 
     assert _fusion_core_result("alperin-generation").passed
-    monkeypatch.setattr(fusion_mod, "close_maps", _close_without_image_joins)
+    monkeypatch.setattr(verify, "close_maps", _close_without_image_joins)
     # in GL(3,2) the outer involutions of one Klein four-group reach those
     # of the other only by a composite through the central involution
     with pytest.raises(GenerationMismatch):
-        alperin_generators(verify.gl32_fusion())
+        verify.regenerate_from_alperin(verify.gl32_fusion())
     result = _fusion_core_result("alperin-generation")
     assert not result.passed
     assert result.detail.startswith("GenerationMismatch")
