@@ -157,17 +157,11 @@ class SubgroupLattice:
             members = self.subs[i].members
             centralizer = members_of(self.centralizer_mask(i))
             G, bits = self.group, self._bits
-            dense = G._mul
             rows = []
             todo = self.normalizer_mask(i)
             while todo:
                 g = (todo & -todo).bit_length() - 1
-                coset_members = (
-                    map(dense[g].__getitem__, centralizer)
-                    if dense is not None
-                    else G.products((g,), centralizer)
-                )
-                coset = sum(map(bits.__getitem__, coset_members))
+                coset = sum(map(bits.__getitem__, G.products((g,), centralizer)))
                 todo &= ~coset
                 rows.append((tuple(map(conj[g].__getitem__, members)), coset))
             self._coset_rows[i] = tuple(rows)
@@ -941,12 +935,14 @@ def center_of(F: FusionSystem) -> Subgroup:
     For a saturated F, <Fix> is central, so when a True saturation verdict
     is cached no extension test runs.  Let Z = <Fix> <= Z(S) and let
     phi: P -> S be in F.  Take P* in the F-class of P that is receptive,
-    and isomorphisms alpha: P -> P*, beta: phi(P) -> P* in F.  Z
-    centralizes P, so Z lies in N_alpha and alpha extends to an
-    alpha' on PZ; alpha' sends each z in Fix into its F-class {z}, so
-    alpha' is the identity on Z.  Likewise beta extends to beta' on
-    phi(P)Z, the identity on Z, an isomorphism onto P*Z.  Then
-    beta'^-1 o alpha' extends phi over PZ by the identity on Z.
+    an isomorphism alpha: P -> P* in F, and beta := alpha o phi^-1, an
+    isomorphism phi(P) -> P* in F.  Z centralizes P, so Z lies in
+    N_alpha and alpha extends to an alpha' on PZ; alpha' sends each z in
+    Fix into its F-class {z}, so alpha' is the identity on Z.  Likewise
+    beta extends to beta' on phi(P)Z, the identity on Z, an isomorphism
+    onto P*Z.  Then beta'^-1 o alpha' restricts to
+    beta^-1 o alpha = phi on P and to the identity on Z, so it extends
+    phi over PZ by the identity on Z.
     """
     if F._center is not None:
         return F._center

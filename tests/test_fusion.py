@@ -20,7 +20,6 @@ from fusionsys.groups import (
 )
 from fusionsys.fusion import (
     FusionSystem,
-    alperin_generators,
     center_of,
     classify_subgroup,
     conjugacy,
@@ -35,6 +34,7 @@ from fusionsys.fusion import (
     restrict_full,
     saturation_report,
 )
+from fusionsys.verify import regenerate_from_alperin
 
 
 def fusion(name):
@@ -541,7 +541,7 @@ def test_restrict_strongly_closed_saturated(paired_triple):
 def test_alperin_generators_inner():
     d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
     F = inner_fusion(d8)
-    gens = alperin_generators(F)
+    gens = regenerate_from_alperin(F)
     bases = sorted(sub.order for sub, _ in gens)
     assert bases[-1] == 8  # the full subgroup always appears
     for sub, auts in gens:
@@ -551,7 +551,7 @@ def test_alperin_generators_inner():
 
 def test_alperin_regenerates_rigid_table(paired_triple):
     F, _, _ = paired_triple
-    gens = alperin_generators(F)
+    gens = regenerate_from_alperin(F)
     assert [sub.order for sub, _ in gens] == [27]
 
 
@@ -592,7 +592,7 @@ def test_alperin_check_catches_close_maps_without_image_joins(monkeypatch):
 
 def test_alperin_on_product_splits(sigma3_squared_aligned):
     big, _ = sigma3_squared_aligned
-    gens = alperin_generators(big)
+    gens = regenerate_from_alperin(big)
     for sub, _ in gens:
         left = {x // 3 for x in sub.members}
         right = {x % 3 for x in sub.members}
