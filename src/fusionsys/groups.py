@@ -704,30 +704,48 @@ class LatticeShape:
 
         Only lattices of p-groups are asked for this (the bases of fusion
         systems and their subgroups and products).  There the maximal
-        subgroups of H are exactly the subgroups of index p that lie in
-        H, so only the subgroups of order |H|/p are tested, as the
-        bitmasks in ``masks``; ``verify.containment_plain`` compares
-        every pair instead."""
+        subgroups of K are exactly the subgroups of index p that lie in
+        K (``_maximal_of_index_p``); ``verify.containment_plain``
+        compares every pair instead."""
         if self._containment is None:
             pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
             p = _least_prime(len(self.members[-1]))
-            self._containment = (pos, _maximal_of_index_p(self.members, self.masks, p))
+            self._containment = (pos, _maximal_of_index_p(self.members, self.gens, p))
         return self._containment
 
 
 def _maximal_of_index_p(
-    members: list[tuple[int, ...]], masks: list[int], p: int
+    members: list[tuple[int, ...]], gens: list[tuple[int, ...]], p: int
 ) -> list[tuple[int, ...]]:
-    """Maximal subgroups in a p-group: the subgroups of order |H|/p in H,
-    tested as bitmasks in ascending index order."""
+    """Maximal subgroups in a p-group: the subgroups of order |K|/p in K,
+    in ascending index order.
+
+    K contains H exactly when it contains each generator of H.  So for
+    each order, every element x gets the mask (over the subgroups of that
+    order) of those holding x, and the subgroups of order p|H| above H
+    are the AND of those masks over the generators of H."""
     block: dict[int, list[int]] = {}
     for j, m in enumerate(members):
         block.setdefault(len(m), []).append(j)
-    maximal: list[tuple[int, ...]] = []
-    for m, whole in zip(members, masks):
-        below = block.get(len(m) // p, [])
-        maximal.append(tuple(j for j in below if masks[j] & whole == masks[j]))
-    return maximal
+    maximal: list[list[int]] = [[] for _ in members]
+    for order, above in block.items():
+        below = block.get(order // p) if order > 1 else None
+        if not below:
+            continue
+        holding = [0] * len(members[-1])
+        for bit, k in enumerate(above):
+            for x in members[k]:
+                holding[x] |= 1 << bit
+        every = (1 << len(above)) - 1
+        for h in below:
+            tops = every
+            for x in gens[h]:
+                tops &= holding[x]
+            while tops:
+                low = tops & -tops
+                maximal[above[low.bit_length() - 1]].append(h)
+                tops ^= low
+    return [tuple(hs) for hs in maximal]
 
 
 def _least_prime(n: int) -> int:

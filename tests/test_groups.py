@@ -167,8 +167,8 @@ def test_containment_check_catches_a_dropped_maximal_subgroup(monkeypatch):
     assert verify._run("group-core/containment", check).passed
     index_p = groups._maximal_of_index_p
 
-    def dropping(members, masks, p):
-        return [tops[:-1] for tops in index_p(members, masks, p)]
+    def dropping(members, gens, p):
+        return [tops[:-1] for tops in index_p(members, gens, p)]
 
     monkeypatch.setattr(groups, "_maximal_of_index_p", dropping)
     result = verify._run("group-core/containment", check)
