@@ -4,9 +4,22 @@ The certificate construction follows the classical projection-swap
 argument: given two factorizations, repeatedly replace one factor of the
 second factorization by a factor of the first via an invertible normal
 endomorphism built from projections, then take the inverse of the
-composite.  Every constructed automorphism is re-verified from scratch
-(normality, invertibility, equivariance), and an exhaustive search over
-all normal automorphisms is available as an independent oracle.
+composite.
+
+Checks made in the call: each swap map and the certificate go through
+``check_morphism`` (the homomorphism law on the generators of S, then
+every morphism of F pushed) and ``normal_complement`` (the complement's
+law on generators, its push, and commuting images); equivariance is
+tested on the generators of S, and the certificate's transport of the
+part tables entrywise.  Aut(S,F) is all of Aut(S) once the maps of the
+stabiliser chain of Aut(S) preserve F, and is filtered coset by coset
+otherwise.  Checks made in ``fusionsys.verify``, each fast path against
+its slow twin: ``hom_law_plain`` (every pair), ``commutes_with_plain``
+(every element), ``factor/self-map-search`` (Aut(S,F) against the
+filtered ``injective_homs``), ``morphisms/sum-bookkeeping`` (sums,
+f + chi among them, re-accepted by ``check_morphism``), and an
+exhaustive search over all normal automorphisms, the oracle of the
+certificates.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _homs,
-    automorphisms,
+    automorphism_chain,
     injective_homs,
     normal_closure,
     p_part,
@@ -57,6 +70,7 @@ from .morphisms import (
     Subsystem,
     check_morphism,
     decomposition_components,
+    hom_law_on_generators,
     identity_morphism,
     image,
     is_product_decomposition,
@@ -113,11 +127,7 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
         raise NotSubgroup("normality is only defined for endomorphisms")
     G = F.base
     chi_images = tuple(G.mul(G.inv(f.images[x]), x) for x in range(G.order))
-    if not all(
-        chi_images[G.mul(x, y)] == G.mul(chi_images[x], chi_images[y])
-        for x in range(G.order)
-        for y in range(G.order)
-    ):
+    if not hom_law_on_generators(G, G, chi_images):
         raise NotNormal("complement is not a homomorphism")
     try:
         chi = check_morphism(F, F, chi_images, hom_checked=True)
@@ -189,11 +199,16 @@ class OmegaContext:
         return cls(tuple(gens), tuple(sorted(closure)))
 
     def commutes_with(self, images: MapTuple) -> bool:
-        return all(
-            tuple(images[v] for v in w.images)
-            == tuple(w.images[v] for v in images)
-            for w in self.generators
-        )
+        """w o f = f o w for every generator w, for a homomorphism f of
+        the base (``images``).  Both composites are homomorphisms, so
+        they are equal once they agree on the generators of the base.
+        ``verify.commutes_with_plain`` compares them on every element."""
+        for w in self.generators:
+            base, on = w.source.base, w.images
+            gens = base.generators or range(base.order)
+            if any(images[on[g]] != on[images[g]] for g in gens):
+                return False
+        return True
 
     def fixes_subgroup(self, members: Iterable[int]) -> bool:
         target = set(members)
@@ -223,9 +238,7 @@ def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphis
     cached = F._automorphisms if injective else F._endomorphisms
     if cached is None:
         if injective:
-            cached = F._automorphisms = _fusion_subgroup(
-                F, [h.images for h in automorphisms(F.base)]
-            )
+            cached = F._automorphisms = _fusion_subgroup(F, *automorphism_chain(F.base))
         else:
             labels = [0] * F.base.order
             for c, members in enumerate(F.element_classes()):
@@ -242,15 +255,22 @@ def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphis
     return cached
 
 
-def _fusion_subgroup(F: FusionSystem, autos: list[MapTuple]) -> list[FusionMorphism]:
-    """The fusion-preserving members of the automorphism list ``autos``.
+def _fusion_subgroup(
+    F: FusionSystem, levels: list[list[MapTuple]], autos: list[MapTuple]
+) -> list[FusionMorphism]:
+    """The fusion-preserving members of Aut(S), given as the list
+    ``autos`` and the chain ``levels`` whose union generates it.
 
-    They form a group.  So a candidate in the group H generated by the
-    maps accepted so far is kept untested, and one in a coset r o H of a
-    rejected map r is skipped: if r o h preserved F for some h in H, so
-    would r = (r o h) o h^-1.  Every other candidate goes through
+    They form a group.  So when every level element preserves F, all of
+    Aut(S) does, and the list is returned as it is.  Otherwise a
+    candidate in the group H generated by the maps accepted so far is
+    kept untested, and one in a coset r o H of a rejected map r is
+    skipped: if r o h preserved F for some h in H, so would
+    r = (r o h) o h^-1.  Every other candidate goes through
     ``check_morphism``.
     """
+    if all(_preserves(F, u) for level in levels for u in level):
+        return [FusionMorphism(F, F, a) for a in autos]
     identity = tuple(range(F.base.order))
     accepted: list[MapTuple] = []
     H = {identity}
@@ -270,6 +290,14 @@ def _fusion_subgroup(F: FusionSystem, autos: list[MapTuple]) -> list[FusionMorph
         accepted.append(a)
         H = _join(H, accepted)
     return out
+
+
+def _preserves(F: FusionSystem, a: MapTuple) -> bool:
+    try:
+        check_morphism(F, F, a, hom_checked=True)
+    except NotFusionPreserving:
+        return False
+    return True
 
 
 def _coset(r: MapTuple, H: Iterable[MapTuple]) -> set[MapTuple]:
@@ -594,14 +622,10 @@ def factorize_all(
     memo: dict = {}
 
     def content_key(sys: FusionSystem):
-        if sys.base.order > 64:
+        n = sys.base.order
+        if n > 64:
             return id(sys)
-        table = tuple(
-            sys.base.mul(a, b)
-            for a in range(sys.base.order)
-            for b in range(sys.base.order)
-        )
-        return (table, sys.maps)
+        return (tuple(sys.base.products(range(n), range(n))), sys.maps)
 
     def rec(sys: FusionSystem, og: Optional[OmegaContext]) -> list[tuple[tuple[int, ...], ...]]:
         key = (

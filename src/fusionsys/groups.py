@@ -1190,23 +1190,34 @@ def _transversal(
     return level
 
 
-def automorphisms(G: FiniteGroup, *, limits=None) -> list[GroupHom]:
-    """Aut(G) in image-tuple order, multiplied out of a stabiliser chain.
+def automorphism_chain(G: FiniteGroup, *, limits=None) -> tuple[list[list[Perm]], list[Perm]]:
+    """The levels of a stabiliser chain of Aut(G), and Aut(G) multiplied
+    out of them in image-tuple order.
 
     The generating sequence b_1..b_k is a base: level i holds one
     automorphism u fixing b_1..b_{i-1} for each image of b_i.  Every
     automorphism is u_1 o ... o u_k in exactly one way, because the b_i
     generate G, so |Aut(G)| comes from a few first-leaf searches and not
-    from a search tree with one leaf per automorphism.  ``injective_homs``
-    is the exhaustive twin.
+    from a search tree with one leaf per automorphism.  In particular the
+    union of the levels generates Aut(G).
     """
     full = G.full_subgroup()
     gens, candidates = _search_space(full, full, True, limits)
+    levels = [_transversal(G, gens, candidates, i) for i in range(len(gens))]
     autos: list[Perm] = [tuple(range(G.order))]
-    for i in reversed(range(len(gens))):
-        level = _transversal(G, gens, candidates, i)
-        autos = [tuple(u[v] for v in a) for u in level for a in autos]
-    return [GroupHom(full, full, images, _checked=True) for images in sorted(autos)]
+    for level in reversed(levels):
+        autos = [tuple(map(u.__getitem__, a)) for u in level for a in autos]
+    return levels, sorted(autos)
+
+
+def automorphisms(G: FiniteGroup, *, limits=None) -> list[GroupHom]:
+    """Aut(G) in image-tuple order, from ``automorphism_chain``.
+    ``injective_homs`` is the exhaustive twin."""
+    full = G.full_subgroup()
+    return [
+        GroupHom(full, full, images, _checked=True)
+        for images in automorphism_chain(G, limits=limits)[1]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from .errors import (
     GenerationMismatch,
     NotCommuting,
     NotFusionPreserving,
+    NotNormal,
+    NotSubgroup,
     NotSummable,
     SuiteUnknown,
 )
@@ -25,6 +27,7 @@ from .groups import (
     Subgroup,
     _closure_ids,
     all_homs,
+    automorphism_chain,
     automorphisms,
     characteristic_subgroups,
     cycles_to_perm,
@@ -35,6 +38,7 @@ from .groups import (
     members_of,
     omega_central_series,
     perm_compose,
+    perm_inverse,
     quotient,
     subgroups,
     sylow,
@@ -226,21 +230,26 @@ def axis_subsystems():
 def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
     """The rank-three elementary abelian 2-group under the rotation of
     its three transposition blocks (a relabelling of the permutation
-    points), and C2 x C4 under inversion."""
+    points), C2 x C4 under inversion, and the rank-three group again
+    under the swap of its first two blocks."""
     F8 = _fusion("inner-c2c2c2")
     G8 = F8.base
-    sigma = (2, 3, 4, 5, 0, 1)
-    sigma_inv = (4, 5, 0, 1, 2, 3)
     index = {G8.perms[x]: x for x in range(8)}
-    rot = tuple(
-        index[tuple(sigma[G8.perms[x][sigma_inv[pt]]] for pt in range(6))]
-        for x in range(8)
-    )
+
+    def relabelling(sigma: tuple[int, ...]) -> OmegaContext:
+        sigma_inv = perm_inverse(sigma)
+        images = tuple(
+            index[tuple(sigma[G8.perms[x][sigma_inv[pt]]] for pt in range(6))]
+            for x in range(8)
+        )
+        return OmegaContext.from_morphisms(F8, [check_morphism(F8, F8, images)])
+
     FA = _fusion("inner-c2c4")
     inv = tuple(FA.base.inv(x) for x in range(8))
     return [
-        (F8, OmegaContext.from_morphisms(F8, [check_morphism(F8, F8, rot)])),
+        (F8, relabelling((2, 3, 4, 5, 0, 1))),
         (FA, OmegaContext.from_morphisms(FA, [check_morphism(FA, FA, inv)])),
+        (F8, relabelling((2, 3, 0, 1, 4, 5))),
     ]
 
 
@@ -1124,9 +1133,83 @@ def check_image_transport() -> str:
     return "images of commuting subsystems commute in the image"
 
 
+def hom_law_plain(
+    A: FiniteGroup, B: FiniteGroup, images: MapTuple
+) -> Optional[tuple[int, int]]:
+    """The slow twin of ``morphisms.hom_law_on_generators``: the first
+    pair (x, y) with f(x y) != f(x) f(y), scanning every pair, or None
+    for a homomorphism."""
+    for x in range(A.order):
+        for y in range(A.order):
+            if images[A.mul(x, y)] != B.mul(images[x], images[y]):
+                return (x, y)
+    return None
+
+
+def hom_law_battery(G: FiniteGroup) -> list[MapTuple]:
+    """Self-maps of ``G`` on both sides of the homomorphism law: the
+    stabiliser-chain automorphisms, inversion, squaring, a translation,
+    and the identity moved by c on the coset g<gens without g> of the
+    last generator g for every c != 1 (which obeys the law at every
+    other generator)."""
+    n = G.order
+    maps = [u for level in automorphism_chain(G)[0] for u in level]
+    maps += [tuple(range(n)), tuple(G.inv(x) for x in range(n))]
+    maps.append(tuple(G.mul(x, x) for x in range(n)))
+    if not G.generators:
+        return maps
+    g = G.generators[-1]
+    maps.append(tuple(G.mul(g, x) for x in range(n)))
+    coset = set(G.products([g], _closure_ids(G, G.generators[:-1])))
+    for c in range(1, n):
+        maps.append(tuple(G.mul(c, x) if x in coset else x for x in range(n)))
+    return maps
+
+
+def check_hom_law_on_generators() -> str:
+    """``check_morphism`` accepts exactly the homomorphisms, testing the
+    law on generators, and names the first failing pair of the plain
+    scan; ``normal_complement`` rejects exactly the endomorphisms whose
+    complement breaks the law."""
+    maps = complements = 0
+    for name in catalog.names():
+        F = _fusion(name)
+        G = F.base
+        for images in hom_law_battery(G):
+            witness = hom_law_plain(G, G, images)
+            want = witness and "not a group homomorphism at (%d,%d)" % witness
+            try:
+                check_morphism(F, F, images)
+                got = None
+            except NotFusionPreserving:
+                got = None
+            except NotSubgroup as exc:
+                got = str(exc)
+            assert got == want, (
+                f"{name}: check_morphism differs from the plain law on {images}"
+            )
+            maps += 1
+    for name in ["inner-c2c2", "inner-c2c4", "inner-c3c3", "inner-d8", "sym4", "alt4"]:
+        F = _fusion(name)
+        G = F.base
+        for m in fusion_endomorphisms(F):
+            chi = tuple(G.mul(G.inv(m.images[x]), x) for x in range(G.order))
+            try:
+                normal_complement(F, m)
+                hom = True
+            except NotNormal as exc:
+                hom = str(exc) != "complement is not a homomorphism"
+            assert hom == (hom_law_plain(G, G, chi) is None), (
+                f"{name}: complement test differs from the plain law on {m.images}"
+            )
+            complements += 1
+    return f"{maps} maps and {complements} complements: law on generators agrees with every pair"
+
+
 def check_sum_bookkeeping() -> str:
     """Sums are morphisms, and the image of a sum lies in the inner
-    product of the images of the summands."""
+    product of the images of the summands; every f + chi that
+    ``normal_complement`` forms is a morphism and the identity."""
     count = 0
     for name in ["inner-c2c4", "sigma3-squared", "sigma3-cubed-full"]:
         F = _fusion(name)
@@ -1151,7 +1234,20 @@ def check_sum_bookkeeping() -> str:
                 assert set(img_total.translated_maps()) <= inner_maps, (
                     f"{name}: image of the sum escapes the product of the images"
                 )
-    return f"{count} sums re-accepted as morphisms inside the product of the images"
+    identities = 0
+    for name in catalog.ENDO_SUITE:
+        F = _fusion(name)
+        for ne in catalog_normal_endos(name):
+            total = sum_morphisms([ne.morphism, ne.complement])
+            check_morphism(F, F, total.images)
+            assert total.images == tuple(range(F.base.order)), (
+                f"{name}: f plus its complement is not the identity"
+            )
+            identities += 1
+    return (
+        f"{count} sums re-accepted as morphisms inside the product of the "
+        f"images; {identities} sums f + chi are the identity"
+    )
 
 
 def check_commuting_criteria_agree() -> str:
@@ -1347,6 +1443,7 @@ MORPHISM_CHECKS = [
     ("commuting-criteria-agree", check_commuting_criteria_agree),
     ("factor-intersection-central", check_factor_intersection_central),
     ("image-transport", check_image_transport),
+    ("hom-law-on-generators", check_hom_law_on_generators),
     ("sum-bookkeeping", check_sum_bookkeeping),
     ("distributivity", check_distributivity),
     ("product-by-projection", check_product_by_projection),
@@ -1498,11 +1595,22 @@ def check_surjective_criterion() -> str:
     return f"{count} automorphisms: criterion agrees with the complement test"
 
 
+def commutes_with_plain(omega: OmegaContext, images: MapTuple) -> bool:
+    """The slow twin of ``OmegaContext.commutes_with``: w o f and f o w
+    compared on every element, for every generator w."""
+    return all(
+        tuple(images[v] for v in w.images) == tuple(w.images[v] for v in images)
+        for w in omega.generators
+    )
+
+
 def check_surjective_on_generators() -> str:
     """The center/focal criterion, tested on generators of S and of
     foc(F), agrees with its all-element twin on every fusion
     automorphism of the catalog (inner-c3c3c3 included) and on the
-    normal automorphisms of the equivariant contexts."""
+    normal automorphisms of the equivariant contexts; there, Omega
+    commutation tested on generators agrees with its all-element twin
+    on every fusion endomorphism."""
     count = 0
     for name in catalog.names():
         F = _fusion(name)
@@ -1512,10 +1620,15 @@ def check_surjective_on_generators() -> str:
             ), f"{name}: criterion differs from the all-element criterion on {m.images}"
             count += 1
     for F, omega in equivariant_contexts():
+        for m in fusion_endomorphisms(F):
+            assert omega.commutes_with(m.images) == commutes_with_plain(omega, m.images), (
+                f"Omega commutation differs from the all-element test on {m.images}"
+            )
         plain = [
             m
             for m in fusion_automorphisms(F)
-            if omega.commutes_with(m.images) and surjective_criterion_plain(F, m.images)
+            if commutes_with_plain(omega, m.images)
+            and surjective_criterion_plain(F, m.images)
         ]
         assert normal_automorphisms(F, omega) == plain, (
             "equivariant normal automorphisms differ from the all-element criterion"
@@ -1585,15 +1698,20 @@ def check_self_map_search() -> str:
     """The fusion-aware self-map search against its plain twin: every
     homomorphism S -> S from the exhaustive backtracker, filtered by
     ``check_morphism``.  Aut(S) from the base transversals is compared
-    with ``injective_homs``.  The search runs on a fresh copy of each
+    with ``injective_homs``, and Aut(S,F), which is all of Aut(S) once
+    the transversal maps preserve F, with the filtered list of
+    ``injective_homs``.  The search runs on a fresh copy of each
     system, so no list cached by an earlier call can hide a fault.  The
-    twin runs once per multiplication table; the endomorphisms of
+    systems are the catalog's and the unsaturated battery's, where
+    often only the last transversal holds maps that leave F.  The twin
+    runs once per multiplication table; the endomorphisms of
     ``inner-c3c3c3`` (19683 of them) are left out."""
     plain_auts: dict[tuple[tuple[int, ...], ...], list[GroupHom]] = {}
     plain_ends: dict[tuple[tuple[int, ...], ...], list[GroupHom]] = {}
     autos = endos = 0
-    for name in catalog.names():
-        F = _fusion(name)
+    cases = [(name, _fusion(name)) for name in catalog.names()]
+    battery = unsaturated_battery()
+    for name, F in cases + battery:
         S = F.base
         full = S.full_subgroup()
         table = tuple(tuple(S.mul(a, b) for b in range(S.order)) for a in range(S.order))
@@ -1618,7 +1736,8 @@ def check_self_map_search() -> str:
         )
         endos += len(found)
     return (
-        f"{autos} automorphisms and {endos} endomorphisms match the plain "
+        f"{autos} automorphisms and {endos} endomorphisms of {len(cases)} "
+        f"catalog and {len(battery)} unsaturated systems match the plain "
         f"search over {len(plain_auts)} tables"
     )
 
@@ -1685,7 +1804,7 @@ def check_krs_rigid() -> str:
 
 
 def check_krs_equivariant() -> str:
-    (F8, omega), (FA, omega_a) = equivariant_contexts()
+    (F8, omega), (FA, omega_a) = equivariant_contexts()[:2]
     plain = factorize_all(F8)
     fixed = factorize_all(F8, omega)
     assert len(plain) == 28 and len(fixed) == 1

@@ -102,6 +102,7 @@ LEMMA_SUITE = [
     ("morphisms", "iso-inverse"),
     ("morphisms", "commuting-criteria-agree"),
     ("morphisms", "factor-intersection-central"),
+    ("morphisms", "hom-law-on-generators"),
     ("morphisms", "sum-bookkeeping"),
     ("morphisms", "distributivity"),
     ("morphisms", "product-by-projection"),

@@ -1,9 +1,11 @@
-"""One full benchmark pass of the two engine workloads.
+"""One full benchmark pass of each workload.
 
 The benchmark checks every answer of a pass against its own answer
 table, so a factorization or product-check regression fails here and
-not only in a benchmark run.  The sources and the benchmark are copied
-to a temporary directory, where the run writes its records.
+not only in a benchmark run; the ``catalog-reports`` pass checks the
+CLI reports, ``krs`` and ``factorize --exhaustive`` among them.  The
+sources and the benchmark are copied to a temporary directory, where
+the run writes its records.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["p2-lattice", "c3-exhaustive"])
+@pytest.mark.parametrize("workload", ["p2-lattice", "c3-exhaustive", "catalog-reports"])
 def test_one_benchmark_pass_is_correct(tmp_path, workload):
     shutil.copytree(ROOT / "src", tmp_path / "src")
     shutil.copytree(

@@ -195,6 +195,58 @@ def test_surjective_check_catches_a_dropped_generator(monkeypatch):
     assert "differs from the all-element criterion" in result.detail
 
 
+def test_omega_check_catches_a_dropped_generator(monkeypatch):
+    from fusionsys import verify
+
+    def one_generator_short(self, images):
+        for w in self.generators:
+            on = w.images
+            if any(images[on[g]] != on[images[g]] for g in w.source.base.generators[:-1]):
+                return False
+        return True
+
+    monkeypatch.setattr(factor.OmegaContext, "commutes_with", one_generator_short)
+    result = verify._run(
+        "factor/surjective-on-generators",
+        dict(verify.FACTOR_CHECKS)["surjective-on-generators"],
+    )
+    assert not result.passed
+    assert "Omega commutation differs from the all-element test" in result.detail
+
+
+def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
+    from fusionsys import verify
+
+    def last_level_dropped(G, **kwargs):
+        levels, autos = groups.automorphism_chain(G, **kwargs)
+        return levels[:-1], autos
+
+    monkeypatch.setattr(factor, "automorphism_chain", last_level_dropped)
+    result = verify._run(
+        "factor/self-map-search", dict(verify.FACTOR_CHECKS)["self-map-search"]
+    )
+    assert not result.passed
+    assert "fusion automorphisms differ from the plain filter" in result.detail
+
+
+def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
+    F = catalog.built("inner-c3c3c3").fusion
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return check_morphism(*args, **kwargs)
+
+    monkeypatch.setattr(factor, "check_morphism", counting)
+    autos = factor.fusion_automorphisms(fresh)
+    levels, _ = groups.automorphism_chain(F.base)
+    # |GL(3,3)| = 26 * 24 * 18, and one test per chain map
+    assert len(autos) == 11232
+    assert calls == [u for level in levels for u in level]
+    assert sum(map(len, levels)) == 26 + 24 + 18
+
+
 def test_product_check_catches_a_dropped_part(monkeypatch):
     from fusionsys import verify
 

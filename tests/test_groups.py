@@ -586,3 +586,43 @@ def test_cayley_round_trip():
     bad[3][4] = 0 if bad[3][4] else 1
     with pytest.raises(NotSubgroup):
         FiniteGroup.from_cayley(bad)
+
+
+# -- generators ----------------------------------------------------------------
+
+
+def _generated(G):
+    return groups._closure_ids(G, G.generators) == tuple(range(G.order))
+
+
+def test_declared_generators_generate_the_group():
+    """Tests on generators (the homomorphism law, Omega commutation,
+    the normal-automorphism criterion, Sylow search) read
+    ``G.generators`` as a generating set of G."""
+    from fusionsys import serialize
+
+    checked = 0
+    for name in catalog.names():
+        b = catalog.built(name)
+        for G in (b.group, b.fusion.base):
+            assert _generated(G), name
+            checked += 1
+        for H in subgroups(b.fusion.base):
+            HG, _ = H.as_group()
+            assert _generated(HG), (name, H.members)
+            checked += 1
+    d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
+    center = Subgroup(d8, d8.center_members())
+    quo, _ = quotient(d8, center)
+    dp = direct_product(d8, perm_group([[1, 2, 3]], points=3))
+    cayley = FiniteGroup.from_cayley([[d8.mul(a, b) for b in range(8)] for a in range(8)])
+    loaded = [
+        serialize.group_from_json(serialize.group_to_json(G))
+        for G in (d8, dp.product, cayley)
+    ]
+    for G in [quo, dp.product, cayley] + loaded:
+        assert _generated(G)
+        checked += 1
+    # 17 catalog groups and their Sylow bases, 237 lattice members and
+    # 6 constructed or loaded groups
+    assert checked == 17 * 2 + 237 + 6

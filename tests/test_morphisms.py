@@ -3,7 +3,7 @@ products, commuting subsystems and sums."""
 
 import pytest
 
-from fusionsys import catalog, morphisms
+from fusionsys import catalog, factor, morphisms
 from fusionsys import fusion as fusion_mod
 from fusionsys.errors import (
     NotCommuting,
@@ -322,6 +322,26 @@ def test_projection_check_catches_automorphisms_without_transporters(monkeypatch
     result = _product_by_projection_result()
     assert not result.passed
     assert "the inner product says False" in result.detail
+
+
+@pytest.mark.parametrize("module", [morphisms, factor], ids=["morphisms", "factor"])
+def test_hom_law_check_catches_a_dropped_generator(monkeypatch, module):
+    from fusionsys import verify
+
+    def one_generator_short(A, B, images):
+        return all(
+            images[A.mul(x, g)] == B.mul(images[x], images[g])
+            for x in range(A.order)
+            for g in A.generators[:-1]
+        )
+
+    monkeypatch.setattr(module, "hom_law_on_generators", one_generator_short)
+    result = verify._run(
+        "morphisms/hom-law-on-generators",
+        dict(verify.MORPHISM_CHECKS)["hom-law-on-generators"],
+    )
+    assert not result.passed
+    assert "differs from the plain law" in result.detail
 
 
 # -- sums ------------------------------------------------------------------------
