@@ -6,20 +6,35 @@ second factorization by a factor of the first via an invertible normal
 endomorphism built from projections, then take the inverse of the
 composite.
 
-Checks made in the call: each swap map and the certificate go through
-``check_morphism`` (the homomorphism law on the generators of S, then
-every morphism of F pushed) and ``normal_complement`` (the complement's
-law on generators, its push, and commuting images); equivariance is
-tested on the generators of S, and the certificate's transport of the
-part tables entrywise.  Aut(S,F) is all of Aut(S) once the maps of the
-stabiliser chain of Aut(S) preserve F, and is filtered coset by coset
-otherwise.  Checks made in ``fusionsys.verify``, each fast path against
-its slow twin: ``hom_law_plain`` (every pair), ``commutes_with_plain``
-(every element), ``factor/self-map-search`` (Aut(S,F) against the
-filtered ``injective_homs``), ``morphisms/sum-bookkeeping`` (sums,
-f + chi among them, re-accepted by ``check_morphism``), and an
-exhaustive search over all normal automorphisms, the oracle of the
-certificates.
+Checks made in the call, each on generators and exact because the set
+it tests is closed under composition, inverses and restriction (a
+failure reruns the full scan, so witnesses are unchanged):
+- ``check_morphism``: the homomorphism law on the generators of S,
+  then the push of ``class_generators`` of the source; each swap map,
+  the certificate and every self-map candidate go through it;
+- ``normal_complement``: the complement's law on the generators of S,
+  its push, and commuting images, decided by ``sum_morphisms`` on the
+  tuples of one pushed class generator and identities;
+- ``normal_automorphisms``: the center/focal criterion on the
+  generators of Aut(S,F), and on every map only when one fails;
+- Aut(S,F) is all of Aut(S) once the maps of the stabiliser chain of
+  Aut(S) preserve F, and is filtered coset by coset otherwise;
+- equivariance on the generators of S, and the certificate's transport
+  of the part tables entrywise.
+
+Checks made in ``fusionsys.verify``, each fast path against its slow
+twin: ``morphisms/hom-law-on-generators`` (``hom_law_plain``, every
+pair), ``morphisms/push-on-generators`` (``check_morphism_plain``,
+every map pushed), ``morphisms/commuting-criteria-agree``
+(``commute_check_plain``, every tuple), ``morphisms/sum-bookkeeping``
+(``sum_morphisms_plain``, image closures and every tuple; sums, f + chi
+among them, re-accepted by ``check_morphism_plain``),
+``factor/surjective-criterion`` (the criterion against the plain
+complement test ``verify.is_normal_endo``), ``factor/normal-automorphisms``
+(the plain filter of every map), ``commutes_with_plain`` (every
+element), ``factor/self-map-search`` (Aut(S,F) and the endomorphisms
+against the filtered backtracker), and an exhaustive search over all
+normal automorphisms, the oracle of the certificates.
 """
 
 from __future__ import annotations
@@ -120,8 +135,11 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
 
     The complement candidate sends x to f(x)^-1 x; ``f`` is normal exactly
     when that map is a fusion-preserving homomorphism whose image commutes
-    with the image of ``f``.  The verify check ``factor/surjective-criterion``
-    compares this test with the center/focal criterion.
+    with the image of ``f``.  Each clause is tested on generators:
+    ``hom_law_on_generators``, ``check_morphism`` and ``sum_morphisms``.
+    ``verify.is_normal_endo`` is the plain twin, which the verify check
+    ``factor/surjective-criterion`` compares with the center/focal
+    criterion.
     """
     if f.source is not F or f.target is not F:
         raise NotSubgroup("normality is only defined for endomorphisms")
@@ -148,14 +166,6 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
     # a bijective endomorphism of a finite-based system is an automorphism:
     # the induced functor injects the finite morphism set into itself
     return NormalEndomorphism(f, chi, surjective, surjective)
-
-
-def is_normal_endo(F: FusionSystem, f: FusionMorphism) -> bool:
-    try:
-        normal_complement(F, f)
-        return True
-    except NotNormal:
-        return False
 
 
 @dataclass(frozen=True)
@@ -260,6 +270,7 @@ def _fusion_subgroup(
 ) -> list[FusionMorphism]:
     """The fusion-preserving members of Aut(S), given as the list
     ``autos`` and the chain ``levels`` whose union generates it.
+    Generators of the result go to ``F._automorphism_generators``.
 
     They form a group.  So when every level element preserves F, all of
     Aut(S) does, and the list is returned as it is.  Otherwise a
@@ -267,9 +278,11 @@ def _fusion_subgroup(
     kept untested, and one in a coset r o H of a rejected map r is
     skipped: if r o h preserved F for some h in H, so would
     r = (r o h) o h^-1.  Every other candidate goes through
-    ``check_morphism``.
+    ``check_morphism``, and the accepted ones generate the result.
     """
-    if all(_preserves(F, u) for level in levels for u in level):
+    chain = [u for level in levels for u in level]
+    if all(_preserves(F, u) for u in chain):
+        F._automorphism_generators = chain
         return [FusionMorphism(F, F, a) for a in autos]
     identity = tuple(range(F.base.order))
     accepted: list[MapTuple] = []
@@ -289,6 +302,7 @@ def _fusion_subgroup(
             continue
         accepted.append(a)
         H = _join(H, accepted)
+    F._automorphism_generators = accepted
     return out
 
 
@@ -350,15 +364,21 @@ def normal_automorphisms(
     F: FusionSystem, omega: Optional[OmegaContext] = None
 ) -> list[FusionMorphism]:
     """All invertible normal (equivariant) endomorphisms, via the
-    surjective criterion."""
-    out = []
-    for m in fusion_automorphisms(F):
-        if omega is not None and not omega.commutes_with(m.images):
-            continue
-        if not _surjective_normal_criterion(F, m.images):
-            continue
-        out.append(m)
-    return out
+    surjective criterion.
+
+    The automorphisms f with [f,S] <= Z(F) and f = id on foc(F) form a
+    subgroup of Aut(S,F): with d_f(x) = x^-1 f(x),
+    d_{f o g}(x) = d_g(x) d_f(g(x)), and a composite of maps that fix
+    foc(F) fixes it.  So when every generator of Aut(S,F) passes the
+    criterion, every automorphism does, and no map is tested.
+    ``factor/normal-automorphisms`` compares the result with the plain
+    filter of every map."""
+    autos = fusion_automorphisms(F)
+    if omega is not None:
+        autos = [m for m in autos if omega.commutes_with(m.images)]
+    if all(_surjective_normal_criterion(F, g) for g in F._automorphism_generators):
+        return list(autos)
+    return [m for m in autos if _surjective_normal_criterion(F, m.images)]
 
 
 # ---------------------------------------------------------------------------

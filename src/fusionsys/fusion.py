@@ -208,7 +208,15 @@ def lattice_of(G: FiniteGroup) -> SubgroupLattice:
 
 
 class FusionSystem:
-    """A fusion system over a finite p-group."""
+    """A fusion system over a finite p-group.
+
+    The table must be closed: it holds the conjugation maps of the base,
+    only injective maps, and is closed under restriction, composition
+    and inverses.  Every internal constructor closes its table, and
+    ``serialize.fusion_from_json`` runs ``validate_table`` and
+    ``validate_closure`` on a table read from outside.  The generator
+    tests of the morphism layer (``class_generators``) are exact only on
+    closed tables."""
 
     def __init__(
         self,
@@ -237,6 +245,7 @@ class FusionSystem:
         self._element_class_index: Optional[list[int]] = None
         self._element_class_masks: Optional[list[int]] = None
         self._subgroup_class_index: Optional[list[int]] = None
+        self._class_generators: Optional[tuple[tuple[int, MapTuple], ...]] = None
         self._saturation = None
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
@@ -245,6 +254,8 @@ class FusionSystem:
         # and factor.fusion_automorphisms
         self._endomorphisms: Optional[list[FusionMorphism]] = None
         self._automorphisms: Optional[list[FusionMorphism]] = None
+        # maps that generate the group of the list above, set with it
+        self._automorphism_generators: Optional[list[MapTuple]] = None
 
     # -- invariants ---------------------------------------------------------
 
@@ -501,25 +512,27 @@ def inner_fusion(S: FiniteGroup) -> FusionSystem:
     return fusion_of_group(S, p, S.full_subgroup())
 
 
-def class_generators(F: FusionSystem) -> Iterator[tuple[int, MapTuple]]:
+def class_generators(F: FusionSystem) -> tuple[tuple[int, MapTuple], ...]:
     """Morphisms (domain index, map) that generate ``F`` together with the
     conjugation maps of S: for each F-class of subgroups with root R,
     the automorphisms of R outside Aut_S(R) and one isomorphism from R
     onto each other member.  ``F`` is closed under composition and
     inverses, so Iso_F(P, Q) = tau_Q Aut_F(R) tau_P^-1 for these
-    isomorphisms tau."""
-    lat = F.lattice
-    for cls in F.subgroup_classes():
-        r = cls[0]
-        inner = lat.aut_s(r)
-        for a in F.aut_maps(r):
-            if a not in inner:
-                yield r, a
-        for q in cls[1:]:
-            isos = F.iso_maps(r, q)
-            if not isos:
-                raise NotSubgroup("table not closed under composition")
-            yield r, isos[0]
+    isomorphisms tau.  Built once per system."""
+    if F._class_generators is None:
+        lat = F.lattice
+        gens = []
+        for cls in F.subgroup_classes():
+            r = cls[0]
+            inner = lat.aut_s(r)
+            gens += [(r, a) for a in F.aut_maps(r) if a not in inner]
+            for q in cls[1:]:
+                isos = F.iso_maps(r, q)
+                if not isos:
+                    raise NotSubgroup("table not closed under composition")
+                gens.append((r, isos[0]))
+        F._class_generators = tuple(gens)
+    return F._class_generators
 
 
 # ---------------------------------------------------------------------------

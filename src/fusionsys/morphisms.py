@@ -143,13 +143,24 @@ def check_morphism(
 ) -> FusionMorphism:
     """Validate that ``f`` pushes every source morphism into the target.
 
-    Raises NotFusionPreserving with the first failing source morphism
-    (domains scanned largest-first so global obstructions surface early).
     Unless ``hom_checked`` (the caller got the map from a verified
     enumeration), ``f`` must be a homomorphism: it is accepted when
     ``hom_law_on_generators`` holds, and a rejected map goes through
     the scan of every pair, so NotSubgroup names the first failing pair
     (x, y).
+
+    ``f`` is accepted when the push of every map in
+    ``class_generators(E)`` lies in ``F``.  This is exact for closed
+    tables: the maps whose push is defined and lies in ``F`` are closed
+    under restriction and composition; under inverses too, since a
+    pushed map in ``F`` is injective, so the push of an inverse is the
+    inverse of the push; and a conjugation map c_g pushes to
+    c_f(g).  Those operations build every map of ``E`` from its class
+    generators and the conjugation maps of its base.  A map that fails
+    goes through ``_push_every_map``, which raises NotFusionPreserving
+    with the first failing source morphism (domains scanned
+    largest-first so global obstructions surface early);
+    ``verify.check_morphism_plain`` runs that scan alone.
     """
     images = _coerce_images(E, F, f)
     A, B = E.base, F.base
@@ -159,6 +170,20 @@ def check_morphism(
                 if images[A.mul(x, y)] != B.mul(images[x], images[y]):
                     raise NotSubgroup(f"not a group homomorphism at ({x},{y})")
     m = FusionMorphism(E, F, images)
+    try:
+        pushed = all(F.has_map(*m.push_map(d, phi)) for d, phi in class_generators(E))
+    except InternalInconsistency:
+        pushed = False
+    if not pushed:
+        _push_every_map(m)
+    return m
+
+
+def _push_every_map(m: FusionMorphism) -> None:
+    """Push every source morphism, largest domains first, and raise
+    NotFusionPreserving at the first one whose push is not defined or
+    not in the target."""
+    E, F = m.source, m.target
     order = sorted(
         range(len(E.lattice.subs)),
         key=lambda i: -len(E.lattice.subs[i].members),
@@ -177,7 +202,6 @@ def check_morphism(
                     "pushed morphism is missing from the target",
                     witness={"domain": E.lattice.subs[dom_idx].members, "map": phi},
                 )
-    return m
 
 
 def identity_morphism(F: FusionSystem) -> FusionMorphism:
@@ -378,19 +402,54 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
 
     Uses the morphism-tuple criterion: the base subgroups must commute
     pairwise and every tuple of subsystem morphisms must extend to a
-    single morphism of ``F`` on the product of the domains.  On success
-    the result carries the inner product subsystem, built when read.
-    The verify check ``morphisms/commuting-criteria-agree`` compares the
-    criterion with the morphism out of the external product.
+    single morphism of ``F`` on the product of the domains.  It is
+    decided on the tuples that hold one class generator of one part and
+    the identity on every other base (``_generator_seeds``).  Tuples of
+    conjugation maps extend to conjugation maps, and the tuples that
+    extend are closed under composition, inverses and restriction, so
+    every tuple extends once these do: a tuple is the composite of its
+    one-part tuples, and each part's maps come from its class generators
+    and conjugation maps (tables must be closed).  The seeds are those
+    extensions; they close to the same inner product as the extensions
+    of every tuple, built when read.  A family that fails goes through
+    ``_commute_scan``, every tuple in order, which raises NotCommuting
+    with the first tuple that does not extend.  The verify check
+    ``morphisms/commuting-criteria-agree`` compares both with the scan
+    alone and with the morphism out of the external product.
     """
+    _check_bases(F, subsystems)
+    generators = [
+        [
+            (
+                tuple(sub.base.members[x] for x in sub.system.lattice.subs[d].members),
+                tuple(sub.base.members[v] for v in mp),
+            )
+            for d, mp in class_generators(sub.system)
+        ]
+        for sub in subsystems
+    ]
+    bases = [sub.base.members for sub in subsystems]
+    seeds = _generator_seeds(F, bases, generators)
+    if seeds is None:
+        seeds = _commute_scan(F, subsystems)
+    return CommuteResult(F, _product_base(F.base, bases), frozenset(seeds))
+
+
+def _check_bases(F: FusionSystem, subsystems: Sequence[Subsystem]) -> None:
+    """Each part is a subsystem of ``F``, and the bases commute."""
     if not subsystems:
         raise NotSubgroup("need at least one subsystem")
-    G = F.base
     for sub in subsystems:
         _assert_subsystem(F, sub.base, sub.system)
-    for a in range(len(subsystems)):
-        for b in range(a + 1, len(subsystems)):
-            xs, ys = subsystems[a].base.members, subsystems[b].base.members
+    _commute_elementwise(F.base, [sub.base.members for sub in subsystems])
+
+
+def _commute_elementwise(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> None:
+    """NotCommuting names the first pair of elements, from two of the
+    bases, that do not commute."""
+    for a in range(len(bases)):
+        for b in range(a + 1, len(bases)):
+            xs, ys = bases[a], bases[b]
             # x y for every (x, y) in order, against y x in the same order
             yx = G.products(ys, xs)
             for t, xy in enumerate(G.products(xs, ys)):
@@ -401,6 +460,45 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
                         witness={"pair": (a, b), "elements": (xs[i], ys[j])},
                     )
 
+
+def _product_base(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> Subgroup:
+    members = {0}
+    for base in bases:
+        members = {G.mul(u, x) for u in members for x in base}
+    return Subgroup(G, members, _checked=True)
+
+
+def _generator_seeds(
+    F: FusionSystem,
+    bases: Sequence[tuple[int, ...]],
+    generators: Sequence[Sequence[tuple[tuple[int, ...], MapTuple]]],
+) -> Optional[set[tuple[int, MapTuple]]]:
+    """The extension in ``F`` of each tuple that holds one generator
+    (domain members, map) of part a and the identity on every other
+    base, or None when one of them has no extension."""
+    seeds: set[tuple[int, MapTuple]] = set()
+    for a, gens in enumerate(generators):
+        before, after = sum(bases[:a], ()), sum(bases[a + 1 :], ())
+        filed = None
+        for members, mp in gens:
+            if members != filed:
+                filed = members
+                d_idx, by_restriction = _extensions_by_restriction(
+                    F, (*bases[:a], members, *bases[a + 1 :])
+                )
+            found = by_restriction.get(before + mp + after)
+            if found is None:
+                return None
+            seeds.add((d_idx, found))
+    return seeds
+
+
+def _commute_scan(
+    F: FusionSystem, subsystems: Sequence[Subsystem]
+) -> set[tuple[int, MapTuple]]:
+    """The extension of every tuple of part morphisms, in
+    ``itertools.product`` order; NotCommuting names the first tuple
+    that has none.  The bases must already commute."""
     # a found extension restricted to the product of the domains is the
     # image of the tuple under the induced functor, so collecting one per
     # tuple seeds the inner product subsystem exactly
@@ -432,14 +530,7 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
                 },
             )
         extension_seeds.add((d_idx, found))
-
-    inner_members = {0}
-    for sub in subsystems:
-        inner_members = {
-            G.mul(u, x) for u in inner_members for x in sub.base.members
-        }
-    inner_base = Subgroup(G, inner_members, _checked=True)
-    return CommuteResult(F, inner_base, frozenset(extension_seeds))
+    return extension_seeds
 
 
 def _extensions_by_restriction(
@@ -558,7 +649,17 @@ def projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTup
 
 
 def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
-    """Pointwise product of morphisms with commuting images."""
+    """Pointwise product of morphisms with commuting images.
+
+    The image of a summand m is the subsystem generated by the pushes of
+    every map of the source, which the pushes of ``class_generators``
+    and the conjugation maps of m(S) generate already (pushing respects
+    composition, inverses and restriction).  So the images commute when
+    their bases commute elementwise and the tuples of one pushed class
+    generator and identities extend (``_generator_seeds``, exact as in
+    ``commute_check``).  Only a failure builds the images, through
+    ``image``, and scans every tuple (``_commute_scan``) for the
+    NotSummable witness; ``verify.sum_morphisms_plain`` always does."""
     if not morphisms:
         raise NotSubgroup("empty sum")
     E = morphisms[0].source
@@ -569,12 +670,19 @@ def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
     if len(morphisms) == 1:
         return morphisms[0]
 
-    images = []
-    for m in morphisms:
-        img_sub = m.image_subgroup()
-        images.append(Subsystem(img_sub, image(m)))
+    bases = [m.image_subgroup().members for m in morphisms]
+    subs = F.lattice.subs
+    generators = [
+        [
+            (subs[new_idx].members, pushed)
+            for new_idx, pushed in (m.push_map(d, phi) for d, phi in class_generators(E))
+        ]
+        for m in morphisms
+    ]
     try:
-        commute_check(F, images)
+        _commute_elementwise(F.base, bases)
+        if _generator_seeds(F, bases, generators) is None:
+            _commute_scan(F, [Subsystem(m.image_subgroup(), image(m)) for m in morphisms])
     except NotCommuting as exc:
         raise NotSummable(
             "images of the summands do not commute", witness=exc.witness
@@ -588,5 +696,6 @@ def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
             acc = G.mul(acc, m.images[x])
         summed.append(acc)
     # commuting images make the sum a fusion-preserving homomorphism;
-    # ``verify.check_sum_bookkeeping`` re-accepts sums with check_morphism
+    # ``verify.check_sum_bookkeeping`` re-accepts sums with
+    # ``verify.check_morphism_plain``
     return FusionMorphism(E, F, tuple(summed))

@@ -103,6 +103,7 @@ LEMMA_SUITE = [
     ("morphisms", "commuting-criteria-agree"),
     ("morphisms", "factor-intersection-central"),
     ("morphisms", "hom-law-on-generators"),
+    ("morphisms", "push-on-generators"),
     ("morphisms", "sum-bookkeeping"),
     ("morphisms", "distributivity"),
     ("morphisms", "product-by-projection"),
@@ -115,6 +116,7 @@ LEMMA_SUITE = [
     ("factor", "projections-normal"),
     ("factor", "surjective-criterion"),
     ("factor", "surjective-on-generators"),
+    ("factor", "normal-automorphisms"),
     ("factor", "factorizations-are-products"),
     ("factor", "self-map-search"),
 ]

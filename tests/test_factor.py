@@ -247,6 +247,46 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
     assert sum(map(len, levels)) == 26 + 24 + 18
 
 
+def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(monkeypatch):
+    from fusionsys import verify
+
+    fusion_automorphisms = factor.fusion_automorphisms
+
+    def first_generator_only(F):
+        autos = fusion_automorphisms(F)
+        monkeypatch.setattr(F, "_automorphism_generators", F._automorphism_generators[:1])
+        return autos
+
+    monkeypatch.setattr(factor, "fusion_automorphisms", first_generator_only)
+    result = verify._run(
+        "factor/normal-automorphisms",
+        dict(verify.FACTOR_CHECKS)["normal-automorphisms"],
+    )
+    assert not result.passed
+    assert "differ from the plain filter" in result.detail
+
+
+def test_normal_complement_of_an_automorphism_builds_no_image(monkeypatch):
+    from fusionsys import morphisms
+
+    F = fusion("inner-c3c3c3")
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(morphisms, name, wrapped)
+
+    recording("close_maps", morphisms.close_maps)
+    recording("_extensions_by_restriction", morphisms._extensions_by_restriction)
+    for alpha in factor.fusion_automorphisms(F)[1:40:7]:
+        ne = normal_complement(F, alpha)
+        assert ne.invertible
+    assert calls == []
+
+
 def test_product_check_catches_a_dropped_part(monkeypatch):
     from fusionsys import verify
 

@@ -3,7 +3,7 @@ products, commuting subsystems and sums."""
 
 import pytest
 
-from fusionsys import catalog, factor, morphisms
+from fusionsys import catalog, factor, groups, morphisms
 from fusionsys import fusion as fusion_mod
 from fusionsys.errors import (
     NotCommuting,
@@ -342,6 +342,70 @@ def test_hom_law_check_catches_a_dropped_generator(monkeypatch, module):
     )
     assert not result.passed
     assert "differs from the plain law" in result.detail
+
+
+def _push_on_generators_result():
+    from fusionsys import verify
+
+    check = dict(verify.MORPHISM_CHECKS)["push-on-generators"]
+    return verify._run("morphisms/push-on-generators", check)
+
+
+@pytest.mark.parametrize(
+    "dropped", ["isomorphisms", "automorphisms"], ids=["no-isomorphisms", "no-root-automorphisms"]
+)
+def test_push_check_catches_a_generator_list_missing_a_kind(monkeypatch, dropped):
+    # isomorphisms onto the non-root class members, or automorphisms of
+    # the root, left out of the generators that check_morphism pushes
+    class_generators = fusion_mod.class_generators
+
+    def one_kind_short(F):
+        subs = F.lattice.subs
+        return [
+            (i, m)
+            for i, m in class_generators(F)
+            if (tuple(sorted(m)) == subs[i].members) == (dropped == "isomorphisms")
+        ]
+
+    monkeypatch.setattr(morphisms, "class_generators", one_kind_short)
+    result = _push_on_generators_result()
+    assert not result.passed
+    assert "differs from the plain scan" in result.detail
+
+
+def test_commuting_check_catches_generator_tuples_of_the_first_part_only(monkeypatch):
+    from fusionsys import verify
+
+    generator_seeds = morphisms._generator_seeds
+
+    def first_part_only(F, bases, generators):
+        return generator_seeds(F, bases, [generators[0]] + [[] for _ in generators[1:]])
+
+    monkeypatch.setattr(morphisms, "_generator_seeds", first_part_only)
+    result = verify._run(
+        "morphisms/commuting-criteria-agree",
+        dict(verify.MORPHISM_CHECKS)["commuting-criteria-agree"],
+    )
+    assert not result.passed
+    assert "differs from" in result.detail
+
+
+def test_chain_level_maps_are_accepted_without_a_push(monkeypatch):
+    # trivial fusion on C3^3 has no class generators, so no map is pushed
+    F = fusion("inner-c3c3c3")
+    pushes = []
+    push_map = morphisms.FusionMorphism.push_map
+
+    def counting(self, dom_idx, m):
+        pushes.append(dom_idx)
+        return push_map(self, dom_idx, m)
+
+    monkeypatch.setattr(morphisms.FusionMorphism, "push_map", counting)
+    levels, _ = groups.automorphism_chain(F.base)
+    for level in levels:
+        for u in level:
+            assert check_morphism(F, F, u, hom_checked=True).images == u
+    assert pushes == []
 
 
 # -- sums ------------------------------------------------------------------------
