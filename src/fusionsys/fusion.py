@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .errors import (
     GuardrailExceeded,
-    InternalInconsistency,
     NotPGroup,
     NotSaturated,
     NotSubgroup,
@@ -56,17 +55,18 @@ class SubgroupLattice:
     The index tables, member masks and generating sequences come from the
     group's memoized ``LatticeShape``, so groups with equal multiplication
     tables share them.  The conjugation action of the group on its
-    subgroups is read off one table of ``g x g^-1``, built on first use.
-    Every per-subgroup set is held as a bitmask (bit x for element x):
-    the normalizer masks are ANDs over the generators of each subgroup
-    of transporters into it, and the centralizer masks ANDs over the
-    generators of the fixers of each element, which one pass over the
-    table fills.
-    ``coset_rows`` keeps, for each subgroup P, one row of the table
-    restricted to P per coset of C_S(P) in N_S(P), with the coset as a
-    mask; Aut_S(P) is the set of those rows.  Member tuples are made only
-    at the edge (``normalizer``, ``centralizer``), for callers outside
-    the kernels.
+    subgroups is read off one table of ``g x g^-1``, built on first use,
+    and one transporter table ``trans[x][y]`` (the mask of the g with
+    g x g^-1 = y), built from it on first use and kept.  Every
+    per-subgroup set is a bitmask (bit x for element x) read off the
+    transporter table as an AND over the generators x of the subgroup P:
+    N_S(P) of the transporters of x into P, C_S(P) of ``trans[x][x]``,
+    and the coset g C_S(P) of ``trans[x][g x g^-1]``.
+    ``coset_rows`` keeps, for each subgroup P, one row of the conjugation
+    table restricted to P per coset of C_S(P) in N_S(P), with the coset
+    as a mask; Aut_S(P) is the set of those rows.  Member tuples are made
+    only at the edge (``normalizer``, ``centralizer``), for callers
+    outside the kernels.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -80,6 +80,7 @@ class SubgroupLattice:
         self.trivial_index = self.idx[(0,)]
         self._bits = [1 << x for x in range(G.order)]
         self._conj: Optional[list[list[int]]] = None
+        self._trans: Optional[list[dict[int, int]]] = None
         self._normalizers: Optional[list[int]] = None
         self._centralizers: Optional[list[int]] = None
         self._coset_rows: dict[int, tuple[tuple[MapTuple, int], ...]] = {}
@@ -109,32 +110,52 @@ class SubgroupLattice:
             self._conj = [G.conj_row(g, every) for g in every]
         return self._conj
 
+    def transporter_table(self) -> list[dict[int, int]]:
+        """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every
+        x and every conjugate y of x (``groups.transporters``)."""
+        if self._trans is None:
+            self._trans = transporters(self.conj_table())
+        return self._trans
+
     def normalizer_mask(self, i: int) -> int:
         """N_S(P_i) as a mask: the g that conjugate each generator of P_i
         into P_i."""
         if self._normalizers is None:
-            self._normalizers = _normalizer_masks(self.conj_table(), self.shape)
+            self._normalizers = _normalizer_masks(self.transporter_table(), self.shape)
         return self._normalizers[i]
 
     def centralizer_mask(self, i: int) -> int:
-        """C_S(P_i) as a mask, the AND of C_S(x) over the generators x of
-        P_i; the C_S(x) are filled in one pass over the conjugation rows."""
+        """C_S(P_i) as a mask: the AND of ``trans[x][x]`` = C_S(x) over
+        the generators x of P_i."""
         if self._centralizers is None:
-            conj = self.conj_table()
-            fixers = [0] * len(conj)
-            for bit, row in zip(self._bits, conj):
-                for x, y in enumerate(row):
-                    if x == y:
-                        fixers[x] |= bit
-            every = (1 << len(conj)) - 1
+            trans = self.transporter_table()
+            every = (1 << len(trans)) - 1
             centralizers = []
             for gens in self.shape.gens:
                 mask = every
                 for x in gens:
-                    mask &= fixers[x]
+                    mask &= trans[x][x]
                 centralizers.append(mask)
             self._centralizers = centralizers
         return self._centralizers[i]
+
+    def transporter_mask(self, q: int, p: int) -> int:
+        """T_S(P_q, P_p) as a mask: the g with g P_q g^-1 <= P_p, an AND
+        over the generators of P_q of the transporters into P_p; it is
+        not 0 exactly when P_q is S-conjugate into P_p."""
+        return normalizer_mask(self.transporter_table(), self.shape.gens[q], self.shape.masks[p])
+
+    def is_conjugation(self, q: int, phi: MapTuple) -> bool:
+        """Whether the map ``phi`` on P_q is c_g for some g in S: both
+        are homomorphisms, so they agree on P_q when they agree on its
+        generators, and the g that do form an AND of transporters."""
+        trans, pos = self.transporter_table(), self.pos[q]
+        mask = (1 << len(trans)) - 1
+        for x in self.shape.gens[q]:
+            mask &= trans[x].get(phi[pos[x]], 0)
+            if not mask:
+                return False
+        return True
 
     def normalizer(self, i: int) -> tuple[int, ...]:
         """Members of N_S(P_i)."""
@@ -149,21 +170,23 @@ class SubgroupLattice:
         mask of the elements giving it: g and g' give one map exactly when
         g' lies in g C_S(P_i), so one row is read per coset (a row per
         element of N_S(P_i) costs three to four times as much on
-        ``p2-lattice``).  The coset g C_S(P_i) is read off the product
-        row of g at the members of C_S(P_i); ``verify.coset_rows_plain``
-        multiplies it out and sorts it."""
+        ``p2-lattice``).  The coset g C_S(P_i), the h with
+        h x h^-1 = g x g^-1 for every generator x of P_i, is the AND of
+        ``trans[x][g x g^-1]``; ``verify.coset_rows_plain`` multiplies it
+        out and sorts it."""
         if i not in self._coset_rows:
-            conj = self.conj_table()
-            members = self.subs[i].members
-            centralizer = members_of(self.centralizer_mask(i))
-            G, bits = self.group, self._bits
+            conj, trans = self.conj_table(), self.transporter_table()
+            members, gens = self.subs[i].members, self.shape.gens[i]
             rows = []
             todo = self.normalizer_mask(i)
             while todo:
-                g = (todo & -todo).bit_length() - 1
-                coset = sum(map(bits.__getitem__, G.products((g,), centralizer)))
+                row = conj[(todo & -todo).bit_length() - 1]
+                # the coset lies in N_S(P_i) outside the cosets read before
+                coset = todo
+                for x in gens:
+                    coset &= trans[x][row[x]]
                 todo &= ~coset
-                rows.append((tuple(map(conj[g].__getitem__, members)), coset))
+                rows.append((tuple(map(row.__getitem__, members)), coset))
             self._coset_rows[i] = tuple(rows)
         return self._coset_rows[i]
 
@@ -189,11 +212,9 @@ class SubgroupLattice:
         return self._cyclic
 
 
-def _normalizer_masks(conj: list[list[int]], shape: LatticeShape) -> list[int]:
+def _normalizer_masks(trans: list[dict[int, int]], shape: LatticeShape) -> list[int]:
     """N(P) as a mask for every subgroup P of the shape: the AND over the
-    generators x of P of the transporters of x into P.  The transporter
-    table is dropped when this returns."""
-    trans = transporters(conj)
+    generators x of P of the transporters of x into P."""
     return [normalizer_mask(trans, gens, mask) for gens, mask in zip(shape.gens, shape.masks)]
 
 
@@ -758,13 +779,25 @@ class SaturationReport:
 
 
 def is_fully_automized(F: FusionSystem, i: int) -> bool:
-    aut_f = F.aut_maps(i)
-    aut_s = F.lattice.aut_s(i)
-    if not aut_s <= set(aut_f):
-        raise InternalInconsistency("inner automorphisms missing from the table")
-    if len(aut_f) % len(aut_s):
-        raise InternalInconsistency("Lagrange failure in automorphism groups")
-    return (len(aut_f) // len(aut_s)) % F.p != 0
+    """|Aut_F(P_i) : Aut_S(P_i)| is prime to p.  That Aut_S(P_i) lies in
+    Aut_F(P_i), so that the index is whole, holds on every closed table
+    and is checked over the orbit battery by ``fusion-core/automizers``."""
+    return (len(F.aut_maps(i)) // len(F.lattice.aut_s(i))) % F.p != 0
+
+
+def _control_mask(lat: SubgroupLattice, q_idx: int, phi: MapTuple, p_idx: int) -> int:
+    """N_phi as a mask: the cosets of C_S(Q) in N_S(Q) whose conjugation
+    on Q transports through phi into Aut_S(P)."""
+    pos_q = lat.pos[q_idx]
+    aut_s_p = lat.aut_s(p_idx)
+    back = {v: t for t, v in enumerate(phi)}
+    # positions in Q of the preimages of the members of P
+    preimages = [back[y] for y in lat.subs[p_idx].members]
+    mask = 0
+    for row, coset in lat.coset_rows(q_idx):
+        if tuple(phi[pos_q[row[t]]] for t in preimages) in aut_s_p:
+            mask |= coset
+    return mask
 
 
 def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> Subgroup:
@@ -773,16 +806,7 @@ def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> 
     runs once per coset of C_S(Q) in N_S(Q), and the cosets that pass are
     joined as masks."""
     lat = F.lattice
-    Q = lat.subs[q_idx]
-    pos_q = lat.pos[q_idx]
-    aut_s_p = lat.aut_s(p_idx)
-    back = {v: Q.members[t] for t, v in enumerate(phi)}
-    # positions in Q of the preimages of the members of P
-    preimages = [pos_q[back[y]] for y in lat.subs[p_idx].members]
-    mask = 0
-    for row, coset in lat.coset_rows(q_idx):
-        if tuple(phi[pos_q[row[t]]] for t in preimages) in aut_s_p:
-            mask |= coset
+    mask = _control_mask(lat, q_idx, phi, p_idx)
     # every subgroup is in the lattice, so this lookup is the closure check
     n_idx = lat.shape.mask_index.get(mask)
     if n_idx is None:
@@ -792,23 +816,49 @@ def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> 
 
 def double_coset_reps(F: FusionSystem, q_idx: int, p_idx: int) -> Iterator[MapTuple]:
     """The first isomorphism Q -> P, in table order, of each double coset
-    Aut_S(P) phi Aut_S(Q).
+    Aut_S(P) phi Aut_S(Q) that can fail receptivity.
 
     For phi' = c_h o phi o c_k, N_phi' = k^-1 N_phi k, and phi' extends
     to N_phi' exactly when phi extends to N_phi, so receptivity needs one
-    phi per double coset.  A double coset is a union of the right cosets
-    (alpha o phi) Aut_S(Q), so each alpha whose product is already covered
-    skips its whole coset."""
+    phi per double coset.  The S-conjugations Q -> P, when there are any,
+    are one double coset, c_g Aut_S(Q) = Aut_S(P) c_g for any g in
+    T_S(Q, P), of size |Aut_S(P)|; for phi = c_g on Q, N_phi = N_S(Q) and
+    c_g on N_S(Q) is in F, so phi extends and that double coset is never
+    yielded (``SubgroupLattice.is_conjugation`` tells its members).
+
+    The other double cosets are counted: A phi B with A = Aut_S(P) and
+    B = Aut_S(Q) has |A| |B| / |A cap phi B phi^-1| = |A| |N_S(Q) : N_phi|
+    members, and the scan stops once the double cosets passed cover
+    |Iso_F(Q, P)|.  So when |Iso_F(Q, P)| = |Aut_S(P)| (every class of an
+    inner system) nothing is scanned.  The members of a yielded double
+    coset are listed only when a further double coset exists: a double
+    coset is a union of the right cosets (alpha o phi) Aut_S(Q), so each
+    alpha whose product is already covered skips its whole coset."""
     lat = F.lattice
+    isos = F.iso_maps(q_idx, p_idx)
+    left = lat.aut_s(p_idx)
+    todo = len(isos)
+    conjugate = q_idx == p_idx or lat.transporter_mask(q_idx, p_idx) != 0
+    if conjugate:
+        todo -= len(left)
+    if not todo:
+        return
     pos_p = lat.pos[p_idx]
     pos_q = lat.pos[q_idx]
-    left = lat.aut_s(p_idx)
     right = [[pos_q[y] for y in beta] for beta in lat.aut_s(q_idx)]
-    covered: set[MapTuple] = set()
-    for phi in F.iso_maps(q_idx, p_idx):
-        if phi in covered:
+    normalizer = lat.normalizer_mask(q_idx).bit_count()
+    covered: Optional[set[MapTuple]] = None
+    for phi in isos:
+        if covered is not None and phi in covered:
+            continue
+        if conjugate and lat.is_conjugation(q_idx, phi):
             continue
         yield phi
+        todo -= len(left) * normalizer // _control_mask(lat, q_idx, phi, p_idx).bit_count()
+        if not todo:
+            return
+        if covered is None:
+            covered = set()
         for alpha in left:
             x = tuple(alpha[pos_p[v]] for v in phi)
             if x not in covered:
@@ -820,21 +870,22 @@ def is_receptive(
 ) -> tuple[bool, Optional[MapTuple], Optional[int], Optional[Subgroup]]:
     """Check receptivity of subgroup ``i``; on failure also return the
     failing isomorphism (as a map from the failing class member) and its
-    control subgroup.  One phi per double coset is tested, the first in
-    table order, so the first failing phi is the one a test of every
-    phi finds (``verify.is_receptive_plain``)."""
+    control subgroup.  One phi per double coset that can fail is tested
+    (``double_coset_reps``), the first in table order, so the first
+    failing phi is the one a test of every phi finds
+    (``verify.is_receptive_plain``).  A map psi on N_phi extends phi when
+    it agrees with phi on the generators of Q: psi restricted to Q and
+    phi are homomorphisms."""
     lat = F.lattice
     for q_idx in F.subgroup_class_of(i):
-        Q = lat.subs[q_idx]
+        gens = lat.shape.gens[q_idx]
+        pos_q = lat.pos[q_idx]
         for phi in double_coset_reps(F, q_idx, i):
             n_phi = control_subgroup(F, q_idx, phi, i)
             n_idx = n_phi.canonical_index
-            pos_q = [lat.pos[n_idx][x] for x in Q.members]
-            extended = any(
-                all(psi[t] == phi[s] for s, t in enumerate(pos_q))
-                for psi in F.maps[n_idx]
-            )
-            if not extended:
+            pos_n = lat.pos[n_idx]
+            at = [(pos_n[x], phi[pos_q[x]]) for x in gens]
+            if not any(all(psi[t] == y for t, y in at) for psi in F.maps[n_idx]):
                 return False, phi, q_idx, n_phi
     return True, None, None, None
 

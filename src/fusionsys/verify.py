@@ -35,6 +35,7 @@ from .groups import (
     fitting_split,
     group_prime,
     injective_homs,
+    mask_of,
     members_of,
     omega_central_series,
     perm_compose,
@@ -731,10 +732,12 @@ def _control_subgroup_twin(
 
 def check_conjugation_tables() -> str:
     """The conjugation tables of each lattice agree with ``normalizer_in``,
-    ``centralizer_in`` and directly conjugated maps, and
-    ``control_subgroup`` agrees with its twin on every isomorphism
-    between members of a subgroup class."""
-    subs = controls = 0
+    ``centralizer_in`` and directly conjugated maps; between members of
+    a subgroup class, the transporter masks agree with the elements that
+    conjugate one into the other, and on every isomorphism
+    ``is_conjugation`` agrees with the maps those elements give and
+    ``control_subgroup`` with its twin."""
+    subs = pairs = controls = 0
     for name in catalog.names():
         F = _fusion(name)
         G, lat = F.base, F.lattice
@@ -753,12 +756,28 @@ def check_conjugation_tables() -> str:
             subs += 1
         for cls in F.subgroup_classes():
             for p_idx, q_idx in itertools.product(cls, repeat=2):
+                P, Q = lat.subs[p_idx], lat.subs[q_idx]
+                into = [
+                    g for g in range(G.order)
+                    if all(G.conj(g, x) in P.member_set for x in Q.members)
+                ]
+                assert lat.transporter_mask(q_idx, p_idx) == mask_of(into), (
+                    f"{name}: transporter mask of {Q.members} into {P.members} disagrees"
+                )
+                conjugations = {tuple(G.conj(g, x) for x in Q.members) for g in into}
+                pairs += 1
                 for phi in F.iso_maps(q_idx, p_idx):
+                    assert lat.is_conjugation(q_idx, phi) == (phi in conjugations), (
+                        f"{name}: is_conjugation of {phi} disagrees"
+                    )
                     assert control_subgroup(F, q_idx, phi, p_idx) == (
                         _control_subgroup_twin(F, q_idx, phi, p_idx)
                     ), f"{name}: control subgroup of {phi} disagrees"
                     controls += 1
-    return f"{subs} subgroups and {controls} control subgroups agree with direct conjugation"
+    return (
+        f"{subs} subgroups, {pairs} transporter masks and {controls} control "
+        f"subgroups agree with direct conjugation"
+    )
 
 
 def coset_rows_plain(
@@ -783,7 +802,7 @@ def coset_rows_plain(
 
 def check_coset_rows() -> str:
     """The coset rows of every catalog lattice, whose cosets are read off
-    the product rows as masks, equal the cosets multiplied out and
+    the transporter table as masks, equal the cosets multiplied out and
     sorted.  Fresh lattices are built, so no cached row can hide a
     fault."""
     count = 0
@@ -1022,6 +1041,25 @@ def check_receptive_representatives() -> str:
     )
 
 
+def check_automizers() -> str:
+    """Aut_S(P) lies in Aut_F(P), and so |Aut_S(P)| divides |Aut_F(P)|,
+    on every subgroup of every system of the orbit battery: the index
+    that ``is_fully_automized`` reads off the two orders is whole."""
+    systems = orbit_battery()
+    subs = 0
+    for label, F in systems:
+        for i in range(len(F.lattice.subs)):
+            aut_f, aut_s = F.aut_maps(i), F.lattice.aut_s(i)
+            assert aut_s <= set(aut_f), (
+                f"{label}: inner automorphisms of subgroup {i} missing from the table"
+            )
+            assert len(aut_f) % len(aut_s) == 0, (
+                f"{label}: Lagrange failure in the automorphism groups of subgroup {i}"
+            )
+            subs += 1
+    return f"{subs} subgroups of {len(systems)} systems: Aut_S(P) is a subgroup of Aut_F(P)"
+
+
 def check_radical_by_order() -> str:
     """``is_radical``, which reads most answers off |Out_F(P)|, agrees
     with O_p of the table of Out_F(P) on every subgroup."""
@@ -1050,6 +1088,7 @@ FUSION_CORE_CHECKS = [
     ("element-classes", check_element_classes),
     ("class-closure", check_class_closure),
     ("receptive-representatives", check_receptive_representatives),
+    ("automizers", check_automizers),
     ("radical-by-order", check_radical_by_order),
 ]
 

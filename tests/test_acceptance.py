@@ -97,6 +97,7 @@ LEMMA_SUITE = [
     ("fusion-core", "element-classes"),
     ("fusion-core", "class-closure"),
     ("fusion-core", "receptive-representatives"),
+    ("fusion-core", "automizers"),
     ("fusion-core", "radical-by-order"),
     ("morphisms", "kernel-strongly-closed"),
     ("morphisms", "iso-inverse"),

@@ -238,10 +238,9 @@ def test_conjugation_tables_check_catches_a_dropped_normalizer_element(monkeypat
 
 def test_conjugation_tables_check_catches_a_normalizer_of_the_first_generator(monkeypatch):
     from fusionsys import groups, verify
-    from fusionsys.groups import normalizer_mask, transporters
+    from fusionsys.groups import normalizer_mask
 
-    def first_generator_only(conj, shape):
-        trans = transporters(conj)
+    def first_generator_only(trans, shape):
         return [
             normalizer_mask(trans, gens[:1], mask)
             for gens, mask in zip(shape.gens, shape.masks)
@@ -257,6 +256,22 @@ def test_conjugation_tables_check_catches_a_normalizer_of_the_first_generator(mo
     assert "normalizer table" in result.detail
 
 
+def test_conjugation_tables_check_catches_a_conjugation_test_on_the_first_generator(monkeypatch):
+    assert _fusion_core_result("conjugation-tables").passed
+
+    def first_generator_only(self, q, phi):
+        trans, pos = self.transporter_table(), self.pos[q]
+        mask = (1 << len(trans)) - 1
+        for x in self.shape.gens[q][:1]:
+            mask &= trans[x].get(phi[pos[x]], 0)
+        return mask != 0
+
+    monkeypatch.setattr(fusion_mod.SubgroupLattice, "is_conjugation", first_generator_only)
+    result = _fusion_core_result("conjugation-tables")
+    assert not result.passed
+    assert "is_conjugation of" in result.detail
+
+
 # D8 x D8, Sym4 x Sym4 and C2^5 at p = 2, the groups of the p2-lattice
 # benchmark workload: lattices of 374 to 389 subgroups.
 P2_GROUPS = {
@@ -268,7 +283,13 @@ P2_GROUPS = {
 
 @pytest.mark.parametrize("name", list(P2_GROUPS))
 def test_large_p2_lattices_match_their_plain_twins(name):
-    from fusionsys.verify import enumerate_subgroups_plain, fusion_table_plain
+    from fusionsys.groups import members_of
+    from fusionsys.verify import (
+        coset_rows_plain,
+        enumerate_subgroups_plain,
+        fusion_table_plain,
+        is_receptive_plain,
+    )
 
     cycles, points = P2_GROUPS[name]
     G = perm_group(*cycles, points=points)
@@ -277,7 +298,11 @@ def test_large_p2_lattices_match_their_plain_twins(name):
     assert [s.members for s in lat.subs] == enumerate_subgroups_plain(S)
     for i, sub in enumerate(lat.subs):
         assert lat.normalizer(i) == sub.normalizer_in().members, sub.members
+        assert lat.centralizer(i) == sub.centralizer_in().members, sub.members
+        rows = tuple((row, members_of(mask)) for row, mask in lat.coset_rows(i))
+        assert rows == coset_rows_plain(F, i), sub.members
     assert list(F.map_sets) == [frozenset(ms) for ms in fusion_table_plain(G, 2)]
+    assert saturation_report(F) == fusion_mod.saturation_scan(F, is_receptive_plain)
 
 
 def test_iso_maps_are_filed_once_per_domain():
@@ -629,6 +654,44 @@ def test_receptivity_check_catches_one_isomorphism_per_class_member(monkeypatch)
     assert "differs from the plain loop" in result.detail
 
 
+def test_receptivity_check_catches_a_conjugation_shortcut_without_conjugacy(monkeypatch):
+    assert _fusion_core_result("receptive-representatives").passed
+    reps = fusion_mod.double_coset_reps
+
+    def pre_covering(F, q_idx, p_idx):
+        found = reps(F, q_idx, p_idx)
+        if not F.lattice.transporter_mask(q_idx, p_idx):
+            # treat the first double coset as the S-conjugations Q -> P
+            next(found, None)
+        yield from found
+
+    monkeypatch.setattr(fusion_mod, "double_coset_reps", pre_covering)
+    result = _fusion_core_result("receptive-representatives")
+    assert not result.passed
+    assert "differs from the plain loop" in result.detail
+
+
+def test_automizer_check_catches_a_missing_inner_automorphism(monkeypatch):
+    from fusionsys import verify
+
+    assert _fusion_core_result("automizers").passed
+    battery = verify.orbit_battery
+
+    def with_a_gap():
+        F = fusion("sym4")
+        lat = F.lattice
+        # drop a conjugation map of the full subgroup other than the identity
+        i = lat.full_index
+        inner = sorted(lat.aut_s(i) - {lat.subs[i].members})[0]
+        maps = [ms if j != i else [m for m in ms if m != inner] for j, ms in enumerate(F.maps)]
+        return battery() + [("sym4 without an inner map", FusionSystem(F.base, F.p, maps))]
+
+    monkeypatch.setattr(verify, "orbit_battery", with_a_gap)
+    result = _fusion_core_result("automizers")
+    assert not result.passed
+    assert "inner automorphisms of subgroup" in result.detail
+
+
 def test_radical_check_catches_p_power_out_called_radical(monkeypatch):
     from fusionsys import verify
 
@@ -690,6 +753,30 @@ def test_saturation_makes_one_control_subgroup_per_double_coset(monkeypatch):
             for q_idx in fresh.subgroup_class_of(i)
         )
         assert len(controls) <= bound, name
+
+
+def test_saturation_of_inner_systems_builds_no_control_subgroup(monkeypatch):
+    control = fusion_mod.control_subgroup
+    controls = []
+
+    def counting_control(F, q_idx, phi, p_idx):
+        controls.append(p_idx)
+        return control(F, q_idx, phi, p_idx)
+
+    monkeypatch.setattr(fusion_mod, "control_subgroup", counting_control)
+    systems = [fusion(name) for name in catalog.names() if name.startswith("inner-")]
+    cycles, points = P2_GROUPS["d8xd8"]
+    systems.append(fusion_of_group(perm_group(*cycles, points=points), 2))
+    for F in systems:
+        report = saturation_report(fusion_mod.FusionSystem(F.base, F.p, F.maps))
+        assert report.verdict
+    assert len(systems) == 9
+    # every isomorphism of an inner system is an S-conjugation
+    assert controls == []
+    # a system with fusion outside S still builds them
+    sym4 = fusion("sym4")
+    saturation_report(fusion_mod.FusionSystem(sym4.base, sym4.p, sym4.maps))
+    assert controls
 
 
 def test_radicality_builds_out_f_only_for_mixed_orders(monkeypatch):
