@@ -153,15 +153,15 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
         raise NotNormal(
             "complement is not fusion-preserving", witness=exc.witness
         ) from exc
+    # f + chi sends x to f(x) f(x)^-1 x = x, so only the commuting test
+    # of the sum can fail
     try:
-        total = sum_morphisms([f, chi])
+        sum_morphisms([f, chi])
     except NotSummable as exc:
         raise NotNormal(
             "images of f and its complement do not commute",
             witness=exc.witness,
         ) from exc
-    if total.images != tuple(range(G.order)):
-        raise InternalInconsistency("f plus its complement is not the identity")
     surjective = len(set(f.images)) == G.order
     # a bijective endomorphism of a finite-based system is an automorphism:
     # the induced functor injects the finite morphism set into itself

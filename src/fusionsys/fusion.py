@@ -486,15 +486,8 @@ def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
 # construction from a finite group
 
 
-def fusion_of_group(
-    G: FiniteGroup,
-    p: int,
-    S: Optional[Subgroup] = None,
-    *,
-    limits: Optional[guardrails.Guardrails] = None,
-) -> FusionSystem:
+def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> FusionSystem:
     """The conjugation fusion system of ``G`` on a Sylow p-subgroup."""
-    limits = limits or guardrails.active()
     if S is None:
         S = sylow(G, p)
     else:

@@ -789,15 +789,15 @@ def enumerate_subgroups(G: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]
     """Member tuples of all subgroups of ``G`` in canonical order, each
     mapped to the generating sequence it was reached by.
 
-    A p-group with a dense table is extended normally by index p
-    (``_extend_normally``); any other group closes each subgroup extended
-    by one element of each coset (``_extend_by_cosets``).  ``subgroups``
-    runs this once per multiplication table;
-    ``verify.enumerate_subgroups_plain`` (one closure per element) is its
-    twin.
+    A p-group with a dense table, the trivial group included, is
+    extended normally by index p (``_extend_normally``); any other group
+    closes each subgroup extended by one element of each coset
+    (``_extend_by_cosets``).  ``subgroups`` runs this once per
+    multiplication table; ``verify.enumerate_subgroups_plain`` (one
+    closure per element) is its twin.
     """
     p = _least_prime(G.order)
-    if G.order > 1 and _is_p_power(G.order, p) and G._mul is not None:
+    if _is_p_power(G.order, p) and G._mul is not None:
         found = list(_extend_normally(G, p).values())
     else:
         found = list(_extend_by_cosets(G).items())
@@ -913,7 +913,16 @@ class CharacteristicSubgroups:
 
 
 def characteristic_subgroups(G: FiniteGroup, p: int) -> CharacteristicSubgroups:
-    """Center, derived subgroup and the two p-local cores of ``G``."""
+    """Center, derived subgroup and the two p-local cores of ``G``.
+
+    O_p'(G) is generated by the closures <C> of the conjugacy classes C
+    for which |<C>| is prime to p, found in one pass over the classes:
+    each <C> is normal; every normal p'-subgroup N is generated by the
+    <C> with C in N, and all of those are p'; and a product of normal
+    p'-subgroups is p'.  A class inside the closures joined so far adds
+    nothing and is skipped.  ``verify.o_p_prime_plain`` (the largest
+    normal p'-member of ``subgroups(G)``) is its twin.
+    """
     center = Subgroup(G, G.center_members(), _checked=True)
     commutators = {
         G.mul(G.mul(x, y), G.inv(G.mul(y, x)))
@@ -922,40 +931,17 @@ def characteristic_subgroups(G: FiniteGroup, p: int) -> CharacteristicSubgroups:
     }
     derived = G.generated_subgroup(commutators)
 
-    # Normal subgroups are exactly the joins of normal closures of
-    # conjugacy classes, so the largest normal p'-subgroup is the join of
-    # the p'-ones among those.
-    normals = _normal_subgroup_lattice(G)
-    coprime = [N for N in normals if len(N) % p != 0]
-    join: set[int] = {0}
-    for N in coprime:
-        join.update(N)
-    o_p_prime = G.generated_subgroup(join)
-    if o_p_prime.order % p == 0 and o_p_prime.order > 1:
-        raise NotSubgroup("join of coprime normal subgroups is not coprime")
+    coprime = {0}
+    for cls in G.conjugacy_classes():
+        if cls[0] not in coprime:
+            closed = _closure_ids(G, cls)
+            if len(closed) % p:
+                coprime.update(closed)
+    o_p_prime = G.generated_subgroup(coprime)
 
     p_elements = [x for x in range(G.order) if _is_p_power(G.element_order(x), p)]
     o_upper = G.generated_subgroup(p_elements)
     return CharacteristicSubgroups(center, derived, o_p_prime, o_upper)
-
-
-def _normal_subgroup_lattice(G: FiniteGroup) -> list[tuple[int, ...]]:
-    seeds = []
-    for cls in G.conjugacy_classes():
-        seeds.append(_closure_ids(G, cls))
-    normals = {(0,)}
-    normals.update(seeds)
-    changed = True
-    while changed:
-        changed = False
-        current = list(normals)
-        for a in current:
-            for b in current:
-                joined = _closure_ids(G, set(a) | set(b))
-                if joined not in normals:
-                    normals.add(joined)
-                    changed = True
-    return sorted(normals, key=lambda m: (len(m), m))
 
 
 def _is_p_power(n: int, p: int) -> bool:

@@ -49,8 +49,3 @@ _ACTIVE = from_env()
 
 def active() -> Guardrails:
     return _ACTIVE
-
-
-def set_active(g: Guardrails) -> None:
-    global _ACTIVE
-    _ACTIVE = g

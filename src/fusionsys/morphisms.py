@@ -2,7 +2,7 @@
 
 A morphism is a group homomorphism between the base groups that pushes
 every source morphism to a target morphism; the induced functor is
-determined by the underlying map and cached.
+determined by the underlying map.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from .fusion import (
 class FusionMorphism:
     """A fusion-preserving homomorphism between base groups."""
 
-    __slots__ = ("source", "target", "images", "_functor")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: FusionSystem, target: FusionSystem, images: MapTuple):
         self.source = source
         self.target = target
         self.images = tuple(images)
-        self._functor: dict[tuple[int, MapTuple], tuple[int, MapTuple]] = {}
 
     def map(self, x: int) -> int:
         return self.images[x]
@@ -57,10 +56,6 @@ class FusionMorphism:
 
     def push_map(self, dom_idx: int, m: MapTuple) -> tuple[int, MapTuple]:
         """Image of a source morphism under the induced functor."""
-        key = (dom_idx, m)
-        cached = self._functor.get(key)
-        if cached is not None:
-            return cached
         members = self.source.lattice.subs[dom_idx].members
         out: dict[int, int] = {}
         for t, x in enumerate(members):
@@ -70,9 +65,7 @@ class FusionMorphism:
                 raise InternalInconsistency("functor image is not well defined")
         new_members = tuple(sorted(out))
         new_idx = self.target.index_of(new_members)
-        pushed = tuple(out[y] for y in new_members)
-        self._functor[key] = (new_idx, pushed)
-        return (new_idx, pushed)
+        return (new_idx, tuple(out[y] for y in new_members))
 
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.target.base, set(self.images), _checked=True)

@@ -112,6 +112,7 @@ LEMMA_SUITE = [
     ("group-core", "fitting-split"),
     ("group-core", "cayley-tables"),
     ("group-core", "containment"),
+    ("group-core", "o-p-prime"),
     ("factor", "normal-end-properties"),
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),

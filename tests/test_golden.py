@@ -1,9 +1,11 @@
 """Golden corpus: canonical hashes of the CLI reports over the catalog.
 
-Every catalog entry gets ``fusion of-group``, ``analyze`` and
-``factorize``; every multi-factor entry except ``inner-c3c3c3`` (whose
-exhaustive search takes seconds) also gets ``factorize --exhaustive``
-and a ``krs`` certificate between its first and last factorization.
+Every catalog entry gets ``group describe --p`` at its prime,
+``fusion of-group``, ``analyze`` and ``factorize``; every multi-factor
+entry except ``inner-c3c3c3`` (whose exhaustive search takes seconds)
+also gets ``factorize --exhaustive`` and a ``krs`` certificate between
+its first and last factorization.  The 2-groups and Sym4 x C2 in
+GOLDSCHMIDT also get ``goldschmidt``.
 A refactor must keep every hash unchanged; a changed hash needs a
 CHANGES.md entry that states the change in behaviour.
 
@@ -20,6 +22,7 @@ from fusionsys import catalog, cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 NO_EXHAUSTIVE = {"inner-c3c3c3"}
+GOLDSCHMIDT = ("inner-c2c2", "inner-d8-c2", "sym4-c2")
 
 
 def report_hashes(workdir: pathlib.Path) -> dict[str, str]:
@@ -34,6 +37,10 @@ def report_hashes(workdir: pathlib.Path) -> dict[str, str]:
 
     for name in catalog.names():
         src = ["--catalog", name]
+        prime = str(catalog.entry(name).prime)
+        run(f"{name}/group-describe", ["group", "describe", *src, "--p", prime])
+        if name in GOLDSCHMIDT:
+            run(f"{name}/goldschmidt", ["goldschmidt", *src])
         run(f"{name}/fusion-of-group", ["fusion", "of-group", *src])
         run(f"{name}/analyze", ["analyze", *src])
         if run(f"{name}/factorize", ["factorize", *src])["parts"] == 1:

@@ -3,6 +3,7 @@ series and splittings.  Derived values are frozen against independent
 oracles (sympy's Schreier-Sims order, counting formulas, raw brute
 force)."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -227,10 +228,11 @@ FULL_GROUP_LIMIT = 108
 
 def _lattices_match_plain(name):
     """The memoized lattices of the entry's full group (up to
-    FULL_GROUP_LIMIT elements), of its Sylow subgroup and of every
-    subgroup of that equal the one-closure-per-element enumeration.  The
-    full group goes first, then the Sylow subgroup, so a wrong lattice is
-    caught before its members are taken for subgroups."""
+    FULL_GROUP_LIMIT elements), of its Sylow subgroup, of every subgroup
+    of that and of the trivial group equal the one-closure-per-element
+    enumeration.  The full group goes first, then the Sylow subgroup, so
+    a wrong lattice is caught before its members are taken for
+    subgroups."""
     b = catalog.built(name)
     full = [b.group] if b.group.order <= FULL_GROUP_LIMIT else []
 
@@ -242,7 +244,7 @@ def _lattices_match_plain(name):
 
     return all(
         [s.members for s in subgroups(G)] == enumerate_subgroups_plain(G)
-        for G in itertools.chain(full, sylow_lattices())
+        for G in itertools.chain(full, sylow_lattices(), [perm_group([], points=1)])
     )
 
 
@@ -299,11 +301,12 @@ def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
 
 
 def test_p_group_lattice_makes_no_closure(monkeypatch):
-    G = perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+    c2_5 = perm_group([[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]], points=10)
+    trivial = perm_group([], points=1)
     calls = _counting_closures(monkeypatch)
-    lattice = enumerate_subgroups(G)
-    # sum over k of the Gaussian binomials [5, k]_2
-    assert len(lattice) == 374
+    # C2^5: the sum over k of the Gaussian binomials [5, k]_2
+    for G, count in ((c2_5, 374), (trivial, 1)):
+        assert len(enumerate_subgroups(G)) == count
     assert calls == []
 
 
@@ -377,6 +380,40 @@ def test_o_p_prime_against_normal_scan():
     )
     assert chars.o_p_prime.members == best.members
     assert chars.o_p_prime.order == 9
+
+
+def test_o_p_prime_check_catches_joining_one_class(monkeypatch):
+    from fusionsys import verify
+
+    check = dict(verify.GROUP_CORE_CHECKS)["o-p-prime"]
+    assert verify._run("group-core/o-p-prime", check).passed
+
+    def first_class_only(G, p):
+        chars = characteristic_subgroups(G, p)
+        for cls in G.conjugacy_classes()[1:]:
+            closed = G.generated_subgroup(cls)
+            if closed.order % p:
+                return dataclasses.replace(chars, o_p_prime=closed)
+        return chars
+
+    # on Sigma3 x Sigma3 at p = 2 the rule finds one C3 of O_2' = C3 x C3
+    G = catalog.built("sigma3-squared").group
+    assert first_class_only(G, 2).o_p_prime.order == 3
+    assert len(verify.o_p_prime_plain(G, 2)) == 9
+    monkeypatch.setattr(verify, "characteristic_subgroups", first_class_only)
+    result = verify._run("group-core/o-p-prime", check)
+    assert not result.passed
+    assert "differs from the normal-subgroup scan" in result.detail
+
+
+def test_characteristic_subgroups_close_each_class_at_most_once(monkeypatch):
+    G = catalog.built("sym4-c2").group
+    classes = len(G.conjugacy_classes())
+    calls = _counting_closures(monkeypatch)
+    characteristic_subgroups(G, 2)
+    # one closure per conjugacy class, then the derived subgroup, O_p'
+    # and O^p'
+    assert len(calls) <= classes + 3
 
 
 # -- normal closure and Sylow -------------------------------------------------
