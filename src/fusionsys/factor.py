@@ -18,7 +18,8 @@ failure reruns the full scan, so witnesses are unchanged):
 - ``normal_automorphisms``: the center/focal criterion on the
   generators of Aut(S,F), and on every map only when one fails;
 - Aut(S,F) is all of Aut(S) once the maps of the stabiliser chain of
-  Aut(S) preserve F, and is filtered coset by coset otherwise;
+  Aut(S) preserve F; otherwise it comes, like End(S,F), from the
+  F-class-labelled homomorphism search filtered by ``check_morphism``;
 - equivariance on the generators of S, and the certificate's transport
   of the part tables entrywise.
 
@@ -62,6 +63,7 @@ from .groups import (
     _homs,
     automorphism_chain,
     injective_homs,
+    multiply_out,
     normal_closure,
     p_part,
     characteristic_subgroups,
@@ -176,14 +178,8 @@ class OmegaContext:
     closure: tuple[MapTuple, ...]
 
     @classmethod
-    def from_morphisms(
-        cls,
-        F: FusionSystem,
-        gens: Sequence[FusionMorphism],
-        *,
-        limits: Optional[guardrails.Guardrails] = None,
-    ) -> "OmegaContext":
-        limits = limits or guardrails.active()
+    def from_morphisms(cls, F: FusionSystem, gens: Sequence[FusionMorphism]) -> "OmegaContext":
+        limit = guardrails.active().omega_limit
         for w in gens:
             if w.source is not F or w.target is not F:
                 raise NotSubgroup("context generators must be endomorphisms")
@@ -201,10 +197,8 @@ class OmegaContext:
                     if comp not in closure:
                         closure.add(comp)
                         nxt.append(comp)
-                        if len(closure) > limits.omega_limit:
-                            raise GuardrailExceeded(
-                                f"automorphism context exceeds {limits.omega_limit}"
-                            )
+                        if len(closure) > limit:
+                            raise GuardrailExceeded(f"automorphism context exceeds {limit}")
             frontier = nxt
         return cls(tuple(gens), tuple(sorted(closure)))
 
@@ -245,65 +239,44 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 
 
 def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphism]:
+    """The fusion-preserving endomorphisms of F (automorphisms only when
+    ``injective``) in image-tuple order, cached on F.  The generators of
+    Aut(S,F) go to ``F._automorphism_generators``.
+
+    Aut(S,F) is a subgroup of Aut(S).  So when every map of the
+    stabiliser chain of Aut(S) preserves F, all of Aut(S) does: it is
+    multiplied out of the chain, and the chain generates it.  Otherwise
+    both kinds of self-map come from one search: the homomorphisms
+    S -> S that send each F-class into one F-class (``_homs`` with class
+    labels), each accepted by ``check_morphism``; the accepted list is
+    its own generating set."""
     cached = F._automorphisms if injective else F._endomorphisms
-    if cached is None:
-        if injective:
-            cached = F._automorphisms = _fusion_subgroup(F, *automorphism_chain(F.base))
-        else:
-            labels = [0] * F.base.order
-            for c, members in enumerate(F.element_classes()):
-                for x in members:
-                    labels[x] = c
-            full = F.base.full_subgroup()
-            cached = []
-            for h in _homs(full, full, False, None, labels):
-                try:
-                    cached.append(check_morphism(F, F, h.images, hom_checked=True))
-                except NotFusionPreserving:
-                    continue
-            F._endomorphisms = cached
-    return cached
-
-
-def _fusion_subgroup(
-    F: FusionSystem, levels: list[list[MapTuple]], autos: list[MapTuple]
-) -> list[FusionMorphism]:
-    """The fusion-preserving members of Aut(S), given as the list
-    ``autos`` and the chain ``levels`` whose union generates it.
-    Generators of the result go to ``F._automorphism_generators``.
-
-    They form a group.  So when every level element preserves F, all of
-    Aut(S) does, and the list is returned as it is.  Otherwise a
-    candidate in the group H generated by the maps accepted so far is
-    kept untested, and one in a coset r o H of a rejected map r is
-    skipped: if r o h preserved F for some h in H, so would
-    r = (r o h) o h^-1.  Every other candidate goes through
-    ``check_morphism``, and the accepted ones generate the result.
-    """
-    chain = [u for level in levels for u in level]
-    if all(_preserves(F, u) for u in chain):
-        F._automorphism_generators = chain
-        return [FusionMorphism(F, F, a) for a in autos]
-    identity = tuple(range(F.base.order))
-    accepted: list[MapTuple] = []
-    H = {identity}
-    rejected: set[MapTuple] = set()
-    out = []
-    for a in autos:
-        if a in H:
-            out.append(FusionMorphism(F, F, a))
-            continue
-        if a in rejected:
-            continue
+    if cached is not None:
+        return cached
+    if injective:
+        levels = automorphism_chain(F.base)
+        chain = [u for level in levels for u in level]
+        if all(_preserves(F, u) for u in chain):
+            F._automorphism_generators = chain
+            F._automorphisms = [FusionMorphism(F, F, a) for a in multiply_out(F.base, levels)]
+            return F._automorphisms
+    labels = [0] * F.base.order
+    for c, members in enumerate(F.element_classes()):
+        for x in members:
+            labels[x] = c
+    full = F.base.full_subgroup()
+    found = []
+    for h in _homs(full, full, injective, labels):
         try:
-            out.append(check_morphism(F, F, a, hom_checked=True))
+            found.append(check_morphism(F, F, h.images, hom_checked=True))
         except NotFusionPreserving:
-            rejected.update(_coset(a, H))
             continue
-        accepted.append(a)
-        H = _join(H, accepted)
-    F._automorphism_generators = accepted
-    return out
+    if injective:
+        F._automorphisms = found
+        F._automorphism_generators = [m.images for m in found]
+    else:
+        F._endomorphisms = found
+    return found
 
 
 def _preserves(F: FusionSystem, a: MapTuple) -> bool:
@@ -312,27 +285,6 @@ def _preserves(F: FusionSystem, a: MapTuple) -> bool:
     except NotFusionPreserving:
         return False
     return True
-
-
-def _coset(r: MapTuple, H: Iterable[MapTuple]) -> set[MapTuple]:
-    """r o H."""
-    return {tuple(r[v] for v in h) for h in H}
-
-
-def _join(H: set[MapTuple], gens: Sequence[MapTuple]) -> set[MapTuple]:
-    """The group generated by the group ``H`` and ``gens``, which must
-    include generators of H, built one left coset x o H at a time
-    (Dimino's method): left multiplication by the generators reaches
-    every coset."""
-    group = set(H)
-    reps = [tuple(range(len(gens[0])))]
-    for r in reps:
-        for g in gens:
-            x = tuple(g[v] for v in r)
-            if x not in group:
-                group.update(_coset(x, H))
-                reps.append(x)
-    return group
 
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:

@@ -683,8 +683,6 @@ class _ClassClosure:
 def close_maps(
     base: FiniteGroup,
     seeds: Iterable[tuple[int, MapTuple]],
-    *,
-    limits: Optional[guardrails.Guardrails] = None,
 ) -> list[set[MapTuple]]:
     """Least morphism table containing the seeds and the inner maps,
     closed under restriction, composition and inversion of isomorphisms
@@ -702,9 +700,8 @@ def close_maps(
     the elementwise worklist, is its twin.  The guardrail counts the
     table's size as it grows, so it trips exactly when the finished
     table would exceed ``table_limit``."""
-    limits = limits or guardrails.active()
     lat = lattice_of(base)
-    classes = _ClassClosure(lat, limits.table_limit)
+    classes = _ClassClosure(lat, guardrails.active().table_limit)
     queue: deque[tuple[int, MapTuple]] = deque(
         (lat.full_index, tuple(row)) for row in lat.conj_table()
     )
@@ -728,7 +725,6 @@ def generated_fusion(
     gens: Sequence[GroupHom],
     *,
     p: Optional[int] = None,
-    limits: Optional[guardrails.Guardrails] = None,
 ) -> FusionSystem:
     """Smallest fusion system over ``S`` containing the inner maps and the
     given injective homomorphisms between subgroups of ``S``."""
@@ -741,7 +737,7 @@ def generated_fusion(
         if not h.is_injective:
             raise NotSubgroup("generators must be injective")
         seeds.append((lat.index_of(h.domain.members), h.images))
-    store = close_maps(S, seeds, limits=limits)
+    store = close_maps(S, seeds)
     return FusionSystem(S, p, store)
 
 

@@ -230,10 +230,9 @@ class FiniteGroup:
         *,
         points: Optional[int] = None,
         prime_hint: Optional[int] = None,
-        limits: Optional[guardrails.Guardrails] = None,
     ) -> "FiniteGroup":
         """Close permutation generators by BFS in input order."""
-        limits = limits or guardrails.active()
+        limit = guardrails.active().closure_limit
         if not gens:
             raise NotBijection("generator list is empty")
         k = points if points is not None else len(gens[0])
@@ -264,10 +263,8 @@ class FiniteGroup:
                         parent.append(x)
                         via.append(v)
                         nxt.append(t)
-                        if len(elements) > limits.closure_limit:
-                            raise ClosureTooLarge(
-                                f"closure exceeds guardrail {limits.closure_limit}"
-                            )
+                        if len(elements) > limit:
+                            raise ClosureTooLarge(f"closure exceeds guardrail {limit}")
                     right[v].append(t)
             queue = nxt
         n = len(elements)
@@ -762,13 +759,13 @@ def _least_prime(n: int) -> int:
 _LATTICES: dict[tuple[tuple[int, ...], ...], LatticeShape] = {}
 
 
-def subgroups(G: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None) -> list[Subgroup]:
+def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of ``G`` in canonical (order, member tuple) order."""
     if G._subgroups is None:
-        limits = limits or guardrails.active()
-        if G.order > limits.subgroup_limit:
+        limit = guardrails.active().subgroup_limit
+        if G.order > limit:
             raise GroupTooLarge(
-                f"subgroup enumeration limited to order {limits.subgroup_limit}, got {G.order}"
+                f"subgroup enumeration limited to order {limit}, got {G.order}"
             )
         if G._mul is None:
             shape = LatticeShape(enumerate_subgroups(G))
@@ -1025,16 +1022,13 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def _search_space(
-    P: Subgroup,
-    Q: Subgroup,
-    injective: bool,
-    limits: Optional[guardrails.Guardrails],
+    P: Subgroup, Q: Subgroup, injective: bool
 ) -> tuple[tuple[int, ...], list[list[int]]]:
     """The generating sequence of ``P`` and the image candidates of each
     generator in ``Q``: same order when ``injective``, dividing order
     otherwise.  Raises GuardrailExceeded when the candidate space is over
     ``hom_search_limit``."""
-    limits = limits or guardrails.active()
+    limit = guardrails.active().hom_search_limit
     A, B = P.parent, Q.parent
     gens = _greedy_generating_sequence(A, P.members)
     candidates: list[list[int]] = []
@@ -1047,10 +1041,8 @@ def _search_space(
             opts = [q for q in Q.members if og % B.element_order(q) == 0]
         candidates.append(opts)
         space *= max(len(opts), 1)
-        if space > limits.hom_search_limit:
-            raise GuardrailExceeded(
-                f"hom search space {space} exceeds {limits.hom_search_limit}"
-            )
+        if space > limit:
+            raise GuardrailExceeded(f"hom search space {space} exceeds {limit}")
     return gens, candidates
 
 
@@ -1124,11 +1116,7 @@ def _leaves(
 
 
 def _homs(
-    P: Subgroup,
-    Q: Subgroup,
-    injective: bool,
-    limits: Optional[guardrails.Guardrails],
-    labels: Optional[Sequence[int]] = None,
+    P: Subgroup, Q: Subgroup, injective: bool, labels: Optional[Sequence[int]] = None
 ) -> list[GroupHom]:
     """Homomorphisms P -> Q (only the injective ones when ``injective``)
     by backtracking on generators.
@@ -1139,7 +1127,7 @@ def _homs(
     """
     if injective and P.order > Q.order:
         return []
-    gens, candidates = _search_space(P, Q, injective, limits)
+    gens, candidates = _search_space(P, Q, injective)
     if not gens:
         return [GroupHom(P, Q, (0,), _checked=True)]
     results = {
@@ -1151,14 +1139,14 @@ def _homs(
     return [GroupHom(P, Q, images, _checked=True) for images in sorted(results)]
 
 
-def injective_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
+def injective_homs(P: Subgroup, Q: Subgroup) -> list[GroupHom]:
     """All injective homomorphisms P -> Q, in image-tuple order."""
-    return _homs(P, Q, True, limits)
+    return _homs(P, Q, True)
 
 
-def all_homs(P: Subgroup, Q: Subgroup, *, limits=None) -> list[GroupHom]:
+def all_homs(P: Subgroup, Q: Subgroup) -> list[GroupHom]:
     """All homomorphisms P -> Q, in image-tuple order."""
-    return _homs(P, Q, False, limits)
+    return _homs(P, Q, False)
 
 
 def _transversal(
@@ -1176,33 +1164,38 @@ def _transversal(
     return level
 
 
-def automorphism_chain(G: FiniteGroup, *, limits=None) -> tuple[list[list[Perm]], list[Perm]]:
-    """The levels of a stabiliser chain of Aut(G), and Aut(G) multiplied
-    out of them in image-tuple order.
+def automorphism_chain(G: FiniteGroup) -> list[list[Perm]]:
+    """The levels of a stabiliser chain of Aut(G).
 
     The generating sequence b_1..b_k is a base: level i holds one
     automorphism u fixing b_1..b_{i-1} for each image of b_i.  Every
     automorphism is u_1 o ... o u_k in exactly one way, because the b_i
-    generate G, so |Aut(G)| comes from a few first-leaf searches and not
-    from a search tree with one leaf per automorphism.  In particular the
-    union of the levels generates Aut(G).
+    generate G, so |Aut(G)| is the product of the level sizes, found by
+    a few first-leaf searches and not by a search tree with one leaf per
+    automorphism.  In particular the union of the levels generates
+    Aut(G); ``multiply_out`` lists it.
     """
     full = G.full_subgroup()
-    gens, candidates = _search_space(full, full, True, limits)
-    levels = [_transversal(G, gens, candidates, i) for i in range(len(gens))]
+    gens, candidates = _search_space(full, full, True)
+    return [_transversal(G, gens, candidates, i) for i in range(len(gens))]
+
+
+def multiply_out(G: FiniteGroup, levels: Sequence[Sequence[Perm]]) -> list[Perm]:
+    """Every u_1 o ... o u_k with u_i in level i of ``automorphism_chain``,
+    which is all of Aut(G) once, in image-tuple order."""
     autos: list[Perm] = [tuple(range(G.order))]
     for level in reversed(levels):
         autos = [tuple(map(u.__getitem__, a)) for u in level for a in autos]
-    return levels, sorted(autos)
+    return sorted(autos)
 
 
-def automorphisms(G: FiniteGroup, *, limits=None) -> list[GroupHom]:
+def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     """Aut(G) in image-tuple order, from ``automorphism_chain``.
     ``injective_homs`` is the exhaustive twin."""
     full = G.full_subgroup()
     return [
         GroupHom(full, full, images, _checked=True)
-        for images in automorphism_chain(G, limits=limits)[1]
+        for images in multiply_out(G, automorphism_chain(G))
     ]
 
 
@@ -1314,14 +1307,12 @@ class DirectProduct:
     proj2: GroupHom
 
 
-def direct_product(
-    G1: FiniteGroup, G2: FiniteGroup, *, limits: Optional[guardrails.Guardrails] = None
-) -> DirectProduct:
+def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> DirectProduct:
     """External direct product with ids ``(a, b) -> a*|G2| + b``."""
-    limits = limits or guardrails.active()
+    limit = guardrails.active().closure_limit
     n1, n2 = G1.order, G2.order
-    if n1 * n2 > limits.closure_limit:
-        raise GroupTooLarge(f"product order {n1 * n2} exceeds {limits.closure_limit}")
+    if n1 * n2 > limit:
+        raise GroupTooLarge(f"product order {n1 * n2} exceeds {limit}")
     n = n1 * n2
 
     def enc(a: int, b: int) -> int:

@@ -1291,7 +1291,7 @@ def hom_law_battery(G: FiniteGroup) -> list[MapTuple]:
     last generator g for every c != 1 (which obeys the law at every
     other generator)."""
     n = G.order
-    maps = [u for level in automorphism_chain(G)[0] for u in level]
+    maps = [u for level in automorphism_chain(G) for u in level]
     maps += [tuple(range(n)), tuple(G.inv(x) for x in range(n))]
     maps.append(tuple(G.mul(x, x) for x in range(n)))
     if not G.generators:
@@ -1953,16 +1953,16 @@ def check_factorizations_are_products() -> str:
 
 def check_self_map_search() -> str:
     """The fusion-aware self-map search against its plain twin: every
-    homomorphism S -> S from the exhaustive backtracker, filtered by
-    ``check_morphism_plain``.  Aut(S) from the base transversals is
-    compared with ``injective_homs``, and Aut(S,F), which is all of
-    Aut(S) once the transversal maps preserve F, with the filtered list
-    of ``injective_homs``.  The search runs on a fresh copy of each
-    system, so no list cached by an earlier call can hide a fault.  The
-    systems are the catalog's and the unsaturated battery's, where
-    often only the last transversal holds maps that leave F.  The twin
-    runs once per multiplication table; the endomorphisms of
-    ``inner-c3c3c3`` (19683 of them) are left out."""
+    homomorphism S -> S from the exhaustive backtracker without class
+    labels, filtered by ``check_morphism_plain``.  Aut(S) from the base
+    transversals is compared with ``injective_homs``, and Aut(S,F) (all
+    of Aut(S) once the transversal maps preserve F, else the labelled
+    search) with the filtered ``injective_homs``, on a fresh copy of
+    each system, so no cached list can hide a fault.  The systems are
+    the catalog's and the unsaturated battery's, where often only the
+    last transversal holds maps that leave F.  The twin runs once per
+    multiplication table; the endomorphisms of ``inner-c3c3c3`` (19683
+    of them) are left out."""
     compared: set[int] = set()
     autos = endos = 0
     systems = self_map_systems()

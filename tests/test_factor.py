@@ -217,9 +217,8 @@ def test_omega_check_catches_a_dropped_generator(monkeypatch):
 def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
     from fusionsys import verify
 
-    def last_level_dropped(G, **kwargs):
-        levels, autos = groups.automorphism_chain(G, **kwargs)
-        return levels[:-1], autos
+    def last_level_dropped(G):
+        return groups.automorphism_chain(G)[:-1]
 
     monkeypatch.setattr(factor, "automorphism_chain", last_level_dropped)
     result = verify._run(
@@ -240,11 +239,31 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
 
     monkeypatch.setattr(factor, "check_morphism", counting)
     autos = factor.fusion_automorphisms(fresh)
-    levels, _ = groups.automorphism_chain(F.base)
+    levels = groups.automorphism_chain(F.base)
     # |GL(3,3)| = 26 * 24 * 18, and one test per chain map
     assert len(autos) == 11232
     assert calls == [u for level in levels for u in level]
     assert sum(map(len, levels)) == 26 + 24 + 18
+
+
+def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
+    # on sigma3-cubed-paired some chain map of Aut(C3^3) leaves F, so
+    # Aut(S,F) comes from the labelled search and the 11232 tuples of
+    # Aut(S) are never built
+    F = catalog.built("sigma3-cubed-paired").fusion
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    calls = []
+
+    def counting(G, levels):
+        calls.append(G.order)
+        return groups.multiply_out(G, levels)
+
+    monkeypatch.setattr(factor, "multiply_out", counting)
+    autos = factor.fusion_automorphisms(fresh)
+    assert calls == []
+    assert 0 < len(autos) < 11232
+    assert fresh._automorphism_generators == [m.images for m in autos]
+    assert [m.images for m in autos] == [m.images for m in factor.fusion_automorphisms(F)]
 
 
 def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(monkeypatch):
@@ -327,23 +346,7 @@ def test_self_map_check_catches_classes_mapped_to_themselves(monkeypatch):
     monkeypatch.setattr(groups, "_spread", own_class_only)
     result = _self_map_search_result()
     assert not result.passed
-    assert "fusion endomorphisms differ" in result.detail
-
-
-def test_self_map_check_catches_a_coset_of_the_wrong_group(monkeypatch):
-    coset = factor._coset
-
-    def coset_of_powers(r, H):
-        # r o <r> is <r>, whose powers of r may preserve F
-        powers, x = [], r
-        while x not in powers:
-            powers.append(x)
-            x = tuple(r[v] for v in x)
-        return coset(r, powers)
-
-    monkeypatch.setattr(factor, "_coset", coset_of_powers)
-    result = _self_map_search_result()
-    assert not result.passed
+    # automorphisms off the chain shortcut come from the same labelled search
     assert "fusion automorphisms differ" in result.detail
 
 

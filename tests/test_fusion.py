@@ -580,7 +580,7 @@ def test_alperin_regenerates_rigid_table(paired_triple):
     assert [sub.order for sub, _ in gens] == [27]
 
 
-def _close_without_image_joins(base, seeds, *, limits=None):
+def _close_without_image_joins(base, seeds):
     """The elementwise worklist (``verify.close_maps_plain``) with both
     exact-image joins deleted: inner maps and seeds closed under
     inversion and restriction only."""

@@ -85,12 +85,11 @@ def test_closure_matches_schreier_sims(cycle_lists, points):
     assert ours.order == sympy_order(*cycle_lists, points=points)
 
 
-def test_closure_guardrail():
-    small = guardrails.Guardrails().scaled_to(10)
+def test_closure_guardrail(monkeypatch):
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails().scaled_to(10))
     with pytest.raises(ClosureTooLarge):
         FiniteGroup.from_permutations(
-            [cycles_to_perm([[1, 2]], 4), cycles_to_perm([[1, 2, 3, 4]], 4)],
-            limits=small,
+            [cycles_to_perm([[1, 2]], 4), cycles_to_perm([[1, 2, 3, 4]], 4)]
         )
 
 
@@ -207,18 +206,21 @@ def test_subgroups_canonical_order_and_index():
     assert subs[0].order == 1 and subs[-1].order == 8
 
 
-def test_subgroups_guardrail():
-    small = guardrails.Guardrails().scaled_to(4)
+def test_subgroups_guardrail(monkeypatch):
+    default, small = guardrails.active(), guardrails.Guardrails().scaled_to(4)
     d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
-    with pytest.raises(GroupTooLarge):
-        subgroups(d8, limits=small)
-    # a group whose table is already memoized is still refused
-    subgroups(d8)
     same_table = FiniteGroup.from_cayley(
         [[d8.mul(a, b) for b in range(8)] for a in range(8)]
     )
+    monkeypatch.setattr(guardrails, "_ACTIVE", small)
     with pytest.raises(GroupTooLarge):
-        subgroups(same_table, limits=small)
+        subgroups(d8)
+    # a group whose table is already memoized is still refused
+    monkeypatch.setattr(guardrails, "_ACTIVE", default)
+    subgroups(d8)
+    monkeypatch.setattr(guardrails, "_ACTIVE", small)
+    with pytest.raises(GroupTooLarge):
+        subgroups(same_table)
 
 
 # The plain enumeration of the 216-element sigma3-cubed-full group takes

@@ -29,7 +29,7 @@ def test_env_override_ignores_garbage(monkeypatch):
     assert guardrails.from_env() == guardrails.Guardrails()
 
 
-def test_hom_search_guardrail():
+def test_hom_search_guardrail(monkeypatch):
     e27 = FiniteGroup.from_permutations(
         [
             cycles_to_perm([[1, 2, 3]], 9),
@@ -38,12 +38,12 @@ def test_hom_search_guardrail():
         ]
     )
     full = e27.full_subgroup()
-    tiny = guardrails.Guardrails(hom_search_limit=10)
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails(hom_search_limit=10))
     with pytest.raises(GuardrailExceeded):
-        injective_homs(full, full, limits=tiny)
+        injective_homs(full, full)
 
 
-def test_automorphism_search_guardrail():
+def test_automorphism_search_guardrail(monkeypatch):
     e27 = FiniteGroup.from_permutations(
         [
             cycles_to_perm([[1, 2, 3]], 9),
@@ -51,21 +51,21 @@ def test_automorphism_search_guardrail():
             cycles_to_perm([[7, 8, 9]], 9),
         ]
     )
-    tiny = guardrails.Guardrails(hom_search_limit=10)
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails(hom_search_limit=10))
     with pytest.raises(GuardrailExceeded):
-        automorphisms(e27, limits=tiny)
+        automorphisms(e27)
 
 
-def test_table_limit_guardrail():
+def test_table_limit_guardrail(monkeypatch):
     d8 = FiniteGroup.from_permutations(
         [cycles_to_perm([[1, 2, 3, 4]], 4), cycles_to_perm([[1, 3]], 4)]
     )
-    tiny = guardrails.Guardrails(table_limit=5)
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails(table_limit=5))
     with pytest.raises(GuardrailExceeded):
-        generated_fusion(d8, [], limits=tiny)
+        generated_fusion(d8, [])
 
 
-def test_table_limit_trips_at_a_class_merge_exactly_over_the_table_size():
+def test_table_limit_trips_at_a_class_merge_exactly_over_the_table_size(monkeypatch):
     # fusing the reflection <(1 3)> with <(1 2)(3 4)> grows a 28-map
     # table; its last growth is the merge of two involution classes
     d8 = FiniteGroup.from_permutations(
@@ -77,7 +77,9 @@ def test_table_limit_trips_at_a_class_merge_exactly_over_the_table_size():
     )[0]
     size = generated_fusion(d8, [iso]).morphism_count()
     assert size == 28
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails(table_limit=size - 1))
     with pytest.raises(GuardrailExceeded, match="while merging two classes"):
-        generated_fusion(d8, [iso], limits=guardrails.Guardrails(table_limit=size - 1))
-    at_limit = generated_fusion(d8, [iso], limits=guardrails.Guardrails(table_limit=size))
+        generated_fusion(d8, [iso])
+    monkeypatch.setattr(guardrails, "_ACTIVE", guardrails.Guardrails(table_limit=size))
+    at_limit = generated_fusion(d8, [iso])
     assert at_limit.morphism_count() == size

@@ -53,6 +53,34 @@ def test_fusion_round_trip_is_canonical():
     ) == serialize.canonical_dumps(data)
 
 
+# The saved base group keeps only its generators, and closing them again
+# numbers these three groups' elements differently, so the saved subgroup
+# ids no longer match (open FOUND note in CHANGES.md).
+_ROUND_TRIP_RENUMBERS = {"dihedral18", "dihedral18-sigma3", "sym4-c2"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=UsageError,
+                reason="the reloaded base group numbers its elements differently",
+            ),
+        )
+        if name in _ROUND_TRIP_RENUMBERS
+        else name
+        for name in catalog.names()
+    ],
+)
+def test_fusion_round_trip_of_every_catalog_entry(name):
+    F = catalog.built(name).fusion
+    text = serialize.canonical_dumps(serialize.fusion_to_json(F))
+    assert fusion_equal(serialize.fusion_from_json(json.loads(text)), F)
+
+
 def test_fusion_json_rejects_inconsistent_table():
     F = catalog.built("inner-c2c2").fusion
     data = serialize.fusion_to_json(F)
