@@ -10,8 +10,8 @@ Checks made in the call, each on generators and exact because the set
 it tests is closed under composition, inverses and restriction (a
 failure reruns the full scan, so witnesses are unchanged):
 - ``check_morphism``: the homomorphism law on the generators of S,
-  then the push of ``class_generators`` of the source; each swap map,
-  the certificate and every self-map candidate go through it;
+  then the push of ``class_generators`` of the source; the certificate
+  and every self-map candidate go through it;
 - ``normal_complement``: the complement's law on the generators of S,
   its push, and commuting images, decided by ``sum_morphisms`` on the
   tuples of one pushed class generator and identities;
@@ -23,9 +23,10 @@ failure reruns the full scan, so witnesses are unchanged):
 - equivariance on the generators of S, and the certificate's transport
   of the part tables entrywise.
 
-Checks made in ``fusionsys.verify``, each fast path against its slow
-twin: ``morphisms/hom-law-on-generators`` (``hom_law_plain``, every
-pair), ``morphisms/push-on-generators`` (``check_morphism_plain``,
+Theorems are not proved again in a call.  Checks made in
+``fusionsys.verify``, each fast path against its slow twin:
+``morphisms/hom-law-on-generators`` (``hom_law_plain``, every pair),
+``morphisms/push-on-generators`` (``check_morphism_plain``,
 every map pushed), ``morphisms/commuting-criteria-agree``
 (``commute_check_plain``, every tuple), ``morphisms/sum-bookkeeping``
 (``sum_morphisms_plain``, image closures and every tuple; sums, f + chi
@@ -34,8 +35,9 @@ among them, re-accepted by ``check_morphism_plain``),
 complement test ``verify.is_normal_endo``), ``factor/normal-automorphisms``
 (the plain filter of every map), ``commutes_with_plain`` (every
 element), ``factor/self-map-search`` (Aut(S,F) and the endomorphisms
-against the filtered backtracker), and an exhaustive search over all
-normal automorphisms, the oracle of the certificates.
+against the filtered backtracker), ``factor/fitting-factorize``,
+``krs/certificate-twin`` (``krs_certificate_plain``, every normal
+automorphism) and ``krs/aut-structure``.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .groups import (
     normal_closure,
     p_part,
     characteristic_subgroups,
+    stable_image_kernel,
     sylow,
 )
 from .fusion import (
@@ -403,52 +406,19 @@ class FittingSplit:
     power: int
 
 
-def _stable_image_kernel(G: FiniteGroup, images: MapTuple) -> tuple[frozenset, frozenset, int]:
-    current = list(images)
-    n = 1
-    while True:
-        nxt = [images[v] for v in current]
-        if frozenset(nxt) == frozenset(current):
-            break
-        current = nxt
-        n += 1
-    image = frozenset(current)
-    kern = frozenset(x for x in range(G.order) if current[x] == 0)
-    return image, kern, n
-
-
 def fitting_factorize(F: FusionSystem, ne: NormalEndomorphism) -> FittingSplit:
     """Split ``F`` along the stable image and kernel of a normal
-    endomorphism.  ``verify.fitting_candidates`` is the brute-force
-    uniqueness oracle."""
+    endomorphism.  ``factor/fitting-factorize`` asserts the theorem: the
+    split is the only one (``verify.fitting_candidates``), and f is normal
+    on both parts."""
     if not is_saturated(F):
         raise NotSaturated("splitting requires a saturated system")
-    G = F.base
-    images = ne.images
-    t_set, u_set, power = _stable_image_kernel(G, images)
-    T = Subgroup(G, t_set, _checked=True)
-    U = Subgroup(G, u_set, _checked=True)
-    E = restrict_full(F, T)
-    D = restrict_full(F, U)
-    sub_e, sub_d = Subsystem(T, E), Subsystem(U, D)
-    if not is_product_decomposition(F, [sub_e, sub_d]):
-        raise InternalInconsistency("stable image and kernel do not split the system")
-
-    pos_t = {m: t for t, m in enumerate(T.members)}
-    f_on_t = tuple(pos_t[images[m]] for m in T.members)
-    restricted_t = check_morphism(E, E, f_on_t)
-    if not (restricted_t.is_injective and restricted_t.is_surjective):
-        raise InternalInconsistency("endomorphism is not bijective on its stable image")
-    normal_complement(E, restricted_t)
-
-    pos_u = {m: t for t, m in enumerate(U.members)}
-    f_on_u = tuple(pos_u[images[m]] for m in U.members)
-    restricted_u = check_morphism(D, D, f_on_u)
-    stable_u, _, _ = _stable_image_kernel(D.base, restricted_u.images)
-    if stable_u != frozenset({0}):
-        raise InternalInconsistency("endomorphism is not nilpotent on the kernel part")
-    normal_complement(D, restricted_u)
-    return FittingSplit(sub_e, sub_d, power)
+    t_set, u_set, power = stable_image_kernel(F.base, ne.images)
+    T = Subgroup(F.base, t_set, _checked=True)
+    U = Subgroup(F.base, u_set, _checked=True)
+    return FittingSplit(
+        Subsystem(T, restrict_full(F, T)), Subsystem(U, restrict_full(F, U)), power
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +442,13 @@ class Factorization:
 
 
 def _admissible_splits(
-    F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str = "asc"
+    F: FusionSystem, omega: Optional[OmegaContext]
 ) -> Iterator[tuple[int, int]]:
     """Candidate (T, U) index pairs for a direct split of ``F``: strongly
     closed (and Omega-invariant) proper subgroups with i < j, |T||U| = |S|,
     trivial intersection and commuting elements.  They are produced one
-    at a time in (i, j) order, reversed for ``search_order="desc"``, so a
-    caller that needs one split tests no further pairs;
+    at a time in (i, j) order, so a caller that needs one split tests no
+    further pairs;
     ``verify.admissible_splits_plain`` lists them all."""
     G = F.base
     subs = F.lattice.subs
@@ -493,9 +463,8 @@ def _admissible_splits(
     by_order: dict[int, list[int]] = {}
     for i in eligible:
         by_order.setdefault(subs[i].order, []).append(i)
-    step = -1 if search_order == "desc" else 1
-    for i in eligible[::step]:
-        for j in by_order.get(n // subs[i].order, [])[::step]:
+    for i in eligible:
+        for j in by_order.get(n // subs[i].order, []):
             if j > i and _meet_trivially(subs[i], subs[j]) and _commutes(
                 G, subs[i], subs[j]
             ):
@@ -526,11 +495,11 @@ def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, S
 
 
 def _proven_splits(
-    F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str = "asc"
+    F: FusionSystem, omega: Optional[OmegaContext]
 ) -> Iterator[tuple[tuple[Subsystem, Optional[OmegaContext]], ...]]:
     """Every direct split of ``F`` into two parts, each proven by
     ``_split_works`` and paired with Omega restricted to it."""
-    for i, j in _admissible_splits(F, omega, search_order=search_order):
+    for i, j in _admissible_splits(F, omega):
         found = _split_works(F, i, j)
         if found is not None:
             yield tuple(
@@ -561,26 +530,19 @@ def factorization_of(F: FusionSystem, bases: Sequence[Sequence[int]]) -> Factori
     return fact
 
 
-def factorize(
-    F: FusionSystem,
-    omega: Optional[OmegaContext] = None,
-    *,
-    search_order: str = "asc",
-) -> Factorization:
+def factorize(F: FusionSystem, omega: Optional[OmegaContext] = None) -> Factorization:
     """Greedy factorization into indecomposable (equivariant) parts."""
     if not is_saturated(F):
         raise NotSaturated("factorization requires a saturated system")
-    return _factorization(F, _factor_bases(F, omega, search_order=search_order))
+    return _factorization(F, _factor_bases(F, omega))
 
 
-def _factor_bases(
-    F: FusionSystem, omega: Optional[OmegaContext], *, search_order: str
-) -> list[tuple[int, ...]]:
-    for split in _proven_splits(F, omega, search_order=search_order):
+def _factor_bases(F: FusionSystem, omega: Optional[OmegaContext]) -> list[tuple[int, ...]]:
+    for split in _proven_splits(F, omega):
         return [
             tuple(sub.base.members[t] for t in inner)
             for sub, og in split
-            for inner in _factor_bases(sub.system, og, search_order=search_order)
+            for inner in _factor_bases(sub.system, og)
         ]
     return [tuple(range(F.base.order))] if F.base.order > 1 else []
 
@@ -641,6 +603,7 @@ class KrsCertificate:
     alpha: NormalEndomorphism
     sigma: tuple[int, ...]
     construction_log: tuple[FusionMorphism, ...]
+    # always True and None (one construction); both stay in every krs report
     constructive: bool
     note: Optional[str] = None
 
@@ -665,29 +628,17 @@ def krs_certificate(
     fact1: Factorization,
     fact2: Factorization,
     omega: Optional[OmegaContext] = None,
-    *,
-    force_fallback: bool = False,
 ) -> KrsCertificate:
     """Normal automorphism alpha and permutation sigma with
-    alpha(part_i of fact1) = part_sigma(i) of fact2."""
+    alpha(part_i of fact1) = part_sigma(i) of fact2, by projection swaps.
+    The swap maps are logged unproved (``krs/certificate-twin`` asserts
+    that they and alpha are normal automorphisms, against the exhaustive
+    ``verify.krs_certificate_plain``); the delivered alpha is checked here,
+    and a failure raises InternalInconsistency."""
     if not is_saturated(F):
         raise NotSaturated("certificates require a saturated system")
     _check_factorization_input(F, fact1, omega)
     _check_factorization_input(F, fact2, omega)
-    if not force_fallback:
-        try:
-            return _krs_constructive(F, fact1, fact2, omega)
-        except InternalInconsistency as exc:
-            return _krs_fallback(F, fact1, fact2, omega, note=str(exc))
-    return _krs_fallback(F, fact1, fact2, omega, note="fallback forced")
-
-
-def _krs_constructive(
-    F: FusionSystem,
-    fact1: Factorization,
-    fact2: Factorization,
-    omega: Optional[OmegaContext],
-) -> KrsCertificate:
     G = F.base
     k = len(fact1.parts)
     m = len(fact2.parts)
@@ -721,16 +672,7 @@ def _krs_constructive(
         h_images = tuple(
             G.mul(fj[g_proj[x]], G.mul(x, G.inv(g_proj[x]))) for x in range(G.order)
         )
-        if len(set(h_images)) != G.order:
-            raise InternalInconsistency("swap endomorphism is not bijective")
-        try:
-            h = check_morphism(F, F, h_images)
-        except (NotFusionPreserving, NotSubgroup) as exc:
-            raise InternalInconsistency(f"swap map rejected: {exc}") from exc
-        normal_complement(F, h)
-        if omega is not None and not omega.commutes_with(h_images):
-            raise InternalInconsistency("swap map is not equivariant")
-        log.append(h)
+        log.append(FusionMorphism(F, F, h_images))
         total = tuple(h_images[v] for v in total)
         current[r] = bases1[chosen]
         assigned.append(chosen)
@@ -741,15 +683,17 @@ def _krs_constructive(
     alpha_images = [0] * G.order
     for x, y in enumerate(total):
         alpha_images[y] = x
-    alpha = check_morphism(F, F, tuple(alpha_images))
-    ne = normal_complement(F, alpha)
-    if omega is not None and not omega.commutes_with(alpha.images):
+    try:
+        ne = normal_complement(F, check_morphism(F, F, tuple(alpha_images)))
+    except (NotSubgroup, NotFusionPreserving, NotNormal) as exc:
+        raise InternalInconsistency(f"certificate automorphism rejected: {exc}") from exc
+    if omega is not None and not omega.commutes_with(ne.images):
         raise InternalInconsistency("certificate automorphism is not equivariant")
 
     sigma = [0] * k
     for r, j in enumerate(assigned):
         sigma[j] = r
-    _verify_certificate(F, fact1, fact2, alpha, tuple(sigma))
+    _verify_certificate(F, fact1, fact2, ne.morphism, tuple(sigma))
     return KrsCertificate(ne, tuple(sigma), tuple(log), True)
 
 
@@ -766,9 +710,7 @@ def _verify_certificate(
         if mapped != target.base.member_set:
             raise InternalInconsistency("certificate does not transport the bases")
         # entrywise transport of the full subsystems
-        target_maps = set(
-            (members, mp) for members, mp in target.translated_maps()
-        )
+        target_maps = set(target.translated_maps())
         pushed = set()
         for members, mp in part.translated_maps():
             dom_idx = F.index_of(members)
@@ -776,34 +718,6 @@ def _verify_certificate(
             pushed.add((F.lattice.subs[new_idx].members, new_map))
         if pushed != target_maps:
             raise InternalInconsistency("certificate does not transport the tables")
-
-
-def _krs_fallback(
-    F: FusionSystem,
-    fact1: Factorization,
-    fact2: Factorization,
-    omega: Optional[OmegaContext],
-    *,
-    note: str,
-) -> KrsCertificate:
-    autos = normal_automorphisms(F, omega)
-    bases2 = {p.base.members: i for i, p in enumerate(fact2.parts)}
-    for alpha in autos:
-        sigma = tuple(
-            bases2.get(tuple(sorted(alpha.images[x] for x in part.base.members)), -1)
-            for part in fact1.parts
-        )
-        if sorted(sigma) != list(range(len(fact2.parts))):
-            continue
-        try:
-            _verify_certificate(F, fact1, fact2, alpha, sigma)
-        except InternalInconsistency:
-            continue
-        ne = normal_complement(F, alpha)
-        return KrsCertificate(ne, sigma, (), False, note=note)
-    raise InternalInconsistency(
-        f"no normal automorphism links the factorizations ({note})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +752,9 @@ def find_isomorphism(E1: FusionSystem, E2: FusionSystem) -> Optional[FusionMorph
 
 
 def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
-    """Automorphism group as stabilizer extended by part permutations."""
+    """Automorphism group as stabilizer extended by part permutations;
+    ``krs/aut-structure`` asserts the theorem (the realized permutations,
+    the counts and the section) from the returned fields."""
     z_trivial = center_of(F).order == 1
     foc_full = focal_of(F).order == F.base.order
     if not (z_trivial or foc_full):
@@ -852,8 +768,7 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
     base_sets = [p.base.member_set for p in fact.parts]
     base_index = {p.base.members: i for i, p in enumerate(fact.parts)}
 
-    aut0 = []
-    rho: dict[MapTuple, tuple[int, ...]] = {}
+    aut0_order = 0
     for a in autos:
         sigma = []
         for i in range(k):
@@ -863,9 +778,8 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
                     "automorphism does not permute the factor bases"
                 )
             sigma.append(base_index[mapped])
-        rho[a.images] = tuple(sigma)
-        if all(s == i for i, s in enumerate(sigma)):
-            aut0.append(a)
+        if sigma == list(range(k)):
+            aut0_order += 1
 
     isos: list[list[Optional[FusionMorphism]]] = [[None] * k for _ in range(k)]
     for i in range(k):
@@ -881,21 +795,7 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
         for sigma in itertools.permutations(range(k))
         if all(isos[i][sigma[i]] is not None for i in range(k))
     )
-    if sorted(set(rho.values())) != gamma:
-        raise InternalInconsistency(
-            "realized part permutations differ from the isomorphism group"
-        )
-    if len(autos) != len(aut0) * len(gamma):
-        raise InternalInconsistency("automorphism count does not factor")
-
-    part_aut_orders = tuple(
-        len(fusion_automorphisms(p.system)) for p in fact.parts
-    )
-    expected0 = 1
-    for v in part_aut_orders:
-        expected0 *= v
-    if expected0 != len(aut0):
-        raise InternalInconsistency("stabilizer does not match the part product")
+    part_aut_orders = tuple(len(fusion_automorphisms(p.system)) for p in fact.parts)
 
     # coherent family: through the least representative of each iso class
     beta: list[list[Optional[FusionMorphism]]] = [[None] * k for _ in range(k)]
@@ -920,19 +820,9 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
                     acc, fact.parts[sigma[i]].base.members[mapped_local]
                 )
             images[x] = acc
-        a = check_morphism(F, F, tuple(images))
-        if rho[a.images] != sigma:
-            raise InternalInconsistency("section does not realize its permutation")
-        section[sigma] = a.images
-    # K is a subgroup: composition realizes the composed permutation
-    for s1 in gamma:
-        for s2 in gamma:
-            comp = tuple(s1[s2[i]] for i in range(k))
-            composed = tuple(section[s1][v] for v in section[s2])
-            if composed != section[comp]:
-                raise InternalInconsistency("section is not a homomorphism")
+        section[sigma] = tuple(images)
     return AutStructure(
-        len(autos), len(aut0), tuple(gamma), section, part_aut_orders
+        len(autos), aut0_order, tuple(gamma), section, part_aut_orders
     )
 
 

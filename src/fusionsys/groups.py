@@ -919,14 +919,17 @@ def characteristic_subgroups(G: FiniteGroup, p: int) -> CharacteristicSubgroups:
     p'-subgroups is p'.  A class inside the closures joined so far adds
     nothing and is skipped.  ``verify.o_p_prime_plain`` (the largest
     normal p'-member of ``subgroups(G)``) is its twin.
+
+    G' is the normal closure of the commutators of the generators (modulo
+    it the generators commute), generated by their conjugacy classes;
+    ``verify.derived_plain`` (every commutator) is its twin.
     """
     center = Subgroup(G, G.center_members(), _checked=True)
-    commutators = {
-        G.mul(G.mul(x, y), G.inv(G.mul(y, x)))
-        for x in range(G.order)
-        for y in range(G.order)
-    }
-    derived = G.generated_subgroup(commutators)
+    gens = G.generators or range(G.order)
+    commutators = {G.mul(G.mul(x, y), G.inv(G.mul(y, x))) for x in gens for y in gens}
+    derived = G.generated_subgroup(
+        x for cls in G.conjugacy_classes() if not commutators.isdisjoint(cls) for x in cls
+    )
 
     coprime = {0}
     for cls in G.conjugacy_classes():
@@ -963,19 +966,14 @@ def normal_closure(G: FiniteGroup, X: Subgroup) -> Subgroup:
     """Smallest normal subgroup of ``G`` containing ``X``."""
     if X.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
-    members = set(X.members)
+    members = set(X.members)  # a subgroup at every step
     while True:
         conjugates = {
             G.conj(g, x) for g in (G.generators or range(G.order)) for x in members
         }
         if conjugates <= members:
-            closed = set(_closure_ids(G, members))
-            if closed == members:
-                return Subgroup(G, members, _checked=True)
-            members = closed
-        else:
-            members |= conjugates
-            members = set(_closure_ids(G, members))
+            return Subgroup(G, members, _checked=True)
+        members = set(_closure_ids(G, members | conjugates))
 
 
 def sylow(G: FiniteGroup, p: int) -> Subgroup:
@@ -1270,28 +1268,35 @@ def omega_central_series(S: FiniteGroup) -> OmegaSeries:
 # Fitting-style splitting for abelian groups
 
 
+def stable_image_kernel(
+    G: FiniteGroup, images: Sequence[int]
+) -> tuple[frozenset[int], frozenset[int], int]:
+    """Image and kernel of f^n, and n, for the least n >= 1 with
+    f^n(G) = f^(n+1)(G): the images shrink until then and stay, and
+    |f^n(G)| |ker f^n| = |G|, so the kernels stay too."""
+    current = list(images)
+    n = 1
+    while True:
+        nxt = [images[v] for v in current]
+        if frozenset(nxt) == frozenset(current):
+            break
+        current = nxt
+        n += 1
+    kernel = frozenset(x for x in range(G.order) if current[x] == 0)
+    return frozenset(current), kernel, n
+
+
 def fitting_split(A: FiniteGroup, f: GroupHom) -> tuple[Subgroup, Subgroup]:
-    """Split an abelian group under ``f`` into (stable image, nil kernel)."""
+    """Split an abelian group under ``f`` into (stable image, nil kernel);
+    ``group-core/fitting-split`` asserts that they split it, uniquely."""
     if not A.is_abelian:
         raise NotAbelian("fitting_split requires an abelian group")
     if f.domain.parent is not A or f.codomain.parent is not A:
         raise NotSubgroup("endomorphism must live on the given group")
     if f.domain.order != A.order:
         raise NotSubgroup("endomorphism must be defined on the whole group")
-    current = list(f.images)  # images indexed by element id
-    prev_image: Optional[frozenset[int]] = None
-    while True:
-        image = frozenset(current)
-        kernel = frozenset(x for x in range(A.order) if current[x] == 0)
-        if image == prev_image:
-            break
-        prev_image = image
-        current = [current[current[x]] for x in range(A.order)]
-    T = Subgroup(A, image, _checked=True)
-    U = Subgroup(A, kernel, _checked=True)
-    if T.order * U.order != A.order or (T.member_set & U.member_set) != {0}:
-        raise NotSubgroup("stable image and kernel do not split the group")
-    return T, U
+    image, kernel, _ = stable_image_kernel(A, f.images)
+    return Subgroup(A, image, _checked=True), Subgroup(A, kernel, _checked=True)
 
 
 # ---------------------------------------------------------------------------

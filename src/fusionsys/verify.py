@@ -5,6 +5,7 @@ these functions."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,6 +42,7 @@ from .groups import (
     perm_compose,
     perm_inverse,
     quotient,
+    stable_image_kernel,
     subgroups,
     sylow,
 )
@@ -91,10 +93,10 @@ from .morphisms import (
     zero_morphism,
 )
 from .factor import (
+    Factorization,
     NormalEndomorphism,
     OmegaContext,
     _admissible_splits,
-    _stable_image_kernel,
     _surjective_normal_criterion,
     aut_structure,
     factorize,
@@ -472,6 +474,24 @@ def check_o_p_prime() -> str:
     return f"O_p' of {len(groups)} groups at p = 2, 3, 5 equals the normal-subgroup scan"
 
 
+def derived_plain(G: FiniteGroup) -> tuple[int, ...]:
+    """The slow twin of the derived subgroup of ``characteristic_subgroups``:
+    the closure of the commutators of every pair of elements."""
+    pairs = itertools.product(range(G.order), repeat=2)
+    return G.generated_subgroup(G.mul(G.mul(x, y), G.inv(G.mul(y, x))) for x, y in pairs).members
+
+
+def check_derived_subgroup() -> str:
+    """G' from the commutators of the generators equals the closure of all
+    commutators, on every catalog group and small base."""
+    groups = [(n, _group(n)) for n in catalog.names()] + list(small_base_groups().items())
+    for name, G in groups:
+        assert characteristic_subgroups(G, 2).derived.members == derived_plain(G), (
+            f"{name}: derived subgroup differs"
+        )
+    return f"derived subgroups of {len(groups)} groups equal the all-pairs closure"
+
+
 GROUP_CORE_CHECKS = [
     ("group-axioms", check_group_axioms),
     ("cayley-tables", check_cayley_tables),
@@ -482,6 +502,7 @@ GROUP_CORE_CHECKS = [
     ("coprime-action-trivial", check_coprime_action),
     ("fitting-split", check_fitting_split),
     ("o-p-prime", check_o_p_prime),
+    ("derived-subgroup", check_derived_subgroup),
 ]
 
 
@@ -1638,7 +1659,7 @@ def check_product_by_projection() -> str:
     subgroups of the catalog and the unsaturated battery, on every
     factorization from ``factorize_all`` and on the overlapping cover of
     inner-d8-c2.  The lazy pair generator of ``factorize`` yields the
-    plain list of candidate pairs, in both search orders."""
+    plain list of candidate pairs."""
     tally: Counter = Counter()
     systems = [(name, _fusion(name)) for name in catalog.names()]
     for label, F in systems + unsaturated_battery():
@@ -1662,9 +1683,6 @@ def check_product_by_projection() -> str:
         assert list(_admissible_splits(F, omega)) == plain, (
             f"{label}: candidate pairs differ from the plain list"
         )
-        assert list(_admissible_splits(F, omega, search_order="desc")) == plain[::-1], (
-            f"{label}: descending candidate pairs differ from the reversed plain list"
-        )
     F = _fusion("inner-d8-c2")
     d8_part = max(factorize(F).parts, key=lambda p: p.base.order).base
     cover = [subsystem_of(F, d8_part), subsystem_of(F, center_of(F))]
@@ -1674,7 +1692,7 @@ def check_product_by_projection() -> str:
         f"{tally[False]} commuting non-products, {tally['not commuting']} not "
         f"commuting), {facts} factorizations and one overlapping cover agree "
         f"with the inner product; candidate pairs of {len(cases)} systems "
-        f"equal the plain list in both orders"
+        f"equal the plain list"
     )
 
 
@@ -1705,7 +1723,7 @@ def check_dichotomy() -> str:
         F = _fusion(name)
         assert is_indecomposable(F), f"{name} should be indecomposable"
         for ne in catalog_normal_endos(name):
-            stable, _, _ = _stable_image_kernel(F.base, ne.images)
+            stable, _, _ = stable_image_kernel(F.base, ne.images)
             nilpotent = stable == frozenset({0})
             assert nilpotent != ne.invertible, f"{name}: dichotomy"
             count += 1
@@ -1793,6 +1811,8 @@ def check_normality_converse_fails() -> str:
 
 
 def check_fitting_factorize() -> str:
+    """Each stable/nil split is the only one (``fitting_candidates``), and
+    f restricts to a normal endomorphism of both parts."""
     count = 0
     for name in catalog.ENDO_SUITE:
         F = _fusion(name)
@@ -1803,6 +1823,10 @@ def check_fitting_factorize() -> str:
             assert fitting_candidates(F.base, ne.images, F) == [
                 (split.stable.base.members, split.nil.base.members)
             ], f"{name}: second stable/nil splitting"
+            for part in (split.stable, split.nil):  # both restrictions normal
+                E, pos = part.system, {m: t for t, m in enumerate(part.base.members)}
+                on_part = tuple(pos[ne.images[m]] for m in part.base.members)
+                normal_complement(E, check_morphism(E, E, on_part))
             if F.base.is_abelian:
                 full = F.base.full_subgroup()
                 T, U = fitting_split(
@@ -1849,6 +1873,15 @@ def commutes_with_plain(omega: OmegaContext, images: MapTuple) -> bool:
     )
 
 
+def normal_automorphisms_plain(
+    F: FusionSystem, omega: Optional[OmegaContext] = None
+) -> list[FusionMorphism]:
+    """The slow twin of ``normal_automorphisms``: every fusion automorphism
+    filtered by Omega commutation and the criterion on every element."""
+    return [m for m in fusion_automorphisms(F) if surjective_criterion_plain(F, m.images)
+            and (omega is None or commutes_with_plain(omega, m.images))]
+
+
 def check_surjective_on_generators() -> str:
     """The center/focal criterion, tested on generators of S and of
     foc(F), agrees with its all-element twin on every fusion
@@ -1885,13 +1918,7 @@ def check_normal_automorphisms() -> str:
     for F, omega in cases:
         if omega is None:
             F = FusionSystem(F.base, F.p, F.maps)
-        plain = [
-            m
-            for m in fusion_automorphisms(F)
-            if (omega is None or commutes_with_plain(omega, m.images))
-            and surjective_criterion_plain(F, m.images)
-        ]
-        assert normal_automorphisms(F, omega) == plain, (
+        assert normal_automorphisms(F, omega) == normal_automorphisms_plain(F, omega), (
             f"normal automorphisms of a system of order {F.base.order} differ "
             f"from the plain filter"
         )
@@ -1942,7 +1969,7 @@ def check_factorizations_are_products() -> str:
     for F, omega in cases:
         facts = factorize_all(F, omega)
         if omega is None:
-            facts += [factorize(F), factorize(F, search_order="desc")]
+            facts.append(factorize(F))
         for fact in facts:
             assert product_decomposition_plain(F, list(fact.parts)), (
                 f"{fact.bases} do not factor the system"
@@ -2030,13 +2057,10 @@ def check_krs_end_to_end() -> str:
         pairs += list(itertools.combinations(range(min(len(facts), 3)), 2))
         for i, j in sorted(set(pairs)):
             cert = krs_certificate(F, facts[i], facts[j])
-            assert cert.constructive, f"{name}: fallback used"
             assert len(cert.sigma) == len(facts[i].parts)
             assert cert.alpha.images in nauts, f"{name}: alpha not normal"
             count += 1
-        asc = factorize(F)
-        desc = factorize(F, search_order="desc")
-        cert = krs_certificate(F, asc, desc)
+        cert = krs_certificate(F, factorize(F), facts[-1])
         assert cert.alpha.images in nauts
         count += 1
     return f"{count} certificates constructed and membership-checked"
@@ -2073,19 +2097,94 @@ def check_krs_equivariant() -> str:
     return "rotation and inversion contexts verified"
 
 
+def transports_plain(alpha: MapTuple, fact1: Factorization, fact2: Factorization, sigma) -> bool:
+    """``sigma`` permutes the parts, and ``alpha`` carries the graphs
+    {(x, phi(x))} of the maps of part i of ``fact1`` onto those of part
+    sigma(i) of ``fact2``."""
+
+    def graphs(part, a) -> set[frozenset]:
+        return {frozenset((a[x], a[y]) for x, y in zip(*mp)) for mp in part.translated_maps()}
+
+    return sorted(sigma) == list(range(len(fact2.parts))) and all(
+        graphs(p, alpha) == graphs(fact2.parts[j], range(len(alpha)))
+        for p, j in zip(fact1.parts, sigma)
+    )
+
+
+def krs_certificate_plain(F: FusionSystem, fact1: Factorization, fact2: Factorization, omega=None):
+    """The slow twin of ``krs_certificate``: (alpha, sigma) for the first
+    normal (Omega-equivariant) automorphism of the plain filter that
+    transports the parts of ``fact1`` onto those of ``fact2``, or None."""
+    bases2 = {p.base.members: j for j, p in enumerate(fact2.parts)}
+    for a in (m.images for m in normal_automorphisms_plain(F, omega)):
+        mapped = [tuple(sorted(a[x] for x in p.base.members)) for p in fact1.parts]
+        sigma = tuple(bases2.get(m, -1) for m in mapped)
+        if transports_plain(a, fact1, fact2, sigma):
+            return a, sigma
+    return None
+
+
+def check_krs_certificate_twin() -> str:
+    """The projection-swap certificate against its exhaustive twin, on the
+    multi-factor systems below order 27 and in the equivariant contexts:
+    the twin finds an alpha; the certificate's alpha and swap maps are
+    normal (equivariant) automorphisms, and alpha transports the parts."""
+    cases = [(_fusion(n), None) for n in catalog.MULTI_FACTOR if n != "inner-c3c3c3"]
+    count = 0
+    for F, omega in cases + equivariant_contexts():
+        facts = factorize_all(F, omega)
+        nauts = {m.images for m in normal_automorphisms_plain(F, omega)}
+        for f1, f2 in [(facts[0], f) for f in facts] + list(itertools.combinations(facts[1:4], 2)):
+            label = f"order {F.base.order}, {f1.bases} -> {f2.bases}"
+            cert = krs_certificate(F, f1, f2, omega)
+            assert krs_certificate_plain(F, f1, f2, omega), f"{label}: no normal automorphism"
+            assert cert.alpha.images in nauts, f"{label}: alpha is not a normal automorphism"
+            assert {h.images for h in cert.construction_log} <= nauts, f"{label}: swap map"
+            assert transports_plain(cert.alpha.images, f1, f2, cert.sigma), f"{label}: no transport"
+            count += 1
+    return f"{count} certificates agree with the exhaustive twin"
+
+
+def checked_aut_structure(F: FusionSystem, fact: Factorization):
+    """``aut_structure(F, fact)`` with its fields asserted against Aut(S,F):
+    gamma is the set of realized part permutations, the counts factor, and
+    the section is a homomorphism realizing each permutation."""
+    st, bases = aut_structure(F, fact), [p.base.member_set for p in fact.parts]
+
+    def perm_of(a: MapTuple) -> tuple[int, ...]:
+        return tuple(
+            next((j for j, b in enumerate(bases) if {a[x] for x in t} == b), -1) for t in bases
+        )
+
+    autos = {m.images for m in fusion_automorphisms(F)}
+    perms = Counter(perm_of(a) for a in autos)
+    parts = tuple(len(fusion_automorphisms(p.system)) for p in fact.parts)
+    assert sorted(perms) == list(st.gamma), "realized part permutations differ"
+    assert st.aut_order == len(autos) == st.aut0_order * len(st.gamma), "count does not factor"
+    assert st.part_aut_orders == parts and st.aut0_order == perms[tuple(range(len(bases)))] == (
+        math.prod(parts)
+    ), "stabilizer does not match the part product"
+    for s1 in st.gamma:
+        assert st.section[s1] in autos and perm_of(st.section[s1]) == s1, (
+            "section does not realize its permutation"
+        )
+        for s2 in st.gamma:
+            composed = tuple(st.section[s1][v] for v in st.section[s2])
+            assert composed == st.section[tuple(s1[j] for j in s2)], "section is not a homomorphism"
+    return st
+
+
 def check_aut_structure() -> str:
     big, F1, F2 = product_oracle_pair("sigma3", "sigma3")
-    fact = factorize(big)
-    st = aut_structure(big, fact)
+    st = checked_aut_structure(big, factorize(big))
     assert st.aut0_order == 4 and len(st.gamma) == 2 and st.aut_order == 8
 
     big2, _, _ = product_oracle_pair("sigma3", "dihedral18")
-    fact2 = factorize(big2)
-    st2 = aut_structure(big2, fact2)
+    st2 = checked_aut_structure(big2, factorize(big2))
     assert len(st2.gamma) == 1, "non-isomorphic parts must not permute"
 
     F24 = _fusion("sym4")
-    st3 = aut_structure(F24, factorize(F24))
+    st3 = checked_aut_structure(F24, factorize(F24))
     assert st3.gamma == ((0,),)
     return (
         f"orders (aut, stabilizer, parts) = "
@@ -2124,6 +2223,7 @@ KRS_CHECKS = [
     ("krs-end-to-end", check_krs_end_to_end),
     ("krs-rigid-unique", check_krs_rigid),
     ("krs-equivariant", check_krs_equivariant),
+    ("certificate-twin", check_krs_certificate_twin),
     ("aut-structure", check_aut_structure),
     ("goldschmidt-transfer", check_goldschmidt),
     ("weakened-sum-flag", check_weakened_sum),

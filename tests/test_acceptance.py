@@ -178,8 +178,7 @@ def test_criterion_06_krs_end_to_end():
                     target = facts[j].parts[cert.sigma[t]]
                     mapped = {cert.alpha.images[x] for x in part.base.members}
                     assert mapped == target.base.member_set
-            asc, desc = factorize(F), factorize(F, search_order="desc")
-            cert = krs_certificate(F, asc, desc)
+            cert = krs_certificate(F, factorize(F), facts[-1])
             assert cert.alpha.images in enumerated
 
 

@@ -9,7 +9,13 @@ import pytest
 from fusionsys import catalog, factor, groups
 from fusionsys import fusion as fusion_mod
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
-from fusionsys.groups import FiniteGroup, GroupHom, cycles_to_perm, fitting_split
+from fusionsys.groups import (
+    FiniteGroup,
+    GroupHom,
+    cycles_to_perm,
+    fitting_split,
+    stable_image_kernel,
+)
 from fusionsys.fusion import (
     FusionSystem,
     center_of,
@@ -28,7 +34,6 @@ from fusionsys.morphisms import (
     zero_morphism,
 )
 from fusionsys.factor import (
-    _stable_image_kernel,
     factorization_of,
     factorize,
     factorize_all,
@@ -377,7 +382,7 @@ def test_dichotomy_on_indecomposables():
         F = fusion(name)
         assert is_indecomposable(F)
         for ne in normal_endos(F):
-            stable, _, _ = _stable_image_kernel(F.base, ne.images)
+            stable, _, _ = stable_image_kernel(F.base, ne.images)
             assert (stable == frozenset({0})) != ne.invertible
 
 
@@ -530,13 +535,6 @@ def test_factorization_count_formula():
     assert catalog.FACTORIZATION_COUNTS["inner-c3c3"] == 48 // (4 * 2)
     assert catalog.FACTORIZATION_COUNTS["inner-c2c2c2"] == 168 // (1 * 6)
     assert catalog.FACTORIZATION_COUNTS["inner-c3c3c3"] == 11232 // (8 * 6)
-
-
-def test_factorize_search_orders_differ():
-    F = fusion("inner-c2c2")
-    asc = factorize(F)
-    desc = factorize(F, search_order="desc")
-    assert asc.key() != desc.key()
 
 
 def test_factorize_requires_saturation():

@@ -1,16 +1,19 @@
 """Certificates linking factorizations, equivariant refinements, and the
 automorphism-group structure of factorized systems."""
 
+import dataclasses
 import itertools
 
 import pytest
 
-from fusionsys import catalog
-from fusionsys.errors import HypothesisFailed
+from fusionsys import catalog, factor, verify
+from fusionsys.errors import HypothesisFailed, InternalInconsistency
 from fusionsys.groups import Subgroup, direct_product, sylow
 from fusionsys.fusion import fusion_of_group
 from fusionsys.morphisms import check_morphism
 from fusionsys.factor import (
+    AutStructure,
+    NormalEndomorphism,
     OmegaContext,
     aut_structure,
     factorize,
@@ -60,28 +63,74 @@ def test_v4_line_pairs_nonidentity_alpha():
 
 
 @pytest.mark.parametrize("name", ["inner-c2c4", "inner-c3c3", "inner-c2c2"])
-def test_constructive_matches_fallback(name):
+def test_constructive_matches_plain_twin(name):
     F = fusion(name)
     facts = factorize_all(F)
     for f1, f2 in itertools.combinations(facts, 2):
         cert = krs_certificate(F, f1, f2)
-        fallback = krs_certificate(F, f1, f2, force_fallback=True)
-        assert not fallback.constructive
+        alpha, sigma = verify.krs_certificate_plain(F, f1, f2)
         # both certificates transport the parts per their own sigma
-        for c in (cert, fallback):
+        for images, perm in ((cert.alpha.images, cert.sigma), (alpha, sigma)):
+            assert verify.transports_plain(images, f1, f2, perm)
             for i, part in enumerate(f1.parts):
-                target = f2.parts[c.sigma[i]].base.member_set
-                assert {c.alpha.images[x] for x in part.base.members} == target
+                target = f2.parts[perm[i]].base.member_set
+                assert {images[x] for x in part.base.members} == target
 
 
-def test_fallback_respects_omega():
+def test_plain_twin_respects_omega():
     F = fusion("inner-c2c4")
     inv = tuple(F.base.inv(x) for x in range(8))
     omega = OmegaContext.from_morphisms(F, [check_morphism(F, F, inv)])
     facts = factorize_all(F, omega)
-    cert = krs_certificate(F, facts[0], facts[1], omega, force_fallback=True)
-    assert not cert.constructive
-    assert omega.commutes_with(cert.alpha.images)
+    alpha, _ = verify.krs_certificate_plain(F, facts[0], facts[1], omega)
+    assert omega.commutes_with(alpha)
+
+
+def test_certificate_guard_failure_is_not_papered_over(monkeypatch):
+    # the first transport check fails; no second path may answer instead
+    real, calls = factor._verify_certificate, []
+
+    def fails_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InternalInconsistency("certificate does not transport the tables")
+        return real(*args)
+
+    monkeypatch.setattr(factor, "_verify_certificate", fails_once)
+    F = fusion("inner-c2c2")
+    facts = factorize_all(F)
+    with pytest.raises(InternalInconsistency, match="transport"):
+        krs_certificate(F, facts[0], facts[1])
+
+
+def test_certificate_twin_check_rejects_alpha_not_normal(monkeypatch):
+    # swap alpha for a fusion automorphism outside the normal
+    # (equivariant) ones wherever one exists: the rotation context has some
+    def mutant(F, f1, f2, omega=None):
+        cert = krs_certificate(F, f1, f2, omega)
+        normal = {m.images for m in normal_automorphisms(F, omega)}
+        for m in fusion_automorphisms(F):
+            if m.images not in normal:
+                return dataclasses.replace(cert, alpha=NormalEndomorphism(m, m, True, True))
+        return cert
+
+    monkeypatch.setattr(verify, "krs_certificate", mutant)
+    result = verify._run("certificate-twin", verify.check_krs_certificate_twin)
+    assert not result.passed
+    assert "alpha is not a normal automorphism" in result.detail
+
+
+def test_aut_structure_check_rejects_wrong_stabilizer_order(monkeypatch):
+    def mutant(F, fact):
+        st = aut_structure(F, fact)
+        return AutStructure(
+            st.aut_order, st.aut0_order + 1, st.gamma, st.section, st.part_aut_orders
+        )
+
+    monkeypatch.setattr(verify, "aut_structure", mutant)
+    result = verify._run("aut-structure", verify.check_aut_structure)
+    assert not result.passed
+    assert "count does not factor" in result.detail
 
 
 def test_certificate_log_members_are_normal_automorphisms():
@@ -107,10 +156,9 @@ def test_rejects_foreign_factorization():
 def test_rigid_pairs_have_identity_alpha():
     for name in ["sigma3-cubed-full", "sigma3-squared", "dihedral18-sigma3"]:
         F = fusion(name)
-        asc = factorize(F)
-        desc = factorize(F, search_order="desc")
-        assert asc.key() == desc.key()
-        cert = krs_certificate(F, asc, desc)
+        facts = factorize_all(F)
+        assert [f.key() for f in facts] == [factorize(F).key()]
+        cert = krs_certificate(F, factorize(F), facts[0])
         assert cert.alpha.images == tuple(range(F.base.order))
 
 
