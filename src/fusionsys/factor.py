@@ -15,11 +15,13 @@ failure reruns the full scan, so witnesses are unchanged):
 - ``normal_complement``: the complement's law on the generators of S,
   its push, and commuting images, decided by ``sum_morphisms`` on the
   tuples of one pushed class generator and identities;
-- ``normal_automorphisms``: the center/focal criterion on the
-  generators of Aut(S,F), and on every map only when one fails;
-- Aut(S,F) is all of Aut(S) once the maps of the stabiliser chain of
-  Aut(S) preserve F; otherwise it comes, like End(S,F), from the
-  F-class-labelled homomorphism search filtered by ``check_morphism``;
+- ``normal_automorphisms``: the center/focal criterion on the chain
+  maps of Aut(S,F), and on every map only when one fails;
+- Aut(S,F) is kept as a stabiliser chain: that of Aut(S) once its maps
+  preserve F, else one level from the F-class-labelled homomorphism
+  search filtered by ``check_morphism``, which also gives End(S,F); the
+  listings walk the chain, and under Omega a branch is cut at the first
+  level that fixes enough of S to test a pair (w, b) exactly;
 - equivariance on the generators of S, and the certificate's transport
   of the part tables entrywise.
 
@@ -35,7 +37,8 @@ among them, re-accepted by ``check_morphism_plain``),
 complement test ``verify.is_normal_endo``), ``factor/normal-automorphisms``
 (the plain filter of every map), ``commutes_with_plain`` (every
 element), ``factor/self-map-search`` (Aut(S,F) and the endomorphisms
-against the filtered backtracker), ``factor/fitting-factorize``,
+against the filtered backtracker), ``factor/fitting-factorize``
+(``stable_image_kernel_plain``, f^|S| on each element),
 ``krs/certificate-twin`` (``krs_certificate_plain``, every normal
 automorphism) and ``krs/aut-structure``.
 """
@@ -65,12 +68,12 @@ from .groups import (
     _homs,
     automorphism_chain,
     injective_homs,
-    multiply_out,
     normal_closure,
     p_part,
     characteristic_subgroups,
     stable_image_kernel,
     sylow,
+    walk_chain,
 )
 from .fusion import (
     FusionSystem,
@@ -241,28 +244,23 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 # enumeration of endomorphisms and automorphisms
 
 
+def _automorphism_chain(F: FusionSystem) -> tuple[tuple[int, ...], list[list[MapTuple]]]:
+    """Aut(S,F) as a base of S and stabiliser-chain levels, kept on F:
+    the chain of Aut(S) when its maps preserve F (then all of Aut(S)
+    does), else one level, all of ``_fusion_self_maps``, on that base."""
+    if F._automorphism_chain is None:
+        base, levels = automorphism_chain(F.base)
+        if not all(_preserves(F, u) for level in levels for u in level):
+            levels = [[m.images for m in _fusion_self_maps(F, injective=True)]]
+        F._automorphism_chain = base, levels
+    return F._automorphism_chain
+
+
 def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphism]:
     """The fusion-preserving endomorphisms of F (automorphisms only when
-    ``injective``) in image-tuple order, cached on F.  The generators of
-    Aut(S,F) go to ``F._automorphism_generators``.
-
-    Aut(S,F) is a subgroup of Aut(S).  So when every map of the
-    stabiliser chain of Aut(S) preserves F, all of Aut(S) does: it is
-    multiplied out of the chain, and the chain generates it.  Otherwise
-    both kinds of self-map come from one search: the homomorphisms
-    S -> S that send each F-class into one F-class (``_homs`` with class
-    labels), each accepted by ``check_morphism``; the accepted list is
-    its own generating set."""
-    cached = F._automorphisms if injective else F._endomorphisms
-    if cached is not None:
-        return cached
-    if injective:
-        levels = automorphism_chain(F.base)
-        chain = [u for level in levels for u in level]
-        if all(_preserves(F, u) for u in chain):
-            F._automorphism_generators = chain
-            F._automorphisms = [FusionMorphism(F, F, a) for a in multiply_out(F.base, levels)]
-            return F._automorphisms
+    ``injective``) in image-tuple order: the homomorphisms S -> S that
+    send each F-class into one F-class (``_homs`` with class labels),
+    each accepted by ``check_morphism``."""
     labels = [0] * F.base.order
     for c, members in enumerate(F.element_classes()):
         for x in members:
@@ -274,11 +272,6 @@ def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphis
             found.append(check_morphism(F, F, h.images, hom_checked=True))
         except NotFusionPreserving:
             continue
-    if injective:
-        F._automorphisms = found
-        F._automorphism_generators = [m.images for m in found]
-    else:
-        F._endomorphisms = found
     return found
 
 
@@ -292,12 +285,17 @@ def _preserves(F: FusionSystem, a: MapTuple) -> bool:
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:
     """All fusion-preserving self-maps, in image-tuple order."""
-    return _fusion_self_maps(F, injective=False)
+    if F._endomorphisms is None:
+        F._endomorphisms = _fusion_self_maps(F, injective=False)
+    return F._endomorphisms
 
 
 def fusion_automorphisms(F: FusionSystem) -> list[FusionMorphism]:
     """All fusion-preserving automorphisms, in image-tuple order."""
-    return _fusion_self_maps(F, injective=True)
+    if F._automorphisms is None:
+        chain = _automorphism_chain(F)
+        F._automorphisms = [FusionMorphism(F, F, a) for a in walk_chain(F.base, chain)]
+    return F._automorphisms
 
 
 def normal_endos(
@@ -321,17 +319,22 @@ def normal_automorphisms(
     """All invertible normal (equivariant) endomorphisms, via the
     surjective criterion.
 
-    The automorphisms f with [f,S] <= Z(F) and f = id on foc(F) form a
-    subgroup of Aut(S,F): with d_f(x) = x^-1 f(x),
-    d_{f o g}(x) = d_g(x) d_f(g(x)), and a composite of maps that fix
-    foc(F) fixes it.  So when every generator of Aut(S,F) passes the
-    criterion, every automorphism does, and no map is tested.
+    Under Omega the kept chain of Aut(S,F) is walked for the maps that
+    commute with Omega, each branch cut at the first level that can tell
+    (``walk_chain``).  The automorphisms f with [f,S] <= Z(F) and
+    f = id on foc(F) form a subgroup of Aut(S,F): with
+    d_f(x) = x^-1 f(x), d_{f o g}(x) = d_g(x) d_f(g(x)), and a composite
+    of maps that fix foc(F) fixes it.  So when every map of the chain
+    passes the criterion, every automorphism does, and no map is tested.
     ``factor/normal-automorphisms`` compares the result with the plain
     filter of every map."""
-    autos = fusion_automorphisms(F)
-    if omega is not None:
-        autos = [m for m in autos if omega.commutes_with(m.images)]
-    if all(_surjective_normal_criterion(F, g) for g in F._automorphism_generators):
+    chain = _automorphism_chain(F)
+    if omega is None:
+        autos = fusion_automorphisms(F)
+    else:
+        ws = [w.images for w in omega.generators]
+        autos = [FusionMorphism(F, F, a) for a in walk_chain(F.base, chain, ws)]
+    if all(_surjective_normal_criterion(F, u) for level in chain[1] for u in level):
         return list(autos)
     return [m for m in autos if _surjective_normal_criterion(F, m.images)]
 
@@ -833,8 +836,11 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
 def goldschmidt_factor(
     G: FiniteGroup, fact: Factorization, *, p: int = 2
 ) -> list[Subgroup]:
-    """Lift a fusion factorization to a direct factorization of the
-    realizing group via normal closures of the part bases."""
+    """Lift the factorization of F_S(G) that the caller built, on the
+    Sylow table that ``fusion_of_group(G, 2)`` uses, to a direct
+    factorization of G via normal closures of the part bases.  Once the
+    closures factor G, ``fact.system`` is F_S(G) exactly when each part's
+    fusion is its closure's, since both are the product of the parts'."""
     if p != 2:
         raise HypothesisFailed("transfer is stated at p = 2")
     chars = characteristic_subgroups(G, 2)
@@ -842,9 +848,10 @@ def goldschmidt_factor(
         raise HypothesisFailed("group has a nontrivial odd-order core")
     if chars.o_upper_p_prime.order != G.order:
         raise HypothesisFailed("group is not generated by its 2-elements")
-    F = fusion_of_group(G, 2)
     S = sylow(G, 2)
-    _check_system(F, fact)
+    SG, base = S.as_group()[0], fact.system.base
+    if base.order != SG.order or not hom_law_on_generators(base, SG, tuple(range(SG.order))):
+        raise NotSubsystem("factorization belongs to a different system")
 
     closures = []
     part_subgroups_in_g = []
@@ -882,9 +889,7 @@ def goldschmidt_factor(
         T_local = Subgroup(HG, (h_pos[x] for x in T_in_g.members), _checked=True)
         recovered = fusion_of_group(HG, 2, T_local)
         if not fusion_equal(recovered, part.system):
-            raise InternalInconsistency(
-                "factor fusion system differs from the closure's fusion system"
-            )
+            raise NotSubsystem("factorization belongs to a different system")
     return closures
 
 

@@ -271,12 +271,10 @@ class FusionSystem:
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
         self._focal_generators: Optional[tuple[int, ...]] = None
-        # fusion-preserving self-maps, filled by factor.fusion_endomorphisms
-        # and factor.fusion_automorphisms
+        # self-maps and Aut(S,F) as (base, chain levels), filled by factor
         self._endomorphisms: Optional[list[FusionMorphism]] = None
         self._automorphisms: Optional[list[FusionMorphism]] = None
-        # maps that generate the group of the list above, set with it
-        self._automorphism_generators: Optional[list[MapTuple]] = None
+        self._automorphism_chain: Optional[tuple[tuple[int, ...], list[list[MapTuple]]]] = None
 
     # -- invariants ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ and every search breaks ties by least id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
@@ -1162,29 +1163,45 @@ def _transversal(
     return level
 
 
-def automorphism_chain(G: FiniteGroup) -> list[list[Perm]]:
-    """The levels of a stabiliser chain of Aut(G).
+def automorphism_chain(G: FiniteGroup) -> tuple[tuple[int, ...], list[list[Perm]]]:
+    """A base of ``G`` and the levels of a stabiliser chain of Aut(G).
 
-    The generating sequence b_1..b_k is a base: level i holds one
+    The generating sequence b_1..b_k is the base: level i holds one
     automorphism u fixing b_1..b_{i-1} for each image of b_i.  Every
     automorphism is u_1 o ... o u_k in exactly one way, because the b_i
     generate G, so |Aut(G)| is the product of the level sizes, found by
     a few first-leaf searches and not by a search tree with one leaf per
     automorphism.  In particular the union of the levels generates
-    Aut(G); ``multiply_out`` lists it.
+    Aut(G); ``walk_chain`` lists it.
     """
     full = G.full_subgroup()
     gens, candidates = _search_space(full, full, True)
-    return [_transversal(G, gens, candidates, i) for i in range(len(gens))]
+    return gens, [_transversal(G, gens, candidates, i) for i in range(len(gens))]
 
 
-def multiply_out(G: FiniteGroup, levels: Sequence[Sequence[Perm]]) -> list[Perm]:
-    """Every u_1 o ... o u_k with u_i in level i of ``automorphism_chain``,
-    which is all of Aut(G) once, in image-tuple order."""
-    autos: list[Perm] = [tuple(range(G.order))]
-    for level in reversed(levels):
-        autos = [tuple(map(u.__getitem__, a)) for u in level for a in autos]
-    return sorted(autos)
+def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> list[Perm]:
+    """Every u_1 o ... o u_k with u_i in level i of ``chain`` (a base
+    b_1..b_k of G and levels, level i fixing b_1..b_{i-1}) that commutes
+    with each automorphism w in ``commuting``, once, in image-tuple order.
+    Top down, a partial product p meets each u of the next level as
+    p o u = itemgetter(*u)(p), in C.  A pair (w, b) of ``commuting`` and
+    the base is tested, p(w(b)) = w(p(b)), at the first level whose
+    prefix <b_1..b_i> holds b and w(b), and a failing branch is cut.
+    That is exact: later levels fix the prefix pointwise; and the last
+    prefix is taken to be G (one level may hold a whole group), so every
+    kept product commutes with each w on generators."""
+    base, levels = chain
+    pending = [(w, b) for w in commuting for b in base]
+    prods: list[Perm] = [tuple(range(G.order))]
+    for i, level in enumerate(levels):
+        getters = [itemgetter(*u) for u in level]
+        prods = [get(p) for p in prods for get in getters]
+        if pending:
+            prefix = set(_closure_ids(G, base[: i + 1] if i + 1 < len(levels) else base))
+            due = [(w, b) for w, b in pending if b in prefix and w[b] in prefix]
+            pending = [pair for pair in pending if pair not in due]
+            prods = [p for p in prods if all(p[w[b]] == w[p[b]] for w, b in due)]
+    return sorted(prods)
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupHom]:
@@ -1193,7 +1210,7 @@ def automorphisms(G: FiniteGroup) -> list[GroupHom]:
     full = G.full_subgroup()
     return [
         GroupHom(full, full, images, _checked=True)
-        for images in multiply_out(G, automorphism_chain(G))
+        for images in walk_chain(G, automorphism_chain(G))
     ]
 
 

@@ -97,6 +97,7 @@ from .factor import (
     NormalEndomorphism,
     OmegaContext,
     _admissible_splits,
+    _automorphism_chain,
     _surjective_normal_criterion,
     aut_structure,
     factorize,
@@ -238,26 +239,28 @@ def axis_subsystems():
 def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
     """The rank-three elementary abelian 2-group under the rotation of
     its three transposition blocks (a relabelling of the permutation
-    points), C2 x C4 under inversion, and the rank-three group again
-    under the swap of its first two blocks."""
-    F8 = _fusion("inner-c2c2c2")
-    G8 = F8.base
-    index = {G8.perms[x]: x for x in range(8)}
+    points), C2 x C4 under inversion, the rank-three group again under
+    the swap of its first two blocks, and sigma3-squared under the swap
+    of its two Sigma3 factors, whose Aut(S,F) (8 of the 48 maps of
+    Aut(C3 x C3)) comes from the labelled search, not the chain."""
 
-    def relabelling(sigma: tuple[int, ...]) -> OmegaContext:
-        sigma_inv = perm_inverse(sigma)
+    def relabelling(F: FusionSystem, sigma: tuple[int, ...]) -> tuple[FusionSystem, OmegaContext]:
+        G, sigma_inv = F.base, perm_inverse(sigma)
+        index = {G.perms[x]: x for x in range(G.order)}
         images = tuple(
-            index[tuple(sigma[G8.perms[x][sigma_inv[pt]]] for pt in range(6))]
-            for x in range(8)
+            index[tuple(sigma[G.perms[x][sigma_inv[pt]]] for pt in range(len(sigma)))]
+            for x in range(G.order)
         )
-        return OmegaContext.from_morphisms(F8, [check_morphism(F8, F8, images)])
+        return F, OmegaContext.from_morphisms(F, [check_morphism(F, F, images)])
 
+    F8 = _fusion("inner-c2c2c2")
     FA = _fusion("inner-c2c4")
     inv = tuple(FA.base.inv(x) for x in range(8))
     return [
-        (F8, relabelling((2, 3, 4, 5, 0, 1))),
+        relabelling(F8, (2, 3, 4, 5, 0, 1)),
         (FA, OmegaContext.from_morphisms(FA, [check_morphism(FA, FA, inv)])),
-        (F8, relabelling((2, 3, 0, 1, 4, 5))),
+        relabelling(F8, (2, 3, 0, 1, 4, 5)),
+        relabelling(_fusion("sigma3-squared"), (3, 4, 5, 0, 1, 2)),
     ]
 
 
@@ -1312,7 +1315,7 @@ def hom_law_battery(G: FiniteGroup) -> list[MapTuple]:
     last generator g for every c != 1 (which obeys the law at every
     other generator)."""
     n = G.order
-    maps = [u for level in automorphism_chain(G) for u in level]
+    maps = [u for level in automorphism_chain(G)[1] for u in level]
     maps += [tuple(range(n)), tuple(G.inv(x) for x in range(n))]
     maps.append(tuple(G.mul(x, x) for x in range(n)))
     if not G.generators:
@@ -1810,9 +1813,25 @@ def check_normality_converse_fails() -> str:
     return "centralizing the automizer does not imply normal"
 
 
+def stable_image_kernel_plain(
+    G: FiniteGroup, images: MapTuple
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The slow twin of ``groups.stable_image_kernel``: f^|G| taken on
+    each element alone, |G| steps (the images of the powers of f shrink
+    for at most log2 |G| of them), and its image and kernel."""
+    power = []
+    for x in range(G.order):
+        for _ in range(G.order):
+            x = images[x]
+        power.append(x)
+    return frozenset(power), frozenset(x for x in range(G.order) if power[x] == 0)
+
+
 def check_fitting_factorize() -> str:
-    """Each stable/nil split is the only one (``fitting_candidates``), and
-    f restricts to a normal endomorphism of both parts."""
+    """Each stable/nil split is the image and kernel of f^|S|
+    (``stable_image_kernel_plain``) and the only split
+    (``fitting_candidates``), and f restricts to a normal endomorphism
+    of both parts."""
     count = 0
     for name in catalog.ENDO_SUITE:
         F = _fusion(name)
@@ -1820,6 +1839,10 @@ def check_fitting_factorize() -> str:
             continue
         for ne in catalog_normal_endos(name):
             split = fitting_factorize(F, ne)
+            parts = (split.stable.base.member_set, split.nil.base.member_set)
+            assert parts == stable_image_kernel_plain(F.base, ne.images), (
+                f"{name}: stable image or nil kernel differs from f^|S| element by element"
+            )
             assert fitting_candidates(F.base, ne.images, F) == [
                 (split.stable.base.members, split.nil.base.members)
             ], f"{name}: second stable/nil splitting"
@@ -1827,13 +1850,6 @@ def check_fitting_factorize() -> str:
                 E, pos = part.system, {m: t for t, m in enumerate(part.base.members)}
                 on_part = tuple(pos[ne.images[m]] for m in part.base.members)
                 normal_complement(E, check_morphism(E, E, on_part))
-            if F.base.is_abelian:
-                full = F.base.full_subgroup()
-                T, U = fitting_split(
-                    F.base, GroupHom(full, full, ne.images, _checked=True)
-                )
-                assert split.stable.base.members == T.members
-                assert split.nil.base.members == U.members
             count += 1
     return f"{count} fitting splits verified (unique by brute force)"
 
@@ -1910,11 +1926,13 @@ def check_normal_automorphisms() -> str:
     the plain filter (Omega commutation and the criterion on every
     element of every map) on a fresh copy of every catalog system and
     every system of the unsaturated battery, and in the equivariant
-    contexts."""
+    contexts, where the walk runs on the chain of Aut(S) and on the one
+    level of the labelled search."""
     cases = [(_fusion(name), None) for name in catalog.names()]
     cases += [(F, None) for _, F in unsaturated_battery()]
     cases += equivariant_contexts()
     shortcut: Counter = Counter()
+    on_chain: Counter = Counter()
     for F, omega in cases:
         if omega is None:
             F = FusionSystem(F.base, F.p, F.maps)
@@ -1923,10 +1941,14 @@ def check_normal_automorphisms() -> str:
             f"from the plain filter"
         )
         shortcut[all(surjective_criterion_plain(F, m.images) for m in fusion_automorphisms(F))] += 1
+        if omega is not None:
+            on_chain[_automorphism_chain(F)[1] == automorphism_chain(F.base)[1]] += 1
     assert shortcut[True] and shortcut[False], "both outcomes must occur"
+    assert on_chain[True] and on_chain[False], "the Omega walk must run on both branches"
     return (
         f"{len(cases)} systems agree with the plain filter; Aut(S,F) is all "
-        f"normal in {shortcut[True]} of them"
+        f"normal in {shortcut[True]} of them; {on_chain[True]} Omega walks on "
+        f"the chain of Aut(S), {on_chain[False]} on the labelled search"
     )
 
 

@@ -121,6 +121,24 @@ def test_goldschmidt_command():
     ]["closure_orders"] == [24, 2]
 
 
+def test_goldschmidt_command_builds_the_sylow_fusion_once(monkeypatch):
+    from fusionsys import factor, fusion
+
+    built = []
+    fusion_of_group = fusion.fusion_of_group
+
+    def counting(G, p, S=None):
+        built.append(S is None)
+        return fusion_of_group(G, p, S)
+
+    monkeypatch.setattr(cli, "fusion_of_group", counting)
+    monkeypatch.setattr(factor, "fusion_of_group", counting)
+    code, _ = run_cli(["goldschmidt", "--catalog", "sym4-c2"])
+    assert code == 0
+    # F_S(G) once, and one table for the closure of each of the two parts
+    assert built == [True, False, False]
+
+
 def test_verify_command():
     code, report = run_cli(["verify", "group-core"])
     assert code == 0

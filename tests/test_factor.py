@@ -11,9 +11,7 @@ from fusionsys import fusion as fusion_mod
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import (
     FiniteGroup,
-    GroupHom,
     cycles_to_perm,
-    fitting_split,
     stable_image_kernel,
 )
 from fusionsys.fusion import (
@@ -223,7 +221,8 @@ def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
     from fusionsys import verify
 
     def last_level_dropped(G):
-        return groups.automorphism_chain(G)[:-1]
+        base, levels = groups.automorphism_chain(G)
+        return base, levels[:-1]
 
     monkeypatch.setattr(factor, "automorphism_chain", last_level_dropped)
     result = verify._run(
@@ -244,7 +243,7 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
 
     monkeypatch.setattr(factor, "check_morphism", counting)
     autos = factor.fusion_automorphisms(fresh)
-    levels = groups.automorphism_chain(F.base)
+    _, levels = groups.automorphism_chain(F.base)
     # |GL(3,3)| = 26 * 24 * 18, and one test per chain map
     assert len(autos) == 11232
     assert calls == [u for level in levels for u in level]
@@ -259,35 +258,102 @@ def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
     fresh = FusionSystem(F.base, F.p, F.maps)
     calls = []
 
-    def counting(G, levels):
-        calls.append(G.order)
-        return groups.multiply_out(G, levels)
+    def counting(G, chain, commuting=()):
+        calls.append([len(level) for level in chain[1]])
+        return groups.walk_chain(G, chain, commuting)
 
-    monkeypatch.setattr(factor, "multiply_out", counting)
+    monkeypatch.setattr(factor, "walk_chain", counting)
     autos = factor.fusion_automorphisms(fresh)
-    assert calls == []
+    # one walk, over the one level that the labelled search found
+    assert calls == [[len(autos)]]
     assert 0 < len(autos) < 11232
-    assert fresh._automorphism_generators == [m.images for m in autos]
+    assert fresh._automorphism_chain[1] == [[m.images for m in autos]]
     assert [m.images for m in autos] == [m.images for m in factor.fusion_automorphisms(F)]
 
 
 def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(monkeypatch):
     from fusionsys import verify
 
-    fusion_automorphisms = factor.fusion_automorphisms
+    normal_automorphisms = factor.normal_automorphisms
+    criterion = factor._surjective_normal_criterion
 
-    def first_generator_only(F):
-        autos = fusion_automorphisms(F)
-        monkeypatch.setattr(F, "_automorphism_generators", F._automorphism_generators[:1])
-        return autos
+    def first_generator_only(F, omega=None):
+        # the shortcut of normal_automorphisms on the first chain map only
+        if omega is not None:
+            return normal_automorphisms(F, omega)
+        autos = factor.fusion_automorphisms(F)
+        if criterion(F, factor._automorphism_chain(F)[1][0][0]):
+            return list(autos)
+        return [m for m in autos if criterion(F, m.images)]
 
-    monkeypatch.setattr(factor, "fusion_automorphisms", first_generator_only)
+    monkeypatch.setattr(verify, "normal_automorphisms", first_generator_only)
     result = verify._run(
         "factor/normal-automorphisms",
         dict(verify.FACTOR_CHECKS)["normal-automorphisms"],
     )
     assert not result.passed
     assert "differ from the plain filter" in result.detail
+
+
+def test_normal_automorphism_check_catches_a_walk_that_drops_deferred_pairs(monkeypatch):
+    # the rotation of the C2^3 blocks moves b_1 out of <b_1>, so its pairs
+    # are only tested at a later level
+    from fusionsys import verify
+
+    def first_level_pairs_only(G, chain, commuting=()):
+        base = chain[0]
+        first = set(groups._closure_ids(G, base[:1]))
+        return [
+            a for a in groups.walk_chain(G, chain)
+            if all(a[w[b]] == w[a[b]] for w in commuting for b in base[:1] if w[b] in first)
+        ]
+
+    monkeypatch.setattr(factor, "walk_chain", first_level_pairs_only)
+    result = verify._run(
+        "factor/normal-automorphisms",
+        dict(verify.FACTOR_CHECKS)["normal-automorphisms"],
+    )
+    assert not result.passed
+    assert "differ from the plain filter" in result.detail
+
+
+def test_equivariant_normal_automorphisms_walk_the_chain(monkeypatch):
+    # under the coordinate swap of C3^3 the walk cuts branches at the
+    # second level: no map of Aut(S,F) is tested, and far fewer than the
+    # 11882 partial products of the full walk are composed
+    F0 = fusion("inner-c3c3c3")
+    F = FusionSystem(F0.base, F0.p, F0.maps)
+    G = F.base
+    swap = (3, 4, 5, 0, 1, 2, 6, 7, 8)
+    index = {G.perms[x]: x for x in range(G.order)}
+    images = tuple(
+        index[tuple(swap[G.perms[x][swap[pt]]] for pt in range(9))] for x in range(G.order)
+    )
+    omega = factor.OmegaContext.from_morphisms(F, [check_morphism(F, F, images)])
+    tested, composed = [], []
+    commutes_with = factor.OmegaContext.commutes_with
+    itemgetter = groups.itemgetter
+
+    def counting_commutes(self, a):
+        tested.append(a)
+        return commutes_with(self, a)
+
+    def counting_getter(*items):
+        get = itemgetter(*items)
+
+        def composing(p):
+            composed.append(p)
+            return get(p)
+
+        return composing
+
+    monkeypatch.setattr(factor.OmegaContext, "commutes_with", counting_commutes)
+    monkeypatch.setattr(groups, "itemgetter", counting_getter)
+    normal = normal_automorphisms(F, omega)
+    assert len(normal) == 96
+    assert all(commutes_with(omega, m.images) for m in normal)
+    assert tested == []
+    assert 0 < len(composed) < 2000
 
 
 def test_normal_complement_of_an_automorphism_builds_no_image(monkeypatch):
@@ -398,18 +464,37 @@ def test_fitting_invertible_and_zero(paired_triple):
 
 
 def test_fitting_matches_abelian_split():
+    from fusionsys import verify
+
     F = fusion("inner-c2c4")
-    G = F.base
-    full = G.full_subgroup()
     for ne in normal_endos(F):
         split = fitting_factorize(F, ne)
-        T, U = fitting_split(G, GroupHom(full, full, ne.images, _checked=True))
-        assert split.stable.base.members == T.members
-        assert split.nil.base.members == U.members
+        T, U = verify.stable_image_kernel_plain(F.base, ne.images)
+        assert split.stable.base.member_set == T
+        assert split.nil.base.member_set == U
         # the restriction to the stable side is invertible, to the nil side
         # nilpotent
         t_set = split.stable.base.member_set
         assert {ne.images[x] for x in t_set} == t_set
+
+
+def test_fitting_check_catches_a_stable_image_one_power_short(monkeypatch):
+    from fusionsys import verify
+
+    def one_iteration_early(G, images):
+        _, _, n = stable_image_kernel(G, images)
+        power = tuple(range(G.order))
+        for _ in range(n - 1):
+            power = tuple(images[v] for v in power)
+        kernel = frozenset(x for x in range(G.order) if power[x] == 0)
+        return frozenset(power), kernel, n
+
+    monkeypatch.setattr(factor, "stable_image_kernel", one_iteration_early)
+    result = verify._run(
+        "factor/fitting-factorize", dict(verify.FACTOR_CHECKS)["fitting-factorize"]
+    )
+    assert not result.passed
+    assert "differs from f^|S| element by element" in result.detail
 
 
 def test_fitting_blocks_on_ambient(paired_triple):

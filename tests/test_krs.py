@@ -293,6 +293,22 @@ def test_goldschmidt_indecomposable_single_closure():
     assert closures[0].order == 24
 
 
+def test_goldschmidt_rejects_a_factorization_of_another_system():
+    # the inner system of the Sylow subgroup of Sym4 x C2 sits on the
+    # same table as F_S(G) but has fewer maps
+    from fusionsys.errors import NotSubsystem
+    from fusionsys.fusion import FusionSystem, inner_fusion
+
+    b = catalog.built("sym4-c2")
+    S = b.fusion.base
+    foreign = FusionSystem(S, 2, inner_fusion(S).maps)
+    with pytest.raises(NotSubsystem, match="different system"):
+        goldschmidt_factor(b.group, factorize(foreign))
+    other = catalog.built("inner-d8-c2")
+    with pytest.raises(NotSubsystem, match="different system"):
+        goldschmidt_factor(b.group, factorize(other.fusion))
+
+
 def test_goldschmidt_hypothesis_guard():
     b = catalog.built("sigma3")
     with pytest.raises(HypothesisFailed):

@@ -401,7 +401,7 @@ def test_chain_level_maps_are_accepted_without_a_push(monkeypatch):
         return push_map(self, dom_idx, m)
 
     monkeypatch.setattr(morphisms.FusionMorphism, "push_map", counting)
-    levels = groups.automorphism_chain(F.base)
+    _, levels = groups.automorphism_chain(F.base)
     for level in levels:
         for u in level:
             assert check_morphism(F, F, u, hom_checked=True).images == u
