@@ -7,7 +7,6 @@ records are re-verified whenever an entry is accessed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalInconsistency, SuiteUnknown
@@ -19,18 +18,29 @@ from .fusion import (
     fusion_of_group,
     is_saturated,
 )
+from .records import Record
 
 Cycles = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    points: int
-    generators: tuple[Cycles, ...]
-    prime: int
-    expected: Optional[dict] = None
+class CatalogEntry(Record):
+    __slots__ = ("name", "description", "points", "generators", "prime", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        points: int,
+        generators: tuple[Cycles, ...],
+        prime: int,
+        expected: Optional[dict] = None,
+    ) -> None:
+        self.name = name
+        self.description = description
+        self.points = points
+        self.generators = generators
+        self.prime = prime
+        self.expected = expected
 
     def permutations(self):
         return [cycles_to_perm(g, self.points) for g in self.generators]
@@ -212,11 +222,14 @@ def entry(name: str) -> CatalogEntry:
     return _BY_NAME[name]
 
 
-@dataclass
-class CatalogBuild:
-    entry: CatalogEntry
-    group: FiniteGroup
-    _fusion: Optional[FusionSystem] = field(default=None, repr=False)
+class CatalogBuild(Record, hidden=("_fusion",)):
+    __slots__ = ("entry", "group", "_fusion")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, entry: CatalogEntry, group: FiniteGroup) -> None:
+        self.entry = entry
+        self.group = group
+        self._fusion: Optional[FusionSystem] = None
 
     @property
     def fusion(self) -> FusionSystem:

@@ -46,7 +46,6 @@ automorphism) and ``krs/aut-structure``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -101,18 +100,27 @@ from .morphisms import (
     subsystem_of,
     sum_morphisms,
 )
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # normal endomorphisms
 
 
-@dataclass(frozen=True)
-class NormalEndomorphism:
-    morphism: FusionMorphism
-    complement: FusionMorphism
-    surjective: bool
-    invertible: bool
+class NormalEndomorphism(Record):
+    __slots__ = ("morphism", "complement", "surjective", "invertible")
+
+    def __init__(
+        self,
+        morphism: FusionMorphism,
+        complement: FusionMorphism,
+        surjective: bool,
+        invertible: bool,
+    ) -> None:
+        self.morphism = morphism
+        self.complement = complement
+        self.surjective = surjective
+        self.invertible = invertible
 
     @property
     def images(self) -> MapTuple:
@@ -176,12 +184,16 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
     return NormalEndomorphism(f, chi, surjective, surjective)
 
 
-@dataclass(frozen=True)
-class OmegaContext:
+class OmegaContext(Record):
     """A finite automorphism group of the system, given by generators."""
 
-    generators: tuple[FusionMorphism, ...]
-    closure: tuple[MapTuple, ...]
+    __slots__ = ("generators", "closure")
+
+    def __init__(
+        self, generators: tuple[FusionMorphism, ...], closure: tuple[MapTuple, ...]
+    ) -> None:
+        self.generators = generators
+        self.closure = closure
 
     @classmethod
     def from_morphisms(cls, F: FusionSystem, gens: Sequence[FusionMorphism]) -> "OmegaContext":
@@ -343,14 +355,32 @@ def normal_automorphisms(
 # structure of a single normal endomorphism
 
 
-@dataclass(frozen=True)
-class NormalEndReport:
-    commuting_complement: bool
-    cross_images_agree: bool
-    image_strongly_closed: bool
-    centralizes_base_automorphisms: bool
-    image_is_full_restriction: bool
-    image_saturated: bool
+class NormalEndReport(Record):
+    # the six clauses, in the order normal_end_properties tests them
+    __slots__ = (
+        "commuting_complement",
+        "cross_images_agree",
+        "image_strongly_closed",
+        "centralizes_base_automorphisms",
+        "image_is_full_restriction",
+        "image_saturated",
+    )
+
+    def __init__(
+        self,
+        commuting_complement: bool,
+        cross_images_agree: bool,
+        image_strongly_closed: bool,
+        centralizes_base_automorphisms: bool,
+        image_is_full_restriction: bool,
+        image_saturated: bool,
+    ) -> None:
+        self.commuting_complement = commuting_complement
+        self.cross_images_agree = cross_images_agree
+        self.image_strongly_closed = image_strongly_closed
+        self.centralizes_base_automorphisms = centralizes_base_automorphisms
+        self.image_is_full_restriction = image_is_full_restriction
+        self.image_saturated = image_saturated
 
 
 def normal_end_properties(F: FusionSystem, ne: NormalEndomorphism) -> NormalEndReport:
@@ -396,17 +426,19 @@ def normal_end_properties(F: FusionSystem, ne: NormalEndomorphism) -> NormalEndR
     report = NormalEndReport(
         commuting, cross, strongly, central, image_full, image_sat
     )
-    for name, ok in report.__dict__.items():
-        if not ok:
+    for name in NormalEndReport.__slots__:
+        if not getattr(report, name):
             raise InternalInconsistency(f"normal endomorphism clause failed: {name}")
     return report
 
 
-@dataclass(frozen=True)
-class FittingSplit:
-    stable: Subsystem      # f restricts to a normal automorphism here
-    nil: Subsystem         # f restricts to a nilpotent normal endomorphism
-    power: int
+class FittingSplit(Record):
+    __slots__ = ("stable", "nil", "power")
+
+    def __init__(self, stable: Subsystem, nil: Subsystem, power: int) -> None:
+        self.stable = stable  # f restricts to a normal automorphism here
+        self.nil = nil        # f restricts to a nilpotent normal endomorphism
+        self.power = power
 
 
 def fitting_factorize(F: FusionSystem, ne: NormalEndomorphism) -> FittingSplit:
@@ -428,13 +460,15 @@ def fitting_factorize(F: FusionSystem, ne: NormalEndomorphism) -> FittingSplit:
 # factorization into indecomposable parts
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record, hidden=("system",)):
     """Indecomposable parts of ``system``, proven a direct factorization
     where they were found (``factorization_of`` for bases from outside)."""
 
-    parts: tuple[Subsystem, ...]
-    system: FusionSystem = field(compare=False, repr=False)
+    __slots__ = ("parts", "system")
+
+    def __init__(self, parts: tuple[Subsystem, ...], system: FusionSystem) -> None:
+        self.parts = parts
+        self.system = system
 
     @property
     def bases(self) -> tuple[tuple[int, ...], ...]:
@@ -601,14 +635,23 @@ def is_indecomposable(
 # KRS certificate
 
 
-@dataclass(frozen=True)
-class KrsCertificate:
-    alpha: NormalEndomorphism
-    sigma: tuple[int, ...]
-    construction_log: tuple[FusionMorphism, ...]
-    # always True and None (one construction); both stay in every krs report
-    constructive: bool
-    note: Optional[str] = None
+class KrsCertificate(Record):
+    __slots__ = ("alpha", "sigma", "construction_log", "constructive", "note")
+
+    def __init__(
+        self,
+        alpha: NormalEndomorphism,
+        sigma: tuple[int, ...],
+        construction_log: tuple[FusionMorphism, ...],
+        # always True and None (one construction); both stay in every krs report
+        constructive: bool,
+        note: Optional[str] = None,
+    ) -> None:
+        self.alpha = alpha
+        self.sigma = sigma
+        self.construction_log = construction_log
+        self.constructive = constructive
+        self.note = note
 
 
 def _check_system(F: FusionSystem, fact: Factorization) -> None:
@@ -727,13 +770,22 @@ def _verify_certificate(
 # automorphism structure of a factorized system
 
 
-@dataclass(frozen=True)
-class AutStructure:
-    aut_order: int
-    aut0_order: int
-    gamma: tuple[tuple[int, ...], ...]
-    section: dict[tuple[int, ...], MapTuple]
-    part_aut_orders: tuple[int, ...]
+class AutStructure(Record):
+    __slots__ = ("aut_order", "aut0_order", "gamma", "section", "part_aut_orders")
+
+    def __init__(
+        self,
+        aut_order: int,
+        aut0_order: int,
+        gamma: tuple[tuple[int, ...], ...],
+        section: dict[tuple[int, ...], MapTuple],
+        part_aut_orders: tuple[int, ...],
+    ) -> None:
+        self.aut_order = aut_order
+        self.aut0_order = aut0_order
+        self.gamma = gamma
+        self.section = section
+        self.part_aut_orders = part_aut_orders
 
 
 def find_isomorphism(E1: FusionSystem, E2: FusionSystem) -> Optional[FusionMorphism]:

@@ -12,7 +12,6 @@ corestriction and extension of the codomain).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -38,6 +37,7 @@ from .groups import (
     sylow,
     transporters,
 )
+from .records import Record
 
 if TYPE_CHECKING:
     from .morphisms import FusionMorphism
@@ -743,26 +743,41 @@ def generated_fusion(
 # saturation
 
 
-@dataclass(frozen=True)
-class SaturationFailure:
-    class_rep: int
-    axiom: str
-    phi: Optional[GroupHom]
-    n_phi: Optional[Subgroup]
+class SaturationFailure(Record):
+    __slots__ = ("class_rep", "axiom", "phi", "n_phi")
+
+    def __init__(
+        self, class_rep: int, axiom: str, phi: Optional[GroupHom], n_phi: Optional[Subgroup]
+    ) -> None:
+        self.class_rep = class_rep
+        self.axiom = axiom
+        self.phi = phi
+        self.n_phi = n_phi
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    members: tuple[int, ...]
-    witness: Optional[int]
-    failure: Optional[SaturationFailure]
+class ClassReport(Record):
+    __slots__ = ("members", "witness", "failure")
+
+    def __init__(
+        self, members: tuple[int, ...], witness: Optional[int], failure: Optional[SaturationFailure]
+    ) -> None:
+        self.members = members
+        self.witness = witness
+        self.failure = failure
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    verdict: bool
-    per_class: tuple[ClassReport, ...]
-    continuity: str = "vacuous for a finite base group"
+class SaturationReport(Record):
+    __slots__ = ("verdict", "per_class", "continuity")
+
+    def __init__(
+        self,
+        verdict: bool,
+        per_class: tuple[ClassReport, ...],
+        continuity: str = "vacuous for a finite base group",
+    ) -> None:
+        self.verdict = verdict
+        self.per_class = per_class
+        self.continuity = continuity
 
 
 def is_fully_automized(F: FusionSystem, i: int) -> bool:
@@ -932,10 +947,16 @@ def is_saturated(F: FusionSystem) -> bool:
 # structural invariants
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
-    subgroup_classes: tuple[tuple[int, ...], ...]
-    element_classes: tuple[tuple[int, ...], ...]
+class ConjugacyData(Record):
+    __slots__ = ("subgroup_classes", "element_classes")
+
+    def __init__(
+        self,
+        subgroup_classes: tuple[tuple[int, ...], ...],
+        element_classes: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.subgroup_classes = subgroup_classes
+        self.element_classes = element_classes
 
 
 def conjugacy(F: FusionSystem) -> ConjugacyData:
@@ -1039,11 +1060,13 @@ def focal_generators(F: FusionSystem) -> tuple[int, ...]:
     return F._focal_generators
 
 
-@dataclass(frozen=True)
-class SubgroupClassification:
-    strongly_closed: bool
-    centric: bool
-    radical: bool
+class SubgroupClassification(Record):
+    __slots__ = ("strongly_closed", "centric", "radical")
+
+    def __init__(self, strongly_closed: bool, centric: bool, radical: bool) -> None:
+        self.strongly_closed = strongly_closed
+        self.centric = centric
+        self.radical = radical
 
 
 def is_strongly_closed(F: FusionSystem, i: int) -> bool:
@@ -1132,13 +1155,22 @@ def classify_subgroup(F: FusionSystem, P: Subgroup) -> SubgroupClassification:
     )
 
 
-@dataclass(frozen=True)
-class FusionInvariants:
-    center: Subgroup
-    focal: Subgroup
-    strongly_closed: tuple[Subgroup, ...]
-    centric: tuple[int, ...]
-    radical: tuple[int, ...]
+class FusionInvariants(Record):
+    __slots__ = ("center", "focal", "strongly_closed", "centric", "radical")
+
+    def __init__(
+        self,
+        center: Subgroup,
+        focal: Subgroup,
+        strongly_closed: tuple[Subgroup, ...],
+        centric: tuple[int, ...],
+        radical: tuple[int, ...],
+    ) -> None:
+        self.center = center
+        self.focal = focal
+        self.strongly_closed = strongly_closed
+        self.centric = centric
+        self.radical = radical
 
 
 def fusion_invariants(F: FusionSystem) -> FusionInvariants:

@@ -9,7 +9,6 @@ and every search breaks ties by least id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .errors import (
     NotSubgroup,
 )
 from . import guardrails
+from .records import Record
 
 if TYPE_CHECKING:
     from .fusion import SubgroupLattice
@@ -902,12 +902,16 @@ def _right_coset(G: FiniteGroup, members: Sequence[int], x: int) -> list[int]:
 # characteristic subgroups
 
 
-@dataclass(frozen=True)
-class CharacteristicSubgroups:
-    center: Subgroup
-    derived: Subgroup
-    o_p_prime: Subgroup
-    o_upper_p_prime: Subgroup
+class CharacteristicSubgroups(Record):
+    __slots__ = ("center", "derived", "o_p_prime", "o_upper_p_prime")
+
+    def __init__(
+        self, center: Subgroup, derived: Subgroup, o_p_prime: Subgroup, o_upper_p_prime: Subgroup
+    ) -> None:
+        self.center = center
+        self.derived = derived
+        self.o_p_prime = o_p_prime
+        self.o_upper_p_prime = o_upper_p_prime
 
 
 def characteristic_subgroups(G: FiniteGroup, p: int) -> CharacteristicSubgroups:
@@ -1247,9 +1251,11 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     return quo, label
 
 
-@dataclass(frozen=True)
-class OmegaSeries:
-    terms: tuple[Subgroup, ...]
+class OmegaSeries(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Subgroup, ...]) -> None:
+        self.terms = terms
 
 
 def group_prime(G: FiniteGroup) -> int:
@@ -1320,13 +1326,22 @@ def fitting_split(A: FiniteGroup, f: GroupHom) -> tuple[Subgroup, Subgroup]:
 # direct products
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    product: FiniteGroup
-    embed1: GroupHom
-    embed2: GroupHom
-    proj1: GroupHom
-    proj2: GroupHom
+class DirectProduct(Record):
+    __slots__ = ("product", "embed1", "embed2", "proj1", "proj2")
+
+    def __init__(
+        self,
+        product: FiniteGroup,
+        embed1: GroupHom,
+        embed2: GroupHom,
+        proj1: GroupHom,
+        proj2: GroupHom,
+    ) -> None:
+        self.product = product
+        self.embed1 = embed1
+        self.embed2 = embed2
+        self.proj1 = proj1
+        self.proj2 = proj2
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> DirectProduct:

@@ -8,7 +8,6 @@ determined by the underlying map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -27,6 +26,7 @@ from .fusion import (
     close_maps,
     lattice_of,
 )
+from .records import Record
 
 
 class FusionMorphism:
@@ -238,12 +238,14 @@ def image(m: FusionMorphism) -> FusionSystem:
 # subsystem bookkeeping
 
 
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(Record):
     """A fusion system living on a subgroup of an ambient base group."""
 
-    base: Subgroup
-    system: FusionSystem
+    __slots__ = ("base", "system")
+
+    def __init__(self, base: Subgroup, system: FusionSystem) -> None:
+        self.base = base
+        self.system = system
 
     def translated_maps(self) -> list[tuple[tuple[int, ...], MapTuple]]:
         """Morphisms as (domain members, images) in ambient ids."""
@@ -372,16 +374,21 @@ def product(factors: Sequence[FusionSystem]) -> ProductSystem:
 # commuting subsystems
 
 
-@dataclass
-class CommuteResult:
+class CommuteResult(Record, hidden=("_inner",)):
     """The verdict of ``commute_check``.  The inner product subsystem is
     built from the extension seeds on first use: sums and normal
     complements need only the verdict."""
 
-    ambient: FusionSystem
-    inner_base: Subgroup
-    seeds: frozenset[tuple[int, MapTuple]]
-    _inner: Optional[FusionSystem] = field(default=None, repr=False, compare=False)
+    __slots__ = ("ambient", "inner_base", "seeds", "_inner")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, ambient: FusionSystem, inner_base: Subgroup, seeds: frozenset[tuple[int, MapTuple]]
+    ) -> None:
+        self.ambient = ambient
+        self.inner_base = inner_base
+        self.seeds = seeds
+        self._inner: Optional[FusionSystem] = None
 
     @property
     def inner(self) -> FusionSystem:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import catalog
@@ -114,13 +113,16 @@ from .factor import (
     normal_endos,
     sum_if_composite_central,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def _run(name: str, fn: Callable[[], str]) -> CheckResult:

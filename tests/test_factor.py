@@ -1,6 +1,5 @@
 """Normal endomorphisms, the stable/nil splitting, and factorization."""
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -32,6 +31,7 @@ from fusionsys.morphisms import (
     zero_morphism,
 )
 from fusionsys.factor import (
+    Factorization,
     factorization_of,
     factorize,
     factorize_all,
@@ -386,7 +386,7 @@ def test_product_check_catches_a_dropped_part(monkeypatch):
 
     def drop_last_part(F, omega=None):
         return [
-            dataclasses.replace(fact, parts=fact.parts[:-1] or fact.parts)
+            Factorization(fact.parts[:-1] or fact.parts, fact.system)
             for fact in factorize_all(F, omega)
         ]
 

@@ -3,7 +3,6 @@ series and splittings.  Derived values are frozen against independent
 oracles (sympy's Schreier-Sims order, counting formulas, raw brute
 force)."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -20,6 +19,7 @@ from fusionsys.errors import (
 )
 from fusionsys import catalog, groups
 from fusionsys.groups import (
+    CharacteristicSubgroups,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -395,7 +395,9 @@ def test_o_p_prime_check_catches_joining_one_class(monkeypatch):
         for cls in G.conjugacy_classes()[1:]:
             closed = G.generated_subgroup(cls)
             if closed.order % p:
-                return dataclasses.replace(chars, o_p_prime=closed)
+                return CharacteristicSubgroups(
+                    chars.center, chars.derived, closed, chars.o_upper_p_prime
+                )
         return chars
 
     # on Sigma3 x Sigma3 at p = 2 the rule finds one C3 of O_2' = C3 x C3

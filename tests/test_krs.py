@@ -1,7 +1,6 @@
 """Certificates linking factorizations, equivariant refinements, and the
 automorphism-group structure of factorized systems."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -13,6 +12,7 @@ from fusionsys.fusion import fusion_of_group
 from fusionsys.morphisms import check_morphism
 from fusionsys.factor import (
     AutStructure,
+    KrsCertificate,
     NormalEndomorphism,
     OmegaContext,
     aut_structure,
@@ -111,7 +111,13 @@ def test_certificate_twin_check_rejects_alpha_not_normal(monkeypatch):
         normal = {m.images for m in normal_automorphisms(F, omega)}
         for m in fusion_automorphisms(F):
             if m.images not in normal:
-                return dataclasses.replace(cert, alpha=NormalEndomorphism(m, m, True, True))
+                return KrsCertificate(
+                    NormalEndomorphism(m, m, True, True),
+                    cert.sigma,
+                    cert.construction_log,
+                    cert.constructive,
+                    cert.note,
+                )
         return cert
 
     monkeypatch.setattr(verify, "krs_certificate", mutant)
