@@ -22,25 +22,31 @@ failure reruns the full scan, so witnesses are unchanged):
   search filtered by ``check_morphism``, which also gives End(S,F); the
   listings walk the chain, and under Omega a branch is cut at the first
   level that fixes enough of S to test a pair (w, b) exactly;
+- ``is_product_decomposition`` on every split tried: kept restrictions
+  pass as parts by identity, then the commuting generator tuples, the
+  cover read off the element components, and ``class_generators(F)``
+  projected onto the parts;
 - equivariance on the generators of S, and the certificate's transport
   of the part tables entrywise.
 
 Theorems are not proved again in a call.  Checks made in
 ``fusionsys.verify``, each fast path against its slow twin:
 ``morphisms/hom-law-on-generators`` (``hom_law_plain``, every pair),
-``morphisms/push-on-generators`` (``check_morphism_plain``,
-every map pushed), ``morphisms/commuting-criteria-agree``
-(``commute_check_plain``, every tuple), ``morphisms/sum-bookkeeping``
-(``sum_morphisms_plain``, image closures and every tuple; sums, f + chi
-among them, re-accepted by ``check_morphism_plain``),
-``factor/surjective-criterion`` (the criterion against the plain
-complement test ``verify.is_normal_endo``), ``factor/normal-automorphisms``
-(the plain filter of every map), ``commutes_with_plain`` (every
-element), ``factor/self-map-search`` (Aut(S,F) and the endomorphisms
-against the filtered backtracker), ``factor/fitting-factorize``
-(``stable_image_kernel_plain``, f^|S| on each element),
-``krs/certificate-twin`` (``krs_certificate_plain``, every normal
-automorphism) and ``krs/aut-structure``.
+``morphisms/push-on-generators`` (``check_morphism_plain``, every map
+pushed), ``morphisms/commuting-criteria-agree``
+(``commute_check_plain``, every tuple and part scanned),
+``morphisms/restriction-is-subsystem`` (every kept restriction scanned),
+``morphisms/product-by-projection`` (the inner product entrywise),
+``morphisms/sum-bookkeeping`` (``sum_morphisms_plain``, image closures
+and every tuple; sums, f + chi among them, re-accepted by
+``check_morphism_plain``), ``factor/surjective-criterion`` (the
+criterion against the plain complement test ``verify.is_normal_endo``),
+``factor/normal-automorphisms`` (the plain filter of every map),
+``commutes_with_plain`` (every element), ``factor/self-map-search``
+(Aut(S,F) and the endomorphisms against the filtered backtracker),
+``factor/fitting-factorize`` (``stable_image_kernel_plain``, f^|S| on
+each element), ``krs/certificate-twin`` (``krs_certificate_plain``,
+every normal automorphism) and ``krs/aut-structure``.
 """
 
 from __future__ import annotations
@@ -90,8 +96,9 @@ from .fusion import (
 from .morphisms import (
     FusionMorphism,
     Subsystem,
+    _noncommuting_pair,
+    _projections,
     check_morphism,
-    decomposition_components,
     hom_law_on_generators,
     identity_morphism,
     image,
@@ -416,11 +423,7 @@ def normal_end_properties(F: FusionSystem, ne: NormalEndomorphism) -> NormalEndR
         for phi in ms:
             new_idx, new_map = ne.morphism.push_map(dom_idx, phi)
             pushed.add((F.lattice.subs[new_idx].members, new_map))
-    full_maps = {
-        (members, mp)
-        for members, mp in Subsystem(T, restricted).translated_maps()
-    }
-    image_full = pushed == full_maps
+    image_full = pushed == set(Subsystem(T, restricted).translated_maps())
     image_sat = saturation_report(restricted).verdict
 
     report = NormalEndReport(
@@ -502,19 +505,16 @@ def _admissible_splits(
         by_order.setdefault(subs[i].order, []).append(i)
     for i in eligible:
         for j in by_order.get(n // subs[i].order, []):
-            if j > i and _meet_trivially(subs[i], subs[j]) and _commutes(
-                G, subs[i], subs[j]
+            if (
+                j > i
+                and _meet_trivially(subs[i], subs[j])
+                and _noncommuting_pair(G, subs[i].members, subs[j].members) is None
             ):
                 yield i, j
 
 
 def _meet_trivially(T: Subgroup, U: Subgroup) -> bool:
     return T.member_set.isdisjoint(U.members[1:])
-
-
-def _commutes(G: FiniteGroup, T: Subgroup, U: Subgroup) -> bool:
-    """Every element of ``T`` commutes with every element of ``U``."""
-    return all(G.mul(a, b) == G.mul(b, a) for a in T.members for b in U.members)
 
 
 def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, Subsystem]]:
@@ -861,7 +861,7 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
                 beta[i][j] = isos[rep][j].compose(isos[rep][i].inverse())
 
     section: dict[tuple[int, ...], MapTuple] = {}
-    decomp = decomposition_components(F.base, [p.base.members for p in fact.parts])
+    decomp = list(zip(*projections(F.base, [p.base.members for p in fact.parts])))
     for sigma in gamma:
         images = [0] * F.base.order
         for x in range(F.base.order):
@@ -913,22 +913,10 @@ def goldschmidt_factor(
         part_subgroups_in_g.append(T_in_g)
         closures.append(normal_closure(G, T_in_g))
 
-    # pairwise commuting
-    for a in range(len(closures)):
-        for b in range(a + 1, len(closures)):
-            for x in closures[a].members:
-                for y in closures[b].members:
-                    if G.mul(x, y) != G.mul(y, x):
-                        raise InternalInconsistency(
-                            "normal closures do not commute pairwise"
-                        )
-    # independent and spanning
-    total = 1
-    span = {0}
-    for H in closures:
-        total *= H.order
-        span = {G.mul(x, h) for x in span for h in H.members}
-    if total != G.order or len(span) != G.order:
+    for H, K in itertools.combinations(closures, 2):
+        if _noncommuting_pair(G, H.members, K.members) is not None:
+            raise InternalInconsistency("normal closures do not commute pairwise")
+    if _projections(G, [H.members for H in closures]) is None:
         raise InternalInconsistency("normal closures do not factor the group")
     # Sylow condition and fusion recovery per part
     for part, T_in_g, H in zip(fact.parts, part_subgroups_in_g, closures):

@@ -261,7 +261,21 @@ class Subsystem(Record):
 
 
 def _assert_subsystem(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
-    """Every morphism of ``E`` (over ``T``) must already belong to ``F``."""
+    """``E`` over ``T`` is a subsystem of ``F``.  The system that
+    ``restrict_full(F, T)`` keeps (F itself when T = S) is one by
+    construction, so it is accepted by identity (the verify check
+    ``morphisms/restriction-is-subsystem`` scans every kept one); any
+    other ``E`` goes through ``_subsystem_scan``."""
+    if T.parent is F.base and E is (
+        F if T.order == F.base.order else F._restrictions.get(T.members)
+    ):
+        return
+    _subsystem_scan(F, T, E)
+
+
+def _subsystem_scan(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
+    """NotSubsystem unless ``E`` has the induced table of ``T`` and every
+    morphism of ``E`` (over ``T``) already belongs to ``F``."""
     if E.base.order != T.order:
         raise NotSubsystem("subsystem base does not match its subgroup")
     if not T.member_set <= set(range(F.base.order)):
@@ -273,8 +287,7 @@ def _assert_subsystem(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
     ):
         raise NotSubsystem("subsystem base is not the induced subgroup table")
     for members, mp in Subsystem(T, E).translated_maps():
-        idx = F.index_of(members)
-        if not F.has_map(idx, mp):
+        if not F.has_map(F.index_of(members), mp):
             raise NotSubsystem(
                 f"subsystem morphism {members} -> {mp} is missing from the ambient system"
             )
@@ -355,7 +368,6 @@ class ProductSystem:
         self.embeddings = []
         self.projections = []
         for i, Fi in enumerate(factors):
-            zero = tuple(0 for _ in factors)
             emb = []
             for b in range(Fi.base.order):
                 key = tuple(b if j == i else 0 for j in range(k))
@@ -398,7 +410,15 @@ class CommuteResult(Record, hidden=("_inner",)):
 
 
 def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteResult:
-    """Decide whether subsystems commute in ``F``.
+    """Decide whether subsystems commute in ``F`` (``_commute_seeds``); the
+    inner product on the product of the bases is closed when read."""
+    seeds = _commute_seeds(F, subsystems)
+    bases = [sub.base.members for sub in subsystems]
+    return CommuteResult(F, _product_base(F.base, bases), frozenset(seeds))
+
+
+def _commute_seeds(F: FusionSystem, subsystems: Sequence[Subsystem]) -> set[tuple[int, MapTuple]]:
+    """The extension seeds of subsystems that commute in ``F``.
 
     Uses the morphism-tuple criterion: the base subgroups must commute
     pairwise and every tuple of subsystem morphisms must extend to a
@@ -411,13 +431,17 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
     one-part tuples, and each part's maps come from its class generators
     and conjugation maps (tables must be closed).  The seeds are those
     extensions; they close to the same inner product as the extensions
-    of every tuple, built when read.  A family that fails goes through
-    ``_commute_scan``, every tuple in order, which raises NotCommuting
-    with the first tuple that does not extend.  The verify check
+    of every tuple.  A family that fails goes through ``_commute_scan``,
+    every tuple in order, which raises NotCommuting with the first tuple
+    that does not extend.  The verify check
     ``morphisms/commuting-criteria-agree`` compares both with the scan
     alone and with the morphism out of the external product.
     """
-    _check_bases(F, subsystems)
+    if not subsystems:
+        raise NotSubgroup("need at least one subsystem")
+    for sub in subsystems:
+        _assert_subsystem(F, sub.base, sub.system)
+    _commute_elementwise(F.base, [sub.base.members for sub in subsystems])
     generators = [
         [
             (
@@ -428,37 +452,33 @@ def commute_check(F: FusionSystem, subsystems: Sequence[Subsystem]) -> CommuteRe
         ]
         for sub in subsystems
     ]
-    bases = [sub.base.members for sub in subsystems]
-    seeds = _generator_seeds(F, bases, generators)
-    if seeds is None:
-        seeds = _commute_scan(F, subsystems)
-    return CommuteResult(F, _product_base(F.base, bases), frozenset(seeds))
-
-
-def _check_bases(F: FusionSystem, subsystems: Sequence[Subsystem]) -> None:
-    """Each part is a subsystem of ``F``, and the bases commute."""
-    if not subsystems:
-        raise NotSubgroup("need at least one subsystem")
-    for sub in subsystems:
-        _assert_subsystem(F, sub.base, sub.system)
-    _commute_elementwise(F.base, [sub.base.members for sub in subsystems])
+    seeds = _generator_seeds(F, [sub.base.members for sub in subsystems], generators)
+    return _commute_scan(F, subsystems) if seeds is None else seeds
 
 
 def _commute_elementwise(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> None:
     """NotCommuting names the first pair of elements, from two of the
     bases, that do not commute."""
-    for a in range(len(bases)):
-        for b in range(a + 1, len(bases)):
-            xs, ys = bases[a], bases[b]
-            # x y for every (x, y) in order, against y x in the same order
-            yx = G.products(ys, xs)
-            for t, xy in enumerate(G.products(xs, ys)):
-                i, j = divmod(t, len(ys))
-                if xy != yx[j * len(xs) + i]:
-                    raise NotCommuting(
-                        "base subgroups do not commute elementwise",
-                        witness={"pair": (a, b), "elements": (xs[i], ys[j])},
-                    )
+    for (a, xs), (b, ys) in itertools.combinations(enumerate(bases), 2):
+        pair = _noncommuting_pair(G, xs, ys)
+        if pair is not None:
+            raise NotCommuting(
+                "base subgroups do not commute elementwise",
+                witness={"pair": (a, b), "elements": pair},
+            )
+
+
+def _noncommuting_pair(
+    G: FiniteGroup, xs: Sequence[int], ys: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first (x, y) of xs x ys, in order, with x y != y x."""
+    # x y for every (x, y) in order, against y x in the same order
+    yx = G.products(ys, xs)
+    for t, xy in enumerate(G.products(xs, ys)):
+        i, j = divmod(t, len(ys))
+        if xy != yx[j * len(xs) + i]:
+            return xs[i], ys[j]
+    return None
 
 
 def _product_base(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> Subgroup:
@@ -569,43 +589,33 @@ def is_product_decomposition(
     """True when the commuting subsystems give an internal direct
     factorization of ``F``.
 
-    Every tuple of part morphisms extends in ``F`` (``commute_check``),
-    so the product of the parts lies in ``F``; once their bases factor
-    S, equality is ``_within_product``.  The twin
-    ``verify.product_decomposition_plain`` builds the inner product and
-    compares it with ``F`` entrywise."""
-    res = commute_check(F, subsystems)
-    total = 1
-    for sub in subsystems:
-        total *= sub.base.order
-    if not total == res.inner_base.order == F.base.order:
+    Every tuple of part morphisms extends in ``F`` (``_commute_seeds``),
+    so the product of the parts lies in ``F``.  The components of each
+    element are built once: overlapping bases, or fewer than |S|
+    products, give False.  Otherwise a morphism phi of F on W lies in
+    the product exactly when, for each part a, x -> pi_a(phi(x)) is a
+    well-defined function of pi_a(x) and that map on pi_a(W) is a
+    morphism of the part's system.  The product is a fusion system and
+    holds the conjugation maps of S, since each part holds those of its
+    base, so testing ``class_generators(F)`` is enough.  The twin
+    ``verify.product_decomposition_plain`` compares the inner product
+    with ``F`` entrywise."""
+    _commute_seeds(F, subsystems)
+    proj = _projections(F.base, [sub.base.members for sub in subsystems])
+    if proj is None:
         return False
-    return _within_product(F, subsystems)
-
-
-def _within_product(F: FusionSystem, subsystems: Sequence[Subsystem]) -> bool:
-    """F lies in the product of the parts, whose bases must factor S as
-    an internal direct product T_1 ... T_k.
-
-    A morphism phi of F on W lies in the product exactly when, for each
-    part a, x -> pi_a(phi(x)) is a well-defined function of pi_a(x) and
-    that map on pi_a(W) is a morphism of the part's system.  The product
-    is a fusion system and holds the conjugation maps of S, since each
-    part holds those of its base, so testing ``class_generators(F)`` is
-    enough."""
     lat = F.lattice
-    bases = [sub.base.members for sub in subsystems]
     parts = [
-        (proj, {m: t for t, m in enumerate(members)}, members, sub.system)
-        for proj, members, sub in zip(projections(F.base, bases), bases, subsystems)
+        (pi, {m: t for t, m in enumerate(sub.base.members)}, sub.base.members, sub.system)
+        for pi, sub in zip(proj, subsystems)
     ]
 
     def inside(i: int, m: MapTuple) -> bool:
         members = lat.subs[i].members
-        for proj, local, to_parent, E in parts:
+        for pi, local, to_parent, E in parts:
             image: dict[int, int] = {}
             for x, y in zip(members, m):
-                px, py = proj[x], proj[y]
+                px, py = pi[x], pi[y]
                 if image.setdefault(px, py) != py:
                     return False
             dom = tuple(sorted(local[px] for px in image))
@@ -617,11 +627,19 @@ def _within_product(F: FusionSystem, subsystems: Sequence[Subsystem]) -> bool:
     return all(inside(i, m) for i, m in class_generators(F))
 
 
-def decomposition_components(
-    G: FiniteGroup, bases: Sequence[tuple[int, ...]]
-) -> dict[int, tuple[int, ...]]:
-    """Unique factor components of every element of an internal direct
-    product."""
+def projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTuple]:
+    """The projection x -> pi_a(x) onto each base of an internal direct
+    product, as a tuple over the group."""
+    proj = _projections(G, bases)
+    if proj is None:
+        raise InternalInconsistency("bases do not factor the group")
+    return proj
+
+
+def _projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> Optional[list[MapTuple]]:
+    """``projections``, or None unless the commuting bases factor ``G``
+    as an internal direct product: two products coincide, or they do not
+    cover ``G``."""
     decomp: dict[int, tuple[int, ...]] = {0: ()}
     for members in bases:
         new = {}
@@ -629,18 +647,11 @@ def decomposition_components(
             for t in members:
                 y = G.mul(x, t)
                 if y in new:
-                    raise InternalInconsistency("bases do not decompose independently")
+                    return None
                 new[y] = comps + (t,)
         decomp = new
     if len(decomp) != G.order:
-        raise InternalInconsistency("bases do not span the group")
-    return decomp
-
-
-def projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTuple]:
-    """The projection x -> pi_a(x) onto each base of an internal direct
-    product, as a tuple over the group."""
-    decomp = decomposition_components(G, bases)
+        return None
     return [tuple(decomp[x][a] for x in range(G.order)) for a in range(len(bases))]
 
 

@@ -76,10 +76,11 @@ from .morphisms import (
     CommuteResult,
     FusionMorphism,
     Subsystem,
-    _check_bases,
+    _commute_elementwise,
     _commute_scan,
     _product_base,
     _push_every_map,
+    _subsystem_scan,
     check_morphism,
     commute_check,
     image,
@@ -1256,9 +1257,14 @@ def check_morphism_plain(
 
 
 def commute_check_plain(F: FusionSystem, subsystems: list[Subsystem]) -> CommuteResult:
-    """The slow twin of ``morphisms.commute_check``: every tuple of part
-    morphisms looked up, each extension a seed."""
-    _check_bases(F, subsystems)
+    """The slow twin of ``morphisms.commute_check``: every part scanned
+    by ``_subsystem_scan`` (kept restrictions too), and every tuple of
+    part morphisms looked up, each extension a seed."""
+    if not subsystems:
+        raise NotSubgroup("need at least one subsystem")
+    for sub in subsystems:
+        _subsystem_scan(F, sub.base, sub.system)
+    _commute_elementwise(F.base, [sub.base.members for sub in subsystems])
     seeds = _commute_scan(F, subsystems)
     bases = [sub.base.members for sub in subsystems]
     return CommuteResult(F, _product_base(F.base, bases), frozenset(seeds))
@@ -1701,6 +1707,33 @@ def check_product_by_projection() -> str:
     )
 
 
+def check_restriction_is_subsystem() -> str:
+    """Every system that ``restrict_full`` keeps is a subsystem of its
+    parent by the full scan ``_subsystem_scan``, since
+    ``_assert_subsystem`` accepts a kept restriction by identity: those
+    kept by ``factorize_all`` on every catalog system, at every depth,
+    and the restrictions of the unsaturated battery to each of its
+    subgroups, where maps leave the subgroups that are not strongly
+    closed."""
+    kept = []
+    for name in catalog.names():
+        F = _fusion(name)
+        factorize_all(F)
+        kept.append(F)
+    for _, F in unsaturated_battery():
+        for T in F.lattice.subs:
+            restrict_full(F, T)
+        kept.append(F)
+    checked = 0
+    while kept:
+        F = kept.pop()
+        for members, E in F._restrictions.items():
+            _subsystem_scan(F, Subgroup(F.base, members, _checked=True), E)
+            kept.append(E)
+            checked += 1
+    return f"{checked} kept restrictions pass the full subsystem scan"
+
+
 MORPHISM_CHECKS = [
     ("kernel-strongly-closed", check_kernel_strongly_closed),
     ("iso-inverse", check_iso_inverse),
@@ -1715,6 +1748,7 @@ MORPHISM_CHECKS = [
     ("sum-bookkeeping", check_sum_bookkeeping),
     ("distributivity", check_distributivity),
     ("product-by-projection", check_product_by_projection),
+    ("restriction-is-subsystem", check_restriction_is_subsystem),
 ]
 
 

@@ -107,6 +107,7 @@ LEMMA_SUITE = [
     ("morphisms", "sum-bookkeeping"),
     ("morphisms", "distributivity"),
     ("morphisms", "product-by-projection"),
+    ("morphisms", "restriction-is-subsystem"),
     ("group-core", "coprime-action-trivial"),
     ("group-core", "fitting-split"),
     ("group-core", "cayley-tables"),

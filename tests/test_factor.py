@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fusionsys import catalog, factor, groups
+from fusionsys import catalog, factor, groups, morphisms
 from fusionsys import fusion as fusion_mod
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import (
@@ -567,13 +567,13 @@ def test_factorize_all_enumerates_each_table_once(monkeypatch):
 
 def test_factorize_commutation_tests_one_pair_per_level(monkeypatch):
     tested = Counter()
-    commutes = factor._commutes
+    noncommuting_pair = factor._noncommuting_pair
 
-    def counting(G, T, U):
+    def counting(G, xs, ys):
         tested[G.order] += 1
-        return commutes(G, T, U)
+        return noncommuting_pair(G, xs, ys)
 
-    monkeypatch.setattr(factor, "_commutes", counting)
+    monkeypatch.setattr(factor, "_noncommuting_pair", counting)
     fact = factorize(fusion("inner-c3c3c3"))
     assert len(fact.parts) == 3
     # C3^3 splits as C3 x C3^2, and C3^2 as C3 x C3; C3 has no pair
@@ -599,6 +599,23 @@ def test_factorize_all_restricts_each_subgroup_once(monkeypatch):
     assert len(factorize_all(F)) == catalog.FACTORIZATION_COUNTS["inner-c3c3c3"]
     assert len(calls) > len(built)
     assert all(len(parts) == 1 for parts in built.values())
+
+
+def test_factorize_all_proves_each_split_without_rescanning(monkeypatch):
+    # the parts are kept restrictions, and the product test reads the
+    # cover off its own decomposition
+    F = fusion("inner-c3c3c3")
+    F = FusionSystem(F.base, F.p, F.maps)
+    calls = Counter()
+    for name in ("_subsystem_scan", "_product_base"):
+
+        def counting(*args, _name=name, _original=getattr(morphisms, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(morphisms, name, counting)
+    assert len(factorize_all(F)) == catalog.FACTORIZATION_COUNTS["inner-c3c3c3"]
+    assert calls == Counter()
 
 
 def test_pair_check_catches_a_skipped_intersection_test(monkeypatch):

@@ -253,6 +253,79 @@ def test_not_subsystem_rejected(paired_triple):
         commute_check(F, [Subsystem(lines[0], fusion("inner-c3c3"))])
 
 
+def _recording_scan(monkeypatch):
+    scanned = []
+    scan = morphisms._subsystem_scan
+
+    def recording(F, T, E):
+        scanned.append(E)
+        return scan(F, T, E)
+
+    monkeypatch.setattr(morphisms, "_subsystem_scan", recording)
+    return scanned
+
+
+def test_subsystem_shortcut_takes_only_the_kept_restriction(monkeypatch):
+    F = fusion("inner-d8-c2")
+    subs = F.lattice.subs
+
+    def cyclic(P):
+        return any(F.base.element_order(x) == P.order for x in P.members)
+
+    i = next(i for i, P in enumerate(subs) if P.order == 4 and cyclic(P))
+    T = subs[i]
+    kept = restrict_full(F, T)
+    scanned = _recording_scan(monkeypatch)
+    commute_check(F, [Subsystem(T, kept)])
+    commute_check(F, [Subsystem(subs[F.lattice.full_index], F)])
+    assert scanned == []
+    # the same entry built afresh: equal tables, other objects
+    monkeypatch.setattr(catalog, "_BUILDS", {})
+    F2 = fusion("inner-d8-c2")
+    assert F2.base is not F.base and F2.maps == F.maps
+    T2 = F2.lattice.subs[i]
+    assert T2.members == T.members
+    fresh = restrict_full(F2, T2)
+    commute_check(F, [Subsystem(T, fresh)])
+    assert scanned == [fresh]
+    commute_check(F, [Subsystem(T2, kept)])
+    assert scanned == [fresh, kept]
+    # the kept restriction to a Klein four subgroup, paired with T
+    U = next(P for P in subs if P.order == 4 and not cyclic(P))
+    with pytest.raises(NotSubsystem):
+        commute_check(F, [Subsystem(T, restrict_full(F, U))])
+    assert scanned[-1] is restrict_full(F, U)
+
+
+def test_restriction_check_catches_a_kept_map_that_leaves_the_subgroup(monkeypatch):
+    from fusionsys import verify
+
+    restricted_table = fusion_mod._restricted_table
+
+    def leaky(F, T):
+        # the restriction, plus one map of F on a subgroup of T whose
+        # image leaves T, with its values outside T sent to the identity
+        E = restricted_table(F, T)
+        local = {x: t for t, x in enumerate(T.members)}
+        for i, ms in enumerate(F.maps):
+            if F.lattice.member_sets[i] <= T.member_set:
+                for m in ms:
+                    if not set(m) <= T.member_set:
+                        maps = [set(kept) for kept in E.maps]
+                        dom = tuple(local[x] for x in F.lattice.subs[i].members)
+                        maps[E.index_of(dom)].add(tuple(local.get(v, 0) for v in m))
+                        return fusion_mod.FusionSystem(E.base, E.p, maps)
+        return E
+
+    monkeypatch.setattr(fusion_mod, "_restricted_table", leaky)
+    result = verify._run(
+        "morphisms/restriction-is-subsystem",
+        dict(verify.MORPHISM_CHECKS)["restriction-is-subsystem"],
+    )
+    assert not result.passed
+    assert "missing from the ambient system" in result.detail
+
+
 def test_is_product_decomposition_cases(paired_triple, sigma3_squared_aligned):
     F, Fbar, lines = paired_triple
     subs = [subsystem_of(Fbar, Subgroup(Fbar.base, T.members, _checked=True))
@@ -267,6 +340,17 @@ def test_is_product_decomposition_cases(paired_triple, sigma3_squared_aligned):
     )
     # a single proper subsystem does not cover
     assert not is_product_decomposition(big, [subsystem_of(big, left)])
+
+
+def test_overlapping_bases_are_not_a_product():
+    # orders that multiply to |S| = 27, over bases that overlap: a line
+    # inside a plane, and three lines inside one plane
+    F = fusion("inner-c3c3c3")
+    plane = next(P for P in F.lattice.subs if P.order == 9)
+    lines = [L for L in F.lattice.subs if L.order == 3 and L.member_set <= plane.member_set]
+    assert len(lines) == 4
+    assert not is_product_decomposition(F, [subsystem_of(F, lines[0]), subsystem_of(F, plane)])
+    assert not is_product_decomposition(F, [subsystem_of(F, L) for L in lines[:3]])
 
 
 def test_inner_v4_line_pairs():
