@@ -347,10 +347,27 @@ def _input_digests(args) -> dict:
     return digests
 
 
+# The parser is a constant: built on first use, never at import, and
+# shared by ``run`` and ``main``.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def run(argv) -> tuple[int, dict]:
-    """Execute a command line; returns (exit_code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Execute a command line; returns (exit_code, report).
+
+    Usage errors that argparse finds raise ``SystemExit``."""
+    return _execute(argv, _parser().parse_args(argv))
+
+
+def _execute(argv, args: argparse.Namespace) -> tuple[int, dict]:
+    """Run the command that ``args``, parsed from ``argv``, names."""
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
@@ -374,16 +391,21 @@ def main(argv=None) -> int:
     """Run a command line and print the report, or write it to ``--out``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code, report = run(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors exit with code 2
         return int(exc.code or 0)
+    code, report = _execute(argv, args)
     payload = serialize.canonical_dumps(report)
-    out = build_parser().parse_args(argv).out
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
+    if not args.out:
         print(payload)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    except OSError as exc:
+        err = UsageError(f"cannot write JSON to {args.out}: {exc}")
+        print(f"fusionsys: error: {err}", file=sys.stderr)
+        return err.exit_code
     return code
 
 

@@ -1,12 +1,14 @@
 """Command-line interface: schemas, reports, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from fusionsys import cli, serialize, verify
+from fusionsys import catalog, cli, serialize, verify
+from fusionsys.factor import factorize_all
 from fusionsys.errors import (
     InternalInconsistency,
     NotCommuting,
@@ -293,3 +295,140 @@ def test_timings_flag_is_opt_in():
     assert "timings" in timed
     assert timed["results"] == plain["results"]
     assert timed["hash"] == plain["hash"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert cli.main(["analyze", "--catalog", "sigma3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fusionsys: error: cannot write JSON to {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def mixed_sequence(tmp_path):
+    """Command lines that mix the subcommands, leave off flags given just
+    before, and put a usage error (``verify no-such-suite``) in the middle."""
+    F = catalog.built("inner-c3c3").fusion
+    facts = factorize_all(F)
+    paths = []
+    for k, fact in enumerate((facts[0], facts[-1])):
+        path = tmp_path / f"fact{k}.json"
+        path.write_text(json.dumps({"parts": [list(q.base.members) for q in fact.parts]}))
+        paths.append(str(path))
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps({"maps": [[F.base.inv(x) for x in range(F.base.order)]]}))
+    src = ["--catalog", "inner-c3c3"]
+    krs = ["krs", *src, "--fact1", paths[0], "--fact2", paths[1]]
+    return [
+        ["group", "describe", *src, "--p", "3"],
+        ["fusion", "of-group", *src],
+        ["analyze", *src],
+        ["factorize", *src, "--exhaustive"],
+        ["factorize", *src],
+        [*krs, "--omega", str(omega)],
+        krs,
+        ["verify", "no-such-suite"],
+        ["analyze", "--catalog", "sigma3", "--timings"],
+        ["analyze", "--catalog", "sigma3"],
+    ]
+
+
+def test_one_parser_serves_a_mixed_sequence(tmp_path, monkeypatch):
+    namespaces = []
+    execute = cli._execute
+
+    def recording(argv, args):
+        namespaces.append(dict(vars(args)))
+        return execute(argv, args)
+
+    monkeypatch.setattr(cli, "_execute", recording)
+    parser = cli._parser()
+    runs = []
+    for argv in mixed_sequence(tmp_path):
+        if argv[0] == "verify":
+            with pytest.raises(SystemExit):
+                cli.run(argv)
+            continue
+        runs.append((argv, cli.run(argv), namespaces[-1]))
+    assert cli._PARSER is parser
+    assert len(runs) == len(namespaces) == 9
+
+    by_command = {tuple(argv): ns for argv, _, ns in runs}
+    assert [ns["exhaustive"] for argv, _, ns in runs if argv[0] == "factorize"] == [True, False]
+    assert [ns["omega"] is None for argv, _, ns in runs if argv[0] == "krs"] == [False, True]
+    assert by_command[("analyze", "--catalog", "sigma3")]["timings"] is False
+    for argv, (code, report), ns in runs:
+        assert code == 0, (argv, report.get("error"))
+        # nothing is left over from an earlier call
+        assert ns == vars(cli.build_parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh_code, fresh_report = cli.run(argv)
+        # the wall clock of --timings is the one field that may differ
+        assert ("timings" in report) == ("timings" in fresh_report) == ("--timings" in argv)
+        report.pop("timings", None)
+        fresh_report.pop("timings", None)
+        assert (code, report) == (fresh_code, fresh_report)
+
+
+def test_two_runs_build_the_parser_once(monkeypatch, tmp_path, capsys):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.run(["catalog", "list"])
+    per_build = len(constructed)
+    assert per_build > 1
+    cli.run(["analyze", "--catalog", "sigma3"])
+
+    parses = []
+    parse_args = cli._PARSER.parse_args
+
+    def counting_parse(argv):
+        parses.append(argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", counting_parse)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--catalog", "sigma3", "--out", str(out)]) == 0
+    assert cli.main(["catalog", "list"]) == 0
+    capsys.readouterr()
+    assert (len(builds), len(constructed)) == (1, per_build)
+    assert len(parses) == 2
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "\n".join(
+        [
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "from fusionsys import cli",
+            "print(len(built), cli._PARSER is None)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0", "True"]

@@ -179,6 +179,63 @@ def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
     assert "disagrees with the complement test" in result.detail
 
 
+def sl23_fusion():
+    """F_Q8(SL(2,3)), with SL(2,3) acting on the 8 nonzero vectors of F_3^2."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def acting(m):
+        return tuple(
+            vectors.index(((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3))
+            for a, b in vectors
+        )
+
+    G = FiniteGroup.from_permutations([acting([[1, 1], [0, 1]]), acting([[0, -1], [1, 0]])])
+    assert G.order == 24
+    return fusion_mod.fusion_of_group(G, 2)
+
+
+def criterion_disagreements(F):
+    """The fusion automorphisms on which ``normal_automorphisms`` and the
+    plain complement test ``verify.is_normal_endo`` disagree."""
+    from fusionsys import verify
+
+    kept = {m.images for m in normal_automorphisms(F)}
+    return [
+        m.images
+        for m in factor.fusion_automorphisms(F)
+        if (m.images in kept) != verify.is_normal_endo(F, m)
+    ]
+
+
+def test_sl23_separates_the_center_clause_from_the_focal_clause():
+    # Aut(S,F) = Aut(Q8) of order 24; the 4 inner automorphisms of Q8
+    # move every element by a central one, but only the identity fixes
+    # foc(F) = Q8, so the center clause alone is not the criterion
+    F = sl23_fusion()
+    S = F.base
+    center = center_of(F).member_set
+    assert (S.order, len(center), focal_of(F).order) == (8, 2, 8)
+    autos = factor.fusion_automorphisms(F)
+    central = [
+        m
+        for m in autos
+        if all(S.mul(S.inv(x), m.images[x]) in center for x in range(S.order))
+    ]
+    assert (len(autos), len(central)) == (24, 4)
+    assert [m.images for m in normal_automorphisms(F)] == [tuple(range(S.order))]
+    assert criterion_disagreements(F) == []
+
+
+def test_sl23_catches_a_criterion_without_the_focal_clause(monkeypatch):
+    def center_clause_only(F, images):
+        G = F.base
+        center = center_of(F).member_set
+        return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
+
+    monkeypatch.setattr(factor, "_surjective_normal_criterion", center_clause_only)
+    assert len(criterion_disagreements(sl23_fusion())) == 3
+
+
 def test_surjective_check_catches_a_dropped_generator(monkeypatch):
     from fusionsys import verify
 
