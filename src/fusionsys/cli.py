@@ -51,24 +51,35 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_group_arg(args) -> tuple[FiniteGroup, Optional[int], dict]:
+# the flags that name an input file, in the order the files are read
+_INPUT_FLAGS = ("infile", "fact1", "fact2", "omega")
+
+
+def _read_inputs(args) -> dict:
+    """The parsed JSON of every input file on the command line, each read
+    once; the report hashes and the handler use the same data."""
+    paths = ((attr, getattr(args, attr, None)) for attr in _INPUT_FLAGS)
+    return {attr: _load_json(path) for attr, path in paths if path}
+
+
+def _load_group_arg(args, inputs: dict) -> tuple[FiniteGroup, Optional[int], dict]:
     if getattr(args, "catalog", None):
         b = catalog.built(args.catalog)
         data = {"catalog": args.catalog}
         return b.group, b.entry.prime, data
-    if getattr(args, "infile", None):
-        data = _load_json(args.infile)
+    if "infile" in inputs:
+        data = inputs["infile"]
         prime = getattr(args, "p", None)
         return serialize.group_from_json(data, prime_hint=prime), prime, data
     raise UsageError("need --in FILE or --catalog NAME")
 
 
-def _load_fusion_arg(args) -> tuple[FusionSystem, dict]:
+def _load_fusion_arg(args, inputs: dict) -> tuple[FusionSystem, dict]:
     if getattr(args, "catalog", None):
         b = catalog.built(args.catalog)
         return b.fusion, {"catalog": args.catalog}
-    if getattr(args, "infile", None):
-        data = _load_json(args.infile)
+    if "infile" in inputs:
+        data = inputs["infile"]
         if "hom_table" in data:
             return serialize.fusion_from_json(data), data
         if getattr(args, "p", None) is None:
@@ -78,32 +89,31 @@ def _load_fusion_arg(args) -> tuple[FusionSystem, dict]:
     raise UsageError("need --in FILE or --catalog NAME")
 
 
-def _load_omega(args, F: FusionSystem) -> Optional[OmegaContext]:
-    path = getattr(args, "omega", None)
-    if not path:
+def _load_omega(inputs: dict, F: FusionSystem) -> Optional[OmegaContext]:
+    if "omega" not in inputs:
         return None
-    data = _load_json(path)
-    maps = serialize.omega_maps_from_json(data)
+    maps = serialize.omega_maps_from_json(inputs["omega"])
     gens = [check_morphism(F, F, m) for m in maps]
     return OmegaContext.from_morphisms(F, gens)
 
 
-def _factorization_from_arg(F: FusionSystem, path: str) -> Factorization:
-    bases = serialize.factorization_bases_from_json(_load_json(path))
+def _factorization_from_arg(F: FusionSystem, data: dict) -> Factorization:
+    bases = serialize.factorization_bases_from_json(data)
     return factorization_of(F, bases)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a result dict
+# command handlers: each takes the parsed arguments and the parsed input
+# files, and returns a result dict
 
 
-def cmd_group_load(args) -> dict:
-    G, _, _ = _load_group_arg(args)
+def cmd_group_load(args, inputs: dict) -> dict:
+    G, _, _ = _load_group_arg(args, inputs)
     return {"group": serialize.group_to_json(G), "order": G.order}
 
 
-def cmd_group_describe(args) -> dict:
-    G, prime, _ = _load_group_arg(args)
+def cmd_group_describe(args, inputs: dict) -> dict:
+    G, prime, _ = _load_group_arg(args, inputs)
     desc = serialize.group_description(G)
     p = getattr(args, "p", None) or prime
     if p:
@@ -119,8 +129,8 @@ def cmd_group_describe(args) -> dict:
     return desc
 
 
-def cmd_fusion_of_group(args) -> dict:
-    G, prime, _ = _load_group_arg(args)
+def cmd_fusion_of_group(args, inputs: dict) -> dict:
+    G, prime, _ = _load_group_arg(args, inputs)
     p = getattr(args, "p", None) or prime
     if not p:
         raise UsageError("need --p PRIME")
@@ -128,8 +138,8 @@ def cmd_fusion_of_group(args) -> dict:
     return {"fusion": serialize.fusion_to_json(F)}
 
 
-def cmd_fusion_generate(args) -> dict:
-    data = _load_json(args.infile)
+def cmd_fusion_generate(args, inputs: dict) -> dict:
+    data = inputs["infile"]
     if "group" not in data or "generators" not in data:
         raise UsageError("generate input needs 'group', 'p' and 'generators'")
     p = int(data.get("p", getattr(args, "p", 0) or 0))
@@ -145,8 +155,8 @@ def cmd_fusion_generate(args) -> dict:
     return {"fusion": serialize.fusion_to_json(F)}
 
 
-def cmd_analyze(args) -> dict:
-    F, _ = _load_fusion_arg(args)
+def cmd_analyze(args, inputs: dict) -> dict:
+    F, _ = _load_fusion_arg(args, inputs)
     report = saturation_report(F)
     inv = fusion_invariants(F)
     classes = conjugacy(F)
@@ -167,9 +177,9 @@ def cmd_analyze(args) -> dict:
     }
 
 
-def cmd_factorize(args) -> dict:
-    F, _ = _load_fusion_arg(args)
-    omega = _load_omega(args, F)
+def cmd_factorize(args, inputs: dict) -> dict:
+    F, _ = _load_fusion_arg(args, inputs)
+    omega = _load_omega(inputs, F)
     if args.exhaustive:
         facts = factorize_all(F, omega)
         return {
@@ -184,11 +194,11 @@ def cmd_factorize(args) -> dict:
     }
 
 
-def cmd_krs(args) -> dict:
-    F, _ = _load_fusion_arg(args)
-    omega = _load_omega(args, F)
-    fact1 = _factorization_from_arg(F, args.fact1)
-    fact2 = _factorization_from_arg(F, args.fact2)
+def cmd_krs(args, inputs: dict) -> dict:
+    F, _ = _load_fusion_arg(args, inputs)
+    omega = _load_omega(inputs, F)
+    fact1 = _factorization_from_arg(F, inputs["fact1"])
+    fact2 = _factorization_from_arg(F, inputs["fact2"])
     cert = krs_certificate(F, fact1, fact2, omega)
     return {
         "certificate": serialize.certificate_to_json(cert),
@@ -196,8 +206,8 @@ def cmd_krs(args) -> dict:
     }
 
 
-def cmd_goldschmidt(args) -> dict:
-    G, prime, _ = _load_group_arg(args)
+def cmd_goldschmidt(args, inputs: dict) -> dict:
+    G, prime, _ = _load_group_arg(args, inputs)
     F = fusion_of_group(G, 2)
     fact = factorize(F)
     closures = goldschmidt_factor(G, fact)
@@ -208,7 +218,7 @@ def cmd_goldschmidt(args) -> dict:
     }
 
 
-def cmd_verify(args) -> dict:
+def cmd_verify(args, inputs: dict) -> dict:
     # the property suites are loaded only by this command
     from . import verify
 
@@ -223,7 +233,7 @@ def cmd_verify(args) -> dict:
     }
 
 
-def cmd_catalog_list(args) -> dict:
+def cmd_catalog_list(args, inputs: dict) -> dict:
     return {
         "entries": [
             {"name": e.name, "prime": e.prime, "description": e.description}
@@ -232,7 +242,7 @@ def cmd_catalog_list(args) -> dict:
     }
 
 
-def cmd_catalog_show(args) -> dict:
+def cmd_catalog_show(args, inputs: dict) -> dict:
     e = catalog.entry(args.name)
     record = catalog.verify_expected(e.name)
     b = catalog.built(e.name)
@@ -336,12 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_digests(args) -> dict:
-    digests = {}
-    for attr in ("infile", "fact1", "fact2", "omega"):
-        path = getattr(args, attr, None)
-        if path:
-            digests[attr] = serialize.digest(_load_json(path))
+def _input_digests(args, inputs: dict) -> dict:
+    digests = {attr: serialize.digest(data) for attr, data in inputs.items()}
     if getattr(args, "catalog", None):
         digests["catalog"] = args.catalog
     return digests
@@ -371,8 +377,9 @@ def _execute(argv, args: argparse.Namespace) -> tuple[int, dict]:
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
-        report["inputs"] = _input_digests(args)
-        results = args.handler(args)
+        inputs = _read_inputs(args)
+        report["inputs"] = _input_digests(args, inputs)
+        results = args.handler(args, inputs)
     except FusionError as exc:
         report["error"] = exc.payload()
         report["hash"] = serialize.digest(report["error"])

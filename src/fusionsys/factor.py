@@ -29,6 +29,12 @@ failure reruns the full scan, so witnesses are unchanged):
 - equivariance on the generators of S, and the certificate's transport
   of the part tables entrywise.
 
+``factorize_all`` is the orbit of ``factorize`` under Aut(S,F): the
+factorization into indecomposables is unique up to a normal automorphism
+and a permutation of the parts (the paper's theorem), and any fusion
+automorphism carries a factorization to one.  Under Omega the maps that
+commute with Omega carry Omega-factorizations to Omega-factorizations.
+
 Theorems are not proved again in a call.  Checks made in
 ``fusionsys.verify``, each fast path against its slow twin:
 ``morphisms/hom-law-on-generators`` (``hom_law_plain``, every pair),
@@ -46,7 +52,9 @@ criterion against the plain complement test ``verify.is_normal_endo``),
 (Aut(S,F) and the endomorphisms against the filtered backtracker),
 ``factor/fitting-factorize`` (``stable_image_kernel_plain``, f^|S| on
 each element), ``krs/certificate-twin`` (``krs_certificate_plain``,
-every normal automorphism) and ``krs/aut-structure``.
+every normal automorphism), ``krs/orbit-is-every-factorization``
+(``factorize_all_plain``, the recursive search through every proven
+split, which alone guards the Omega case) and ``krs/aut-structure``.
 """
 
 from __future__ import annotations
@@ -587,42 +595,26 @@ def _factor_bases(F: FusionSystem, omega: Optional[OmegaContext]) -> list[tuple[
 def factorize_all(
     F: FusionSystem, omega: Optional[OmegaContext] = None
 ) -> list[Factorization]:
-    """Every factorization into indecomposable (equivariant) parts."""
-    if not is_saturated(F):
-        raise NotSaturated("factorization requires a saturated system")
-    memo: dict = {}
-
-    def content_key(sys: FusionSystem):
-        n = sys.base.order
-        if n > 64:
-            return id(sys)
-        return (tuple(sys.base.products(range(n), range(n))), sys.maps)
-
-    def rec(sys: FusionSystem, og: Optional[OmegaContext]) -> list[tuple[tuple[int, ...], ...]]:
-        key = (
-            content_key(sys),
-            og.closure if og is not None else None,
-        )
-        if key in memo:
-            return memo[key]
-        results: set[tuple[tuple[int, ...], ...]] = set()
-        for (sub_i, og_i), (sub_j, og_j) in _proven_splits(sys, og):
-            for left in rec(sub_i.system, og_i):
-                for right in rec(sub_j.system, og_j):
-                    combo = tuple(
-                        sorted(
-                            [tuple(sub_i.base.members[t] for t in m) for m in left]
-                            + [tuple(sub_j.base.members[t] for t in m) for m in right]
-                        )
-                    )
-                    results.add(combo)
-        if not results:
-            results = {(tuple(range(sys.base.order)),)} if sys.base.order > 1 else {()}
-        out = sorted(results)
-        memo[key] = out
-        return out
-
-    return [_factorization(F, bases) for bases in rec(F, omega)]
+    """Every factorization into indecomposable (equivariant) parts, in
+    sorted-key order: the orbit of ``factorize(F, omega)`` under
+    Aut(S,F), or under its maps that commute with Omega.  Each level of
+    the kept chain is applied in turn, innermost first, since every
+    automorphism is u_1 o ... o u_k; the keys are deduplicated after
+    each level, and each map moves each part base once."""
+    start = factorize(F, omega)
+    if len(start.parts) < 2:
+        return [start]
+    chain = _automorphism_chain(F)
+    if omega is None:
+        levels = chain[1][::-1]
+    else:
+        levels = [walk_chain(F.base, chain, [w.images for w in omega.generators])]
+    keys = {frozenset(start.bases)}
+    for level in levels:
+        bases = set().union(*keys)
+        moves = [{b: tuple(sorted(map(u.__getitem__, b))) for b in bases} for u in level]
+        keys = {frozenset(map(move.__getitem__, key)) for key in keys for move in moves}
+    return [_factorization(F, key) for key in sorted(tuple(sorted(k)) for k in keys)]
 
 
 def is_indecomposable(

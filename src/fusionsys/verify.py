@@ -16,6 +16,7 @@ from .errors import (
     NotCommuting,
     NotFusionPreserving,
     NotNormal,
+    NotSaturated,
     NotSubgroup,
     NotSummable,
     SuiteUnknown,
@@ -98,6 +99,8 @@ from .factor import (
     OmegaContext,
     _admissible_splits,
     _automorphism_chain,
+    _factorization,
+    _proven_splits,
     _surjective_normal_criterion,
     aut_structure,
     factorize,
@@ -239,23 +242,25 @@ def axis_subsystems():
     return F, Fbar, subs
 
 
+def relabelling(F: FusionSystem, sigma: tuple[int, ...]) -> tuple[FusionSystem, OmegaContext]:
+    """``F`` with Omega generated by the relabelling ``sigma`` of the
+    permutation points, acting on the base by conjugation."""
+    G, sigma_inv = F.base, perm_inverse(sigma)
+    index = {G.perms[x]: x for x in range(G.order)}
+    images = tuple(
+        index[tuple(sigma[G.perms[x][sigma_inv[pt]]] for pt in range(len(sigma)))]
+        for x in range(G.order)
+    )
+    return F, OmegaContext.from_morphisms(F, [check_morphism(F, F, images)])
+
+
 def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
     """The rank-three elementary abelian 2-group under the rotation of
-    its three transposition blocks (a relabelling of the permutation
-    points), C2 x C4 under inversion, the rank-three group again under
-    the swap of its first two blocks, and sigma3-squared under the swap
-    of its two Sigma3 factors, whose Aut(S,F) (8 of the 48 maps of
-    Aut(C3 x C3)) comes from the labelled search, not the chain."""
-
-    def relabelling(F: FusionSystem, sigma: tuple[int, ...]) -> tuple[FusionSystem, OmegaContext]:
-        G, sigma_inv = F.base, perm_inverse(sigma)
-        index = {G.perms[x]: x for x in range(G.order)}
-        images = tuple(
-            index[tuple(sigma[G.perms[x][sigma_inv[pt]]] for pt in range(len(sigma)))]
-            for x in range(G.order)
-        )
-        return F, OmegaContext.from_morphisms(F, [check_morphism(F, F, images)])
-
+    its three transposition blocks, C2 x C4 under inversion, the
+    rank-three group again under the swap of its first two blocks, and
+    sigma3-squared under the swap of its two Sigma3 factors, whose
+    Aut(S,F) (8 of the 48 maps of Aut(C3 x C3)) comes from the labelled
+    search, not the chain."""
     F8 = _fusion("inner-c2c2c2")
     FA = _fusion("inner-c2c4")
     inv = tuple(FA.base.inv(x) for x in range(8))
@@ -265,6 +270,23 @@ def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
         relabelling(F8, (2, 3, 0, 1, 4, 5)),
         relabelling(_fusion("sigma3-squared"), (3, 4, 5, 0, 1, 2)),
     ]
+
+
+def sl23_fusion() -> FusionSystem:
+    """F_Q8(SL(2,3)), with SL(2,3) acting on the 8 nonzero vectors of
+    F_3^2: Z(F) = <-1> and foc(F) = Q8, so the center clause of the
+    surjective criterion holds on the 4 maps of Inn(Q8) and only the
+    focal clause tells them from the identity."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def acting(m):
+        return tuple(
+            vectors.index(((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3))
+            for a, b in vectors
+        )
+
+    G = FiniteGroup.from_permutations([acting([[1, 1], [0, 1]]), acting([[0, -1], [1, 0]])])
+    return fusion_of_group(G, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1711,14 +1733,14 @@ def check_restriction_is_subsystem() -> str:
     """Every system that ``restrict_full`` keeps is a subsystem of its
     parent by the full scan ``_subsystem_scan``, since
     ``_assert_subsystem`` accepts a kept restriction by identity: those
-    kept by ``factorize_all`` on every catalog system, at every depth,
-    and the restrictions of the unsaturated battery to each of its
-    subgroups, where maps leave the subgroups that are not strongly
-    closed."""
+    kept by ``factorize_all_plain`` on every catalog system, which splits
+    at every depth, and the restrictions of the unsaturated battery to
+    each of its subgroups, where maps leave the subgroups that are not
+    strongly closed."""
     kept = []
     for name in catalog.names():
         F = _fusion(name)
-        factorize_all(F)
+        factorize_all_plain(F)
         kept.append(F)
     for _, F in unsaturated_battery():
         for T in F.lattice.subs:
@@ -1902,12 +1924,14 @@ def surjective_criterion_plain(F: FusionSystem, images: MapTuple) -> bool:
 
 def check_surjective_criterion() -> str:
     """The center/focal criterion that ``normal_automorphisms`` uses
-    agrees with the complement test on every fusion automorphism."""
+    agrees with the complement test on every fusion automorphism of the
+    catalog and of SL(2,3), where a criterion without its focal clause
+    keeps the 4 maps of Inn(Q8)."""
     count = 0
-    for name in catalog.names():
+    systems = [(name, _fusion(name)) for name in catalog.names()]
+    for name, F in systems + [("SL(2,3)", sl23_fusion())]:
         if name == "inner-c3c3c3":  # 11232 automorphisms: too slow here
             continue
-        F = _fusion(name)
         for m in fusion_automorphisms(F):
             assert _surjective_normal_criterion(F, m.images) == is_normal_endo(F, m), (
                 f"{name}: criterion disagrees with the complement test on {m.images}"
@@ -2014,6 +2038,48 @@ def admissible_splits_plain(
                 continue
             out.append((i, j))
     return out
+
+
+def factorize_all_plain(
+    F: FusionSystem, omega: Optional[OmegaContext] = None
+) -> list[Factorization]:
+    """The slow twin of ``factorize_all``: every proven split of every
+    part, recursively, with a content-keyed memo."""
+    if not is_saturated(F):
+        raise NotSaturated("factorization requires a saturated system")
+    memo: dict = {}
+
+    def content_key(sys: FusionSystem):
+        n = sys.base.order
+        if n > 64:
+            return id(sys)
+        return (tuple(sys.base.products(range(n), range(n))), sys.maps)
+
+    def rec(sys: FusionSystem, og: Optional[OmegaContext]) -> list[tuple[tuple[int, ...], ...]]:
+        key = (
+            content_key(sys),
+            og.closure if og is not None else None,
+        )
+        if key in memo:
+            return memo[key]
+        results: set[tuple[tuple[int, ...], ...]] = set()
+        for (sub_i, og_i), (sub_j, og_j) in _proven_splits(sys, og):
+            for left in rec(sub_i.system, og_i):
+                for right in rec(sub_j.system, og_j):
+                    combo = tuple(
+                        sorted(
+                            [tuple(sub_i.base.members[t] for t in m) for m in left]
+                            + [tuple(sub_j.base.members[t] for t in m) for m in right]
+                        )
+                    )
+                    results.add(combo)
+        if not results:
+            results = {(tuple(range(sys.base.order)),)} if sys.base.order > 1 else {()}
+        out = sorted(results)
+        memo[key] = out
+        return out
+
+    return [_factorization(F, bases) for bases in rec(F, omega)]
 
 
 def check_factorizations_are_products() -> str:
@@ -2155,6 +2221,32 @@ def check_krs_equivariant() -> str:
     return "rotation and inversion contexts verified"
 
 
+def check_orbit_is_every_factorization() -> str:
+    """``factorize_all``, the orbit of one factorization under Aut(S,F)
+    (under its maps that commute with Omega), lists what the recursive
+    split search ``factorize_all_plain`` lists, in the same order: on
+    every catalog system, SL(2,3), the equivariant contexts and
+    inner-c3c3c3 under the swap of its first two 3-cycle blocks.  The
+    paper proves the orbit claim without Omega; under Omega it rests on
+    the argument for groups with operators, which only this check
+    guards."""
+    cases = [(name, _fusion(name), None) for name in catalog.names()]
+    cases.append(("SL(2,3)", sl23_fusion(), None))
+    contexts = equivariant_contexts()
+    contexts.append(relabelling(_fusion("inner-c3c3c3"), (3, 4, 5, 0, 1, 2, 6, 7, 8)))
+    cases += [(f"equivariant {F.base.order}", F, omega) for F, omega in contexts]
+    count = 0
+    for label, F, omega in cases:
+        orbit = [f.key() for f in factorize_all(F, omega)]
+        plain = [f.key() for f in factorize_all_plain(F, omega)]
+        assert orbit == plain, (
+            f"{label}: the orbit gives {len(orbit)} factorizations, "
+            f"the split search {len(plain)}"
+        )
+        count += len(orbit)
+    return f"{len(cases)} systems: the orbits give the {count} factorizations of the split search"
+
+
 def transports_plain(alpha: MapTuple, fact1: Factorization, fact2: Factorization, sigma) -> bool:
     """``sigma`` permutes the parts, and ``alpha`` carries the graphs
     {(x, phi(x))} of the maps of part i of ``fact1`` onto those of part
@@ -2282,6 +2374,7 @@ KRS_CHECKS = [
     ("krs-rigid-unique", check_krs_rigid),
     ("krs-equivariant", check_krs_equivariant),
     ("certificate-twin", check_krs_certificate_twin),
+    ("orbit-is-every-factorization", check_orbit_is_every_factorization),
     ("aut-structure", check_aut_structure),
     ("goldschmidt-transfer", check_goldschmidt),
     ("weakened-sum-flag", check_weakened_sum),

@@ -121,6 +121,7 @@ LEMMA_SUITE = [
     ("factor", "normal-automorphisms"),
     ("factor", "factorizations-are-products"),
     ("factor", "self-map-search"),
+    ("krs", "orbit-is-every-factorization"),
 ]
 
 

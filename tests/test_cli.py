@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -113,6 +114,38 @@ def test_factorize_and_krs_round_trip(tmp_path):
     cert = report["results"]["certificate"]
     assert cert["constructive"] is True
     assert sorted(cert["sigma"]) == [0, 1]
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    reads = []
+    load_json = cli._load_json
+
+    def counting(path):
+        reads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"points": 6, "generators": [[[1, 2, 3]], [[4, 5, 6]]]}))
+    src = ["--in", str(group), "--p", "3"]
+    code, report = run_cli(["factorize", *src, "--exhaustive"])
+    assert code == 0 and report["results"]["count"] == 6
+    assert reads == [str(group)]
+    assert report["inputs"] == {"infile": serialize.digest(json.loads(group.read_text()))}
+
+    paths = []
+    for k, fact in enumerate(report["results"]["factorizations"][:2]):
+        path = tmp_path / f"fact{k}.json"
+        path.write_text(json.dumps({"parts": [q["base"] for q in fact["parts"]]}))
+        paths.append(str(path))
+    reads.clear()
+    code, report = run_cli(["krs", *src, "--fact1", paths[0], "--fact2", paths[1]])
+    assert code == 0
+    assert reads == [str(group), *paths]
+    assert report["inputs"] == {
+        flag: serialize.digest(json.loads(pathlib.Path(path).read_text()))
+        for flag, path in zip(("infile", "fact1", "fact2"), reads)
+    }
 
 
 def test_goldschmidt_command():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fusionsys import catalog, factor, groups, morphisms
+from fusionsys import catalog, factor, groups, morphisms, verify
 from fusionsys import fusion as fusion_mod
 from fusionsys.errors import NotNormal, NotSaturated, NotSubgroup, NotSubsystem
 from fusionsys.groups import (
@@ -179,21 +179,6 @@ def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
     assert "disagrees with the complement test" in result.detail
 
 
-def sl23_fusion():
-    """F_Q8(SL(2,3)), with SL(2,3) acting on the 8 nonzero vectors of F_3^2."""
-    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-
-    def acting(m):
-        return tuple(
-            vectors.index(((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3))
-            for a, b in vectors
-        )
-
-    G = FiniteGroup.from_permutations([acting([[1, 1], [0, 1]]), acting([[0, -1], [1, 0]])])
-    assert G.order == 24
-    return fusion_mod.fusion_of_group(G, 2)
-
-
 def criterion_disagreements(F):
     """The fusion automorphisms on which ``normal_automorphisms`` and the
     plain complement test ``verify.is_normal_endo`` disagree."""
@@ -211,7 +196,7 @@ def test_sl23_separates_the_center_clause_from_the_focal_clause():
     # Aut(S,F) = Aut(Q8) of order 24; the 4 inner automorphisms of Q8
     # move every element by a central one, but only the identity fixes
     # foc(F) = Q8, so the center clause alone is not the criterion
-    F = sl23_fusion()
+    F = verify.sl23_fusion()
     S = F.base
     center = center_of(F).member_set
     assert (S.order, len(center), focal_of(F).order) == (8, 2, 8)
@@ -233,7 +218,23 @@ def test_sl23_catches_a_criterion_without_the_focal_clause(monkeypatch):
         return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
 
     monkeypatch.setattr(factor, "_surjective_normal_criterion", center_clause_only)
-    assert len(criterion_disagreements(sl23_fusion())) == 3
+    assert len(criterion_disagreements(verify.sl23_fusion())) == 3
+
+
+def test_surjective_check_catches_a_criterion_without_the_focal_clause(monkeypatch):
+    # no catalog system has Z(F) != 1 and foc(F) = S, so SL(2,3) is the
+    # system of the check that sees the focal clause
+    def center_clause_only(F, images):
+        G = F.base
+        center = center_of(F).member_set
+        return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
+
+    monkeypatch.setattr(verify, "_surjective_normal_criterion", center_clause_only)
+    result = verify._run(
+        "factor/surjective-criterion", dict(verify.FACTOR_CHECKS)["surjective-criterion"]
+    )
+    assert not result.passed
+    assert "SL(2,3): criterion disagrees with the complement test" in result.detail
 
 
 def test_surjective_check_catches_a_dropped_generator(monkeypatch):
@@ -432,6 +433,51 @@ def test_normal_complement_of_an_automorphism_builds_no_image(monkeypatch):
         ne = normal_complement(F, alpha)
         assert ne.invertible
     assert calls == []
+
+
+def orbit_check():
+    return verify._run(
+        "krs/orbit-is-every-factorization",
+        dict(verify.KRS_CHECKS)["orbit-is-every-factorization"],
+    )
+
+
+def test_orbit_check_catches_an_orbit_over_the_outermost_level(monkeypatch):
+    # the outermost level of Aut(C2^3) holds 7 maps, one per image of
+    # b_1, and C2^3 has 28 factorizations into lines
+    target = fusion("inner-c2c2c2")
+    automorphism_chain = factor._automorphism_chain
+
+    def outermost_level_only(F):
+        base, levels = automorphism_chain(F)
+        return (base, levels[:1]) if F is target else (base, levels)
+
+    monkeypatch.setattr(factor, "_automorphism_chain", outermost_level_only)
+    result = orbit_check()
+    assert not result.passed
+    assert "inner-c2c2c2: the orbit gives" in result.detail
+    assert result.detail.endswith("the split search 28")
+
+
+def test_orbit_check_catches_an_orbit_that_ignores_omega(monkeypatch):
+    # all of Aut(S,F) carries the one factorization of C2^3 into
+    # rotation-invariant parts (C2 x C2^2) to all 28 such splits
+    def commuting_ignored(G, chain, commuting=()):
+        return groups.walk_chain(G, chain)
+
+    monkeypatch.setattr(factor, "walk_chain", commuting_ignored)
+    result = orbit_check()
+    assert not result.passed
+    assert "equivariant 8: the orbit gives 28 factorizations, the split search 1" in (
+        result.detail
+    )
+
+
+def test_factorize_all_of_an_indecomposable_system_builds_no_chain():
+    F = fusion("sigma3-cubed-paired")
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    assert [f.key() for f in factorize_all(fresh)] == [(fresh.base.full_subgroup().members,)]
+    assert fresh._automorphism_chain is None
 
 
 def test_product_check_catches_a_dropped_part(monkeypatch):
