@@ -62,6 +62,12 @@ def _read_inputs(args) -> dict:
     return {attr: _load_json(path) for attr, path in paths if path}
 
 
+def _required_input(args, inputs: dict, attr: str) -> dict:
+    """The parsed file of a flag the command needs.  An empty path was
+    not read up front, and fails here as an unreadable file."""
+    return inputs[attr] if attr in inputs else _load_json(getattr(args, attr))
+
+
 def _load_group_arg(args, inputs: dict) -> tuple[FiniteGroup, Optional[int], dict]:
     if getattr(args, "catalog", None):
         b = catalog.built(args.catalog)
@@ -139,7 +145,7 @@ def cmd_fusion_of_group(args, inputs: dict) -> dict:
 
 
 def cmd_fusion_generate(args, inputs: dict) -> dict:
-    data = inputs["infile"]
+    data = _required_input(args, inputs, "infile")
     if "group" not in data or "generators" not in data:
         raise UsageError("generate input needs 'group', 'p' and 'generators'")
     p = int(data.get("p", getattr(args, "p", 0) or 0))
@@ -197,8 +203,8 @@ def cmd_factorize(args, inputs: dict) -> dict:
 def cmd_krs(args, inputs: dict) -> dict:
     F, _ = _load_fusion_arg(args, inputs)
     omega = _load_omega(inputs, F)
-    fact1 = _factorization_from_arg(F, inputs["fact1"])
-    fact2 = _factorization_from_arg(F, inputs["fact2"])
+    fact1 = _factorization_from_arg(F, _required_input(args, inputs, "fact1"))
+    fact2 = _factorization_from_arg(F, _required_input(args, inputs, "fact2"))
     cert = krs_certificate(F, fact1, fact2, omega)
     return {
         "certificate": serialize.certificate_to_json(cert),

@@ -286,6 +286,7 @@ def sl23_fusion() -> FusionSystem:
         )
 
     G = FiniteGroup.from_permutations([acting([[1, 1], [0, 1]]), acting([[0, -1], [1, 0]])])
+    assert G.order == 24
     return fusion_of_group(G, 2)
 
 
@@ -2084,8 +2085,10 @@ def factorize_all_plain(
 
 def check_factorizations_are_products() -> str:
     """Every factorization that ``factorize`` and ``factorize_all`` return
-    is a direct factorization: they prove each split once and assemble
-    the parts without proving the whole again.  The proof here is the
+    is a direct factorization: ``factorize`` proves each of its splits
+    once and assembles the parts without proving the whole again, and
+    the parts from ``factorize_all`` are the images of those bases under
+    fusion automorphisms, with no split proven.  The proof here is the
     plain one, the inner product compared entrywise."""
     cases = [(_fusion(name), None) for name in catalog.names()]
     cases += equivariant_contexts()

@@ -235,6 +235,22 @@ def test_malformed_input_json_is_a_usage_error(tmp_path, flag, data):
     assert report["error"]["code"] == "UsageError"
 
 
+def test_empty_required_input_path_is_a_usage_error(tmp_path):
+    code, report = run_cli(["factorize", "--catalog", "inner-c2c2", "--exhaustive"])
+    fact = tmp_path / "fact.json"
+    parts = report["results"]["factorizations"][0]["parts"]
+    fact.write_text(json.dumps({"parts": [q["base"] for q in parts]}))
+    for argv in (
+        ["krs", "--catalog", "inner-c2c2", "--fact1", "", "--fact2", str(fact)],
+        ["krs", "--catalog", "inner-c2c2", "--fact1", str(fact), "--fact2", ""],
+        ["fusion", "generate", "--in", ""],
+    ):
+        code, report = run_cli(argv)
+        assert code == 2
+        assert report["error"]["code"] == "UsageError"
+        assert report["error"]["message"].startswith("cannot read JSON from : ")
+
+
 def test_usage_error_exit_code():
     code, report = run_cli(["analyze"])
     assert code == 2

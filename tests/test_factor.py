@@ -164,8 +164,6 @@ def test_normal_end_properties_run(paired_triple):
 
 
 def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
-    from fusionsys import verify
-
     name = "factor/surjective-criterion"
     checks = dict(verify.FACTOR_CHECKS)
     assert verify._run(name, checks["surjective-criterion"]).passed
@@ -182,14 +180,19 @@ def test_surjective_criterion_check_catches_a_wrong_rule(monkeypatch):
 def criterion_disagreements(F):
     """The fusion automorphisms on which ``normal_automorphisms`` and the
     plain complement test ``verify.is_normal_endo`` disagree."""
-    from fusionsys import verify
-
     kept = {m.images for m in normal_automorphisms(F)}
     return [
         m.images
         for m in factor.fusion_automorphisms(F)
         if (m.images in kept) != verify.is_normal_endo(F, m)
     ]
+
+
+def center_clause_only(F, images):
+    """The surjective criterion without its focal clause."""
+    G = F.base
+    center = center_of(F).member_set
+    return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
 
 
 def test_sl23_separates_the_center_clause_from_the_focal_clause():
@@ -212,11 +215,6 @@ def test_sl23_separates_the_center_clause_from_the_focal_clause():
 
 
 def test_sl23_catches_a_criterion_without_the_focal_clause(monkeypatch):
-    def center_clause_only(F, images):
-        G = F.base
-        center = center_of(F).member_set
-        return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
-
     monkeypatch.setattr(factor, "_surjective_normal_criterion", center_clause_only)
     assert len(criterion_disagreements(verify.sl23_fusion())) == 3
 
@@ -224,11 +222,6 @@ def test_sl23_catches_a_criterion_without_the_focal_clause(monkeypatch):
 def test_surjective_check_catches_a_criterion_without_the_focal_clause(monkeypatch):
     # no catalog system has Z(F) != 1 and foc(F) = S, so SL(2,3) is the
     # system of the check that sees the focal clause
-    def center_clause_only(F, images):
-        G = F.base
-        center = center_of(F).member_set
-        return all(G.mul(G.inv(g), images[g]) in center for g in G.generators)
-
     monkeypatch.setattr(verify, "_surjective_normal_criterion", center_clause_only)
     result = verify._run(
         "factor/surjective-criterion", dict(verify.FACTOR_CHECKS)["surjective-criterion"]
@@ -238,8 +231,6 @@ def test_surjective_check_catches_a_criterion_without_the_focal_clause(monkeypat
 
 
 def test_surjective_check_catches_a_dropped_generator(monkeypatch):
-    from fusionsys import verify
-
     def one_generator_short(F, images):
         G = F.base
         center = center_of(F).member_set
@@ -257,8 +248,6 @@ def test_surjective_check_catches_a_dropped_generator(monkeypatch):
 
 
 def test_omega_check_catches_a_dropped_generator(monkeypatch):
-    from fusionsys import verify
-
     def one_generator_short(self, images):
         for w in self.generators:
             on = w.images
@@ -276,8 +265,6 @@ def test_omega_check_catches_a_dropped_generator(monkeypatch):
 
 
 def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
-    from fusionsys import verify
-
     def last_level_dropped(G):
         base, levels = groups.automorphism_chain(G)
         return base, levels[:-1]
@@ -330,8 +317,6 @@ def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
 
 
 def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(monkeypatch):
-    from fusionsys import verify
-
     normal_automorphisms = factor.normal_automorphisms
     criterion = factor._surjective_normal_criterion
 
@@ -356,8 +341,6 @@ def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(mon
 def test_normal_automorphism_check_catches_a_walk_that_drops_deferred_pairs(monkeypatch):
     # the rotation of the C2^3 blocks moves b_1 out of <b_1>, so its pairs
     # are only tested at a later level
-    from fusionsys import verify
-
     def first_level_pairs_only(G, chain, commuting=()):
         base = chain[0]
         first = set(groups._closure_ids(G, base[:1]))
@@ -481,8 +464,6 @@ def test_factorize_all_of_an_indecomposable_system_builds_no_chain():
 
 
 def test_product_check_catches_a_dropped_part(monkeypatch):
-    from fusionsys import verify
-
     name = "factor/factorizations-are-products"
     checks = dict(verify.FACTOR_CHECKS)
     assert verify._run(name, checks["factorizations-are-products"]).passed
@@ -501,8 +482,6 @@ def test_product_check_catches_a_dropped_part(monkeypatch):
 
 def _self_map_search_result():
     # the lemma suite runs the unmutated check
-    from fusionsys import verify
-
     check = dict(verify.FACTOR_CHECKS)["self-map-search"]
     return verify._run("factor/self-map-search", check)
 
@@ -567,8 +546,6 @@ def test_fitting_invertible_and_zero(paired_triple):
 
 
 def test_fitting_matches_abelian_split():
-    from fusionsys import verify
-
     F = fusion("inner-c2c4")
     for ne in normal_endos(F):
         split = fitting_factorize(F, ne)
@@ -582,8 +559,6 @@ def test_fitting_matches_abelian_split():
 
 
 def test_fitting_check_catches_a_stable_image_one_power_short(monkeypatch):
-    from fusionsys import verify
-
     def one_iteration_early(G, images):
         _, _, n = stable_image_kernel(G, images)
         power = tuple(range(G.order))
@@ -722,8 +697,6 @@ def test_factorize_all_proves_each_split_without_rescanning(monkeypatch):
 
 
 def test_pair_check_catches_a_skipped_intersection_test(monkeypatch):
-    from fusionsys import verify
-
     monkeypatch.setattr(factor, "_meet_trivially", lambda T, U: True)
     result = verify._run(
         "morphisms/product-by-projection",
