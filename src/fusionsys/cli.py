@@ -86,7 +86,7 @@ def _load_fusion_arg(args, inputs: dict) -> tuple[FusionSystem, dict]:
         return b.fusion, {"catalog": args.catalog}
     if "infile" in inputs:
         data = inputs["infile"]
-        if "hom_table" in data:
+        if isinstance(data, dict) and "hom_table" in data:
             return serialize.fusion_from_json(data), data
         if getattr(args, "p", None) is None:
             raise UsageError("group input needs --p PRIME")

@@ -17,11 +17,11 @@ failure reruns the full scan, so witnesses are unchanged):
   tuples of one pushed class generator and identities;
 - ``normal_automorphisms``: the center/focal criterion on the chain
   maps of Aut(S,F), and on every map only when one fails;
-- Aut(S,F) is kept as a stabiliser chain: that of Aut(S) once its maps
-  preserve F, else one level from the F-class-labelled homomorphism
-  search filtered by ``check_morphism``, which also gives End(S,F); the
-  listings walk the chain, and under Omega a branch is cut at the first
-  level that fixes enough of S to test a pair (w, b) exactly;
+- Aut(S,F) is kept as a stabiliser chain, one level per base element,
+  from the F-class-labelled transversal search (``check_morphism`` on
+  first leaves; End(S,F) is the labelled search, filtered); the listings
+  walk it, and under Omega cut a branch at the first level that fixes
+  enough of S to test a pair (w, b) exactly;
 - ``is_product_decomposition`` on every split tried: kept restrictions
   pass as parts by identity, then the commuting generator tuples, the
   cover read off the element components, and ``class_generators(F)``
@@ -272,34 +272,15 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 
 
 def _automorphism_chain(F: FusionSystem) -> tuple[tuple[int, ...], list[list[MapTuple]]]:
-    """Aut(S,F) as a base of S and stabiliser-chain levels, kept on F:
-    the chain of Aut(S) when its maps preserve F (then all of Aut(S)
-    does), else one level, all of ``_fusion_self_maps``, on that base."""
+    """Aut(S,F) as a base of S and the levels of its stabiliser chain,
+    kept on F: ``automorphism_chain`` with the F-class labels, each level
+    map accepted by ``check_morphism``."""
     if F._automorphism_chain is None:
-        base, levels = automorphism_chain(F.base)
-        if not all(_preserves(F, u) for level in levels for u in level):
-            levels = [[m.images for m in _fusion_self_maps(F, injective=True)]]
-        F._automorphism_chain = base, levels
+        F.element_classes()
+        F._automorphism_chain = automorphism_chain(
+            F.base, F._element_class_index, lambda u: _preserves(F, u)
+        )
     return F._automorphism_chain
-
-
-def _fusion_self_maps(F: FusionSystem, *, injective: bool) -> list[FusionMorphism]:
-    """The fusion-preserving endomorphisms of F (automorphisms only when
-    ``injective``) in image-tuple order: the homomorphisms S -> S that
-    send each F-class into one F-class (``_homs`` with class labels),
-    each accepted by ``check_morphism``."""
-    labels = [0] * F.base.order
-    for c, members in enumerate(F.element_classes()):
-        for x in members:
-            labels[x] = c
-    full = F.base.full_subgroup()
-    found = []
-    for h in _homs(full, full, injective, labels):
-        try:
-            found.append(check_morphism(F, F, h.images, hom_checked=True))
-        except NotFusionPreserving:
-            continue
-    return found
 
 
 def _preserves(F: FusionSystem, a: MapTuple) -> bool:
@@ -311,9 +292,19 @@ def _preserves(F: FusionSystem, a: MapTuple) -> bool:
 
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:
-    """All fusion-preserving self-maps, in image-tuple order."""
+    """All fusion-preserving self-maps, in image-tuple order: the
+    homomorphisms S -> S that send each F-class into one F-class
+    (``_homs`` with class labels), each accepted by ``check_morphism``."""
     if F._endomorphisms is None:
-        F._endomorphisms = _fusion_self_maps(F, injective=False)
+        F.element_classes()
+        full = F.base.full_subgroup()
+        found = []
+        for h in _homs(full, full, False, F._element_class_index):
+            try:
+                found.append(check_morphism(F, F, h.images, hom_checked=True))
+            except NotFusionPreserving:
+                continue
+        F._endomorphisms = found
     return F._endomorphisms
 
 

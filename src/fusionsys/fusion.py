@@ -271,7 +271,7 @@ class FusionSystem:
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
         self._focal_generators: Optional[tuple[int, ...]] = None
-        # self-maps and Aut(S,F) as (base, chain levels), filled by factor
+        # self-maps, and Aut(S,F) as (base, stabiliser chain levels), filled by factor
         self._endomorphisms: Optional[list[FusionMorphism]] = None
         self._automorphisms: Optional[list[FusionMorphism]] = None
         self._automorphism_chain: Optional[tuple[tuple[int, ...], list[list[MapTuple]]]] = None

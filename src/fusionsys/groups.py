@@ -10,7 +10,7 @@ and every search breaks ties by least id.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
@@ -1153,34 +1153,42 @@ def all_homs(P: Subgroup, Q: Subgroup) -> list[GroupHom]:
 
 
 def _transversal(
-    G: FiniteGroup, gens: Sequence[int], candidates: list[list[int]], i: int
+    G: FiniteGroup, gens: Sequence[int], candidates: list[list[int]], i: int, labels, keep
 ) -> list[Perm]:
     """One automorphism per image of ``gens[i]`` among those that fix
-    ``gens[:i]``, each found as the first leaf of its search."""
+    ``gens[:i]``: the first leaf of its search that passes ``keep``."""
     fixed = _spread(G, G, {g: g for g in gens[:i]}, gens[:i], None)
     level = []
     for q in candidates[i]:
         pinned = candidates[:i] + [[q]] + candidates[i + 1 :]
-        leaf = next(_leaves(G, G, gens, pinned, fixed, i, True, None), None)
-        if leaf is not None:
-            level.append(tuple(leaf[x] for x in range(G.order)))
+        for leaf in _leaves(G, G, gens, pinned, fixed, i, True, labels):
+            u = tuple(leaf[x] for x in range(G.order))
+            if keep is None or keep(u):
+                level.append(u)
+                break
     return level
 
 
-def automorphism_chain(G: FiniteGroup) -> tuple[tuple[int, ...], list[list[Perm]]]:
-    """A base of ``G`` and the levels of a stabiliser chain of Aut(G).
+def automorphism_chain(
+    G: FiniteGroup,
+    labels: Optional[Sequence[int]] = None,
+    keep: Optional[Callable[[Perm], bool]] = None,
+) -> tuple[tuple[int, ...], list[list[Perm]]]:
+    """A base of ``G`` and the levels of a stabiliser chain of a subgroup
+    H of Aut(G): all of it, or the maps that send each class of
+    ``labels`` into one class and pass ``keep`` (e.g. Aut(S,F)).
 
-    The generating sequence b_1..b_k is the base: level i holds one
-    automorphism u fixing b_1..b_{i-1} for each image of b_i.  Every
-    automorphism is u_1 o ... o u_k in exactly one way, because the b_i
-    generate G, so |Aut(G)| is the product of the level sizes, found by
-    a few first-leaf searches and not by a search tree with one leaf per
-    automorphism.  In particular the union of the levels generates
-    Aut(G); ``walk_chain`` lists it.
-    """
+    The generating sequence b_1..b_k is the base: level i holds one map
+    u of H fixing b_1..b_{i-1} for each image of b_i.  H lies inside the
+    class-respecting maps, and the labelled search cuts only branches
+    that split a class, so the first leaf that passes ``keep`` under a
+    pinned prefix is a transversal element of H.  Every map of H is
+    u_1 o ... o u_k in exactly one way, because the b_i generate G, so
+    |H| is the product of the level sizes, found by a few first-leaf
+    searches, not one leaf per map; ``walk_chain`` lists H."""
     full = G.full_subgroup()
     gens, candidates = _search_space(full, full, True)
-    return gens, [_transversal(G, gens, candidates, i) for i in range(len(gens))]
+    return gens, [_transversal(G, gens, candidates, i, labels, keep) for i in range(len(gens))]
 
 
 def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> list[Perm]:
@@ -1191,9 +1199,9 @@ def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> 
     p o u = itemgetter(*u)(p), in C.  A pair (w, b) of ``commuting`` and
     the base is tested, p(w(b)) = w(p(b)), at the first level whose
     prefix <b_1..b_i> holds b and w(b), and a failing branch is cut.
-    That is exact: later levels fix the prefix pointwise; and the last
-    prefix is taken to be G (one level may hold a whole group), so every
-    kept product commutes with each w on generators."""
+    That is exact: later levels fix the prefix pointwise, and the last
+    prefix is G, so every kept product commutes with each w on
+    generators."""
     base, levels = chain
     pending = [(w, b) for w in commuting for b in base]
     prods: list[Perm] = [tuple(range(G.order))]
@@ -1201,7 +1209,7 @@ def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> 
         getters = [itemgetter(*u) for u in level]
         prods = [get(p) for p in prods for get in getters]
         if pending:
-            prefix = set(_closure_ids(G, base[: i + 1] if i + 1 < len(levels) else base))
+            prefix = set(_closure_ids(G, base[: i + 1]))
             due = [(w, b) for w, b in pending if b in prefix and w[b] in prefix]
             pending = [pair for pair in pending if pair not in due]
             prods = [p for p in prods if all(p[w[b]] == w[p[b]] for w, b in due)]

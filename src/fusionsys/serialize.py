@@ -40,19 +40,20 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict, *, prime_hint: Optional[int] = None) -> FiniteGroup:
-    if "generators" in data and "points" in data:
-        points = int(data["points"])
+    if isinstance(data, dict) and "generators" in data and "points" in data:
+        points = _int_field(data, "points", "group")
         perms = [
-            cycles_to_perm([list(c) for c in gen], points)
-            for gen in data["generators"]
+            cycles_to_perm(_id_lists(gen, "a generator"), points)
+            for gen in _list_field(data, "generators", "group")
         ]
         return FiniteGroup.from_permutations(
             perms, points=points, prime_hint=prime_hint
         )
-    if "cayley" in data:
+    if isinstance(data, dict) and "cayley" in data:
+        gens = data.get("generators")
         return FiniteGroup.from_cayley(
-            data["cayley"],
-            generators=data.get("generators"),
+            _id_lists(data["cayley"], "a cayley table"),
+            generators=None if gens is None else _id_list(gens, "cayley generators"),
             prime_hint=prime_hint,
         )
     raise UsageError("group JSON needs either points/generators or a cayley table")
@@ -94,26 +95,24 @@ def fusion_to_json(F: FusionSystem) -> dict:
 
 
 def fusion_from_json(data: dict) -> FusionSystem:
-    p = int(data["p"])
-    base = group_from_json(data["base"], prime_hint=p)
+    p = _int_field(data, "p", "fusion")
+    base = group_from_json(data.get("base"), prime_hint=p)
     lat = lattice_of(base)
-    declared = [tuple(m) for m in data["subgroups"]]
+    declared = _id_lists(_list_field(data, "subgroups", "fusion"), "the subgroup list")
     if declared != [s.members for s in lat.subs]:
         raise UsageError("declared subgroup list does not match the base group")
-    full = lat.full_index
-    maps = [set() for _ in lat.subs]
-    table = data["hom_table"]
-    for i in range(len(lat.subs)):
-        for m in table[i][full]:
-            maps[i].add(tuple(m))
-    F = FusionSystem(base, p, maps)
+    k = len(lat.subs)
+    table = _list_field(data, "hom_table", "fusion")
+    if len(table) != k or not all(isinstance(row, list) and len(row) == k for row in table):
+        raise UsageError(f"hom table must be a {k} x {k} list of map lists")
+    table = [[_id_lists(cell, "a hom table entry") for cell in row] for row in table]
+    F = FusionSystem(base, p, [set(row[lat.full_index]) for row in table])
     F.validate_table()
     F.validate_closure()
     # per-pair entries must agree with the slices of the maps into S
-    for i in range(len(lat.subs)):
-        for j in range(len(lat.subs)):
-            declared_pair = sorted(tuple(m) for m in table[i][j])
-            if declared_pair != sorted(F.hom_maps(i, j)):
+    for i in range(k):
+        for j in range(k):
+            if sorted(table[i][j]) != sorted(F.hom_maps(i, j)):
                 raise UsageError(f"hom table entry ({i},{j}) is not consistent")
     return F
 
@@ -146,10 +145,23 @@ def _id_list(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _id_lists(value, what: str) -> list[tuple[int, ...]]:
+    if not isinstance(value, list):
+        raise UsageError(f"{what} must be a list of lists of element ids")
+    return [_id_list(row, f"an entry of {what}") for row in value]
+
+
 def _list_field(data, key: str, what: str) -> list:
     if not isinstance(data, dict) or not isinstance(data.get(key), list):
         raise UsageError(f"{what} JSON needs a list under {key!r}")
     return data[key]
+
+
+def _int_field(data, key: str, what: str) -> int:
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{what} JSON needs an integer under {key!r}")
+    return value
 
 
 def factorization_bases_from_json(data: dict) -> list[tuple[int, ...]]:

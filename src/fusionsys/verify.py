@@ -258,9 +258,9 @@ def equivariant_contexts() -> list[tuple[FusionSystem, OmegaContext]]:
     """The rank-three elementary abelian 2-group under the rotation of
     its three transposition blocks, C2 x C4 under inversion, the
     rank-three group again under the swap of its first two blocks, and
-    sigma3-squared under the swap of its two Sigma3 factors, whose
-    Aut(S,F) (8 of the 48 maps of Aut(C3 x C3)) comes from the labelled
-    search, not the chain."""
+    sigma3-squared under the swap of its two Sigma3 factors, whose chain
+    of Aut(S,F) is cut by F: levels of 4 and 2 maps (8 of the 48 maps of
+    Aut(C3 x C3), whose chain has levels of 8 and 6)."""
     F8 = _fusion("inner-c2c2c2")
     FA = _fusion("inner-c2c4")
     inv = tuple(FA.base.inv(x) for x in range(8))
@@ -287,6 +287,24 @@ def sl23_fusion() -> FusionSystem:
 
     G = FiniteGroup.from_permutations([acting([[1, 1], [0, 1]]), acting([[0, -1], [1, 0]])])
     assert G.order == 24
+    return fusion_of_group(G, 2)
+
+
+def affine_c7_fusion() -> FusionSystem:
+    """F_S(S:C7) for S = C2^3: the affine group x -> ax + b of
+    F_8 = F_2[w]/(w^3 + w + 1) with a in <w> (order 56), generated by
+    x -> x + 1 and x -> wx on the 8 points.  The 7 involutions of S form
+    one F-class, so the class labels admit all 168 maps of GL(3,2), but
+    only the 21 of N(C7) = 7:3 preserve F: here the fusion test, not the
+    labels, cuts Aut(S,F) out of the labelled search."""
+
+    def times_w(x: int) -> int:
+        return (x << 1) ^ 0b1011 if x & 0b100 else x << 1
+
+    G = FiniteGroup.from_permutations(
+        [tuple(x ^ 1 for x in range(8)), tuple(times_w(x) for x in range(8))], points=8
+    )
+    assert G.order == 56
     return fusion_of_group(G, 2)
 
 
@@ -1416,8 +1434,10 @@ _PLAIN_SELF_MAPS: dict[str, list[tuple[MapTuple, tuple[Optional[str], object]]]]
 
 
 def self_map_systems() -> list[tuple[str, FusionSystem]]:
-    """The catalog systems and the unsaturated battery."""
-    return [(name, _fusion(name)) for name in catalog.names()] + unsaturated_battery()
+    """The catalog systems, the unsaturated battery and F_S(S:C7), where
+    the fusion test rejects maps that the class labels admit."""
+    systems = [(name, _fusion(name)) for name in catalog.names()] + unsaturated_battery()
+    return systems + [("affine-c7", affine_c7_fusion())]
 
 
 def plain_self_maps(name: str, F: FusionSystem) -> list[tuple[MapTuple, tuple[Optional[str], object]]]:
@@ -1437,9 +1457,8 @@ def check_push_on_generators() -> str:
     """``check_morphism``, which pushes the class generators of the
     source, accepts the maps that ``check_morphism_plain`` accepts and
     rejects the others with the same witness.  The candidates are every
-    endomorphism of the base of each catalog system and each system of
-    the unsaturated battery; for ``inner-c3c3c3`` only the
-    automorphisms."""
+    endomorphism of the base of each system of ``self_map_systems()``;
+    for ``inner-c3c3c3`` only the automorphisms."""
     verdicts: Counter = Counter()
     for name, F in self_map_systems():
         for images, plain in plain_self_maps(name, F):
@@ -1987,8 +2006,8 @@ def check_normal_automorphisms() -> str:
     the plain filter (Omega commutation and the criterion on every
     element of every map) on a fresh copy of every catalog system and
     every system of the unsaturated battery, and in the equivariant
-    contexts, where the walk runs on the chain of Aut(S) and on the one
-    level of the labelled search."""
+    contexts, where the walk runs both on a chain of Aut(S,F) that is the
+    chain of Aut(S) and on one that F cuts."""
     cases = [(_fusion(name), None) for name in catalog.names()]
     cases += [(F, None) for _, F in unsaturated_battery()]
     cases += equivariant_contexts()
@@ -2005,11 +2024,13 @@ def check_normal_automorphisms() -> str:
         if omega is not None:
             on_chain[_automorphism_chain(F)[1] == automorphism_chain(F.base)[1]] += 1
     assert shortcut[True] and shortcut[False], "both outcomes must occur"
-    assert on_chain[True] and on_chain[False], "the Omega walk must run on both branches"
+    assert on_chain[True] and on_chain[False], (
+        "the Omega walk must run on the chain of Aut(S) and on a chain cut by F"
+    )
     return (
         f"{len(cases)} systems agree with the plain filter; Aut(S,F) is all "
         f"normal in {shortcut[True]} of them; {on_chain[True]} Omega walks on "
-        f"the chain of Aut(S), {on_chain[False]} on the labelled search"
+        f"the chain of Aut(S), {on_chain[False]} on a chain cut by F"
     )
 
 
@@ -2109,14 +2130,14 @@ def check_self_map_search() -> str:
     """The fusion-aware self-map search against its plain twin: every
     homomorphism S -> S from the exhaustive backtracker without class
     labels, filtered by ``check_morphism_plain``.  Aut(S) from the base
-    transversals is compared with ``injective_homs``, and Aut(S,F) (all
-    of Aut(S) once the transversal maps preserve F, else the labelled
-    search) with the filtered ``injective_homs``, on a fresh copy of
-    each system, so no cached list can hide a fault.  The systems are
-    the catalog's and the unsaturated battery's, where often only the
-    last transversal holds maps that leave F.  The twin runs once per
-    multiplication table; the endomorphisms of ``inner-c3c3c3`` (19683
-    of them) are left out."""
+    transversals is compared with ``injective_homs``, and Aut(S,F) (the
+    chain from the labelled transversal search, each first leaf kept only
+    if it preserves F) with the filtered ``injective_homs``, on a fresh
+    copy of each system, so no cached list can hide a fault.  The systems
+    are ``self_map_systems()``; on all but ``affine-c7`` the class labels
+    alone cut Aut(S,F), and there the fusion test rejects 40 of the 51
+    leaves it sees.  The twin runs once per multiplication table; the
+    endomorphisms of ``inner-c3c3c3`` (19683 of them) are left out."""
     compared: set[int] = set()
     autos = endos = 0
     systems = self_map_systems()
@@ -2144,7 +2165,7 @@ def check_self_map_search() -> str:
         endos += len(found)
     return (
         f"{autos} automorphisms and {endos} endomorphisms of {len(systems)} "
-        f"catalog and unsaturated systems match the plain search over "
+        f"catalog, unsaturated and affine systems match the plain search over "
         f"{len(compared)} tables"
     )
 

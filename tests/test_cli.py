@@ -235,6 +235,41 @@ def test_malformed_input_json_is_a_usage_error(tmp_path, flag, data):
     assert report["error"]["code"] == "UsageError"
 
 
+C2 = {"generators": [[[1, 2]]], "points": 2}
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        ("factorize", {"generators": [[1, 0]], "points": 2}),
+        ("factorize", {"generators": [[[1, 2]]], "points": "two"}),
+        ("factorize", {"cayley": 5}),
+        ("factorize", {"generators": [[["a", 2]]], "points": 2}),
+        ("analyze", {"hom_table": []}),
+        ("analyze", {"p": 2, "base": C2, "hom_table": []}),
+        ("analyze", {"p": 2, "base": C2, "subgroups": [[0], [0, 1]], "hom_table": 5}),
+        ("analyze", 5),
+    ],
+    ids=[
+        "generator-not-cycles",
+        "points-not-integer",
+        "cayley-not-table",
+        "cycle-point-not-integer",
+        "fusion-missing-p",
+        "fusion-missing-subgroups",
+        "hom-table-not-list",
+        "input-not-an-object",
+    ],
+)
+def test_malformed_group_or_fusion_json_is_a_usage_error(tmp_path, command, data):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    argv = [command, "--in", str(f)] + (["--p", "2"] if command == "factorize" else [])
+    code, report = run_cli(argv)
+    assert code == 2
+    assert report["error"]["code"] == "UsageError"
+
+
 def test_empty_required_input_path_is_a_usage_error(tmp_path):
     code, report = run_cli(["factorize", "--catalog", "inner-c2c2", "--exhaustive"])
     fact = tmp_path / "fact.json"

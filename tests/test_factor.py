@@ -265,8 +265,8 @@ def test_omega_check_catches_a_dropped_generator(monkeypatch):
 
 
 def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
-    def last_level_dropped(G):
-        base, levels = groups.automorphism_chain(G)
+    def last_level_dropped(G, labels=None, keep=None):
+        base, levels = groups.automorphism_chain(G, labels, keep)
         return base, levels[:-1]
 
     monkeypatch.setattr(factor, "automorphism_chain", last_level_dropped)
@@ -296,9 +296,9 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
 
 
 def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
-    # on sigma3-cubed-paired some chain map of Aut(C3^3) leaves F, so
-    # Aut(S,F) comes from the labelled search and the 11232 tuples of
-    # Aut(S) are never built
+    # on sigma3-cubed-paired some automorphisms of C3^3 leave F, so the
+    # chain of Aut(S,F) is cut by F: one walk over its levels of 6, 4 and
+    # 2 maps, and the 11232 tuples of Aut(S) are never built
     F = catalog.built("sigma3-cubed-paired").fusion
     fresh = FusionSystem(F.base, F.p, F.maps)
     calls = []
@@ -309,11 +309,27 @@ def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
 
     monkeypatch.setattr(factor, "walk_chain", counting)
     autos = factor.fusion_automorphisms(fresh)
-    # one walk, over the one level that the labelled search found
-    assert calls == [[len(autos)]]
-    assert 0 < len(autos) < 11232
-    assert fresh._automorphism_chain[1] == [[m.images for m in autos]]
+    assert calls == [[6, 4, 2]]
+    assert len(autos) == 6 * 4 * 2
     assert [m.images for m in autos] == [m.images for m in factor.fusion_automorphisms(F)]
+
+
+def test_self_map_check_catches_a_chain_that_ignores_the_fusion_test(monkeypatch):
+    # on affine-c7 the class labels admit all 168 maps of GL(3,2), and
+    # only the fusion test cuts Aut(S,F) down to the 21 of N(C7) = 7:3
+    def keep_ignored(G, labels=None, keep=None):
+        return groups.automorphism_chain(G, labels)
+
+    F = verify.affine_c7_fusion()
+    assert len(factor.fusion_automorphisms(F)) == 21
+    monkeypatch.setattr(factor, "automorphism_chain", keep_ignored)
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    assert len(factor.fusion_automorphisms(fresh)) == 168
+    result = verify._run(
+        "factor/self-map-search", dict(verify.FACTOR_CHECKS)["self-map-search"]
+    )
+    assert not result.passed
+    assert "affine-c7: fusion automorphisms differ from the plain filter" in result.detail
 
 
 def test_normal_automorphism_check_catches_a_shortcut_on_the_first_generator(monkeypatch):
@@ -499,7 +515,7 @@ def test_self_map_check_catches_classes_mapped_to_themselves(monkeypatch):
     monkeypatch.setattr(groups, "_spread", own_class_only)
     result = _self_map_search_result()
     assert not result.passed
-    # automorphisms off the chain shortcut come from the same labelled search
+    # the chain of Aut(S,F) comes from the same labelled search
     assert "fusion automorphisms differ" in result.detail
 
 
