@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import catalog, serialize
 from .errors import FusionError, UsageError
-from .groups import FiniteGroup, GroupHom, Subgroup, sylow
+from .groups import FiniteGroup, GroupHom, Subgroup, is_prime, sylow
 from .fusion import (
     FusionSystem,
     conjugacy,
@@ -148,8 +148,8 @@ def cmd_fusion_generate(args, inputs: dict) -> dict:
     data = _required_input(args, inputs, "infile")
     if "group" not in data or "generators" not in data:
         raise UsageError("generate input needs 'group', 'p' and 'generators'")
-    p = int(data.get("p", getattr(args, "p", 0) or 0))
-    if not p:
+    p = data.get("p", getattr(args, "p", None))
+    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise UsageError("generate input needs a prime")
     G = serialize.group_from_json(data["group"], prime_hint=p)
     gens = []
@@ -383,6 +383,9 @@ def _execute(argv, args: argparse.Namespace) -> tuple[int, dict]:
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
+        p = getattr(args, "p", None)
+        if p is not None and not is_prime(p):
+            raise UsageError(f"--p {p} is not a prime")
         inputs = _read_inputs(args)
         report["inputs"] = _input_digests(args, inputs)
         results = args.handler(args, inputs)

@@ -273,14 +273,23 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 
 def _automorphism_chain(F: FusionSystem) -> tuple[tuple[int, ...], list[list[MapTuple]]]:
     """Aut(S,F) as a base of S and the levels of its stabiliser chain,
-    kept on F: ``automorphism_chain`` with the F-class labels, each level
-    map accepted by ``check_morphism``."""
+    kept on F: ``automorphism_chain`` with the F-class labels
+    (``_class_labels``), each level map accepted by ``check_morphism``."""
     if F._automorphism_chain is None:
-        F.element_classes()
         F._automorphism_chain = automorphism_chain(
-            F.base, F._element_class_index, lambda u: _preserves(F, u)
+            F.base, _class_labels(F), lambda u: _preserves(F, u)
         )
     return F._automorphism_chain
+
+
+def _class_labels(F: FusionSystem) -> Optional[list[int]]:
+    """The F-class of each element, as labels for the self-map search,
+    or None when every class is a singleton: a singleton class never
+    makes the class map disagree (``groups._spread``), so its labels
+    would cut nothing and only cost their bookkeeping."""
+    if len(F.element_classes()) == F.base.order:
+        return None
+    return F._element_class_index
 
 
 def _preserves(F: FusionSystem, a: MapTuple) -> bool:
@@ -294,12 +303,11 @@ def _preserves(F: FusionSystem, a: MapTuple) -> bool:
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:
     """All fusion-preserving self-maps, in image-tuple order: the
     homomorphisms S -> S that send each F-class into one F-class
-    (``_homs`` with class labels), each accepted by ``check_morphism``."""
+    (``_homs`` with ``_class_labels``), each accepted by ``check_morphism``."""
     if F._endomorphisms is None:
-        F.element_classes()
         full = F.base.full_subgroup()
         found = []
-        for h in _homs(full, full, False, F._element_class_index):
+        for h in _homs(full, full, False, _class_labels(F)):
             try:
                 found.append(check_morphism(F, F, h.images, hom_checked=True))
             except NotFusionPreserving:

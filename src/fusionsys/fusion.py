@@ -12,6 +12,7 @@ corestriction and extension of the codomain).
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -55,9 +56,10 @@ class SubgroupLattice:
     The index tables, member masks and generating sequences come from the
     group's memoized ``LatticeShape``, so groups with equal multiplication
     tables share them.  The conjugation action of the group on its
-    subgroups is read off one table of ``g x g^-1``, built on first use,
-    and one transporter table ``trans[x][y]`` (the mask of the g with
-    g x g^-1 = y), built from it on first use and kept.  Every
+    subgroups is read off one table of ``g x g^-1`` and one transporter
+    table ``trans[x][y]`` (the mask of the g with g x g^-1 = y), both
+    kept on the shape: the enumerator of a dense p-group leaves them
+    there, and any other group builds them on first use.  Every
     per-subgroup set is a bitmask (bit x for element x) read off the
     transporter table as an AND over the generators x of the subgroup P:
     N_S(P) of the transporters of x into P, C_S(P) of ``trans[x][x]``,
@@ -79,8 +81,6 @@ class SubgroupLattice:
         self.full_index = self.idx[self.subs[-1].members]
         self.trivial_index = self.idx[(0,)]
         self._bits = [1 << x for x in range(G.order)]
-        self._conj: Optional[list[list[int]]] = None
-        self._trans: Optional[list[dict[int, int]]] = None
         self._normalizers: Optional[list[int]] = None
         self._centralizers: Optional[list[int]] = None
         self._coset_rows: dict[int, tuple[tuple[MapTuple, int], ...]] = {}
@@ -104,18 +104,20 @@ class SubgroupLattice:
 
     def conj_table(self) -> list[list[int]]:
         """``conj[g][x] = g x g^-1`` over the whole group."""
-        if self._conj is None:
+        shape = self.shape
+        if shape.conj is None:
             G = self.group
             every = range(G.order)
-            self._conj = [G.conj_row(g, every) for g in every]
-        return self._conj
+            shape.conj = [G.conj_row(g, every) for g in every]
+        return shape.conj
 
     def transporter_table(self) -> list[dict[int, int]]:
         """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every
         x and every conjugate y of x (``groups.transporters``)."""
-        if self._trans is None:
-            self._trans = transporters(self.conj_table())
-        return self._trans
+        shape = self.shape
+        if shape.trans is None:
+            shape.trans = transporters(self.conj_table())
+        return shape.trans
 
     def normalizer_mask(self, i: int) -> int:
         """N_S(P_i) as a mask: the g that conjugate each generator of P_i
@@ -271,6 +273,8 @@ class FusionSystem:
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
         self._focal_generators: Optional[tuple[int, ...]] = None
+        # the indices of the F-centric and of the F-radical subgroups
+        self._centric_radical: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         # self-maps, and Aut(S,F) as (base, stabiliser chain levels), filled by factor
         self._endomorphisms: Optional[list[FusionMorphism]] = None
         self._automorphisms: Optional[list[FusionMorphism]] = None
@@ -485,7 +489,18 @@ def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
 
 
 def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> FusionSystem:
-    """The conjugation fusion system of ``G`` on a Sylow p-subgroup."""
+    """The conjugation fusion system of ``G`` on a Sylow p-subgroup.
+
+    Conjugation by g is a homomorphism, so its row on S is fixed by the
+    images of the generators of S: one row is kept per distinct image,
+    that is per coset of C_G(S), with None for a conjugate outside S.
+    For each P the rows that send P into S are those that send its
+    generators into S, and rows that agree on the generators of P agree
+    on P, so they give one map per coset of C_G(P) among them; a coset
+    is read off the transporters of the rows (``trans[x][y]``, the rows
+    sending x to y) as an AND over the generators, as
+    ``SubgroupLattice.coset_rows`` does, and one map tuple is built per
+    coset.  ``verify.fusion_table_plain`` conjugates by every element."""
     if S is None:
         S = sylow(G, p)
     else:
@@ -498,23 +513,33 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
     SG, to_parent = S.as_group()
     from_parent = {pid: i for i, pid in enumerate(to_parent)}
     lat = lattice_of(SG)
-    maps: list[set[MapTuple]] = [set() for _ in lat.subs]
-    subs = list(zip(lat.shape.members, lat.shape.masks, maps))
-    # g and g' with the same conjugation row on S (g' in g C_G(S), say)
-    # add the same maps, so each row is processed once
-    rows: set[tuple[int, ...]] = set()
+    gens = [to_parent[x] for x in SG.generators]
+    seen: set[tuple[int, ...]] = set()
+    rows: list[list[Optional[int]]] = []
     for g in range(G.order):
-        conj = tuple(G.conj_row(g, to_parent))
-        if conj in rows:
-            continue
-        rows.add(conj)
-        # local ids of the conjugates, None outside S; a subgroup maps
-        # into S exactly when its mask lies in the mask of those inside
-        translated = list(map(from_parent.get, conj))
-        inside = mask_of(t for t, c in enumerate(translated) if c is not None)
-        for members, mask, into in subs:
-            if mask & inside == mask:
-                into.add(tuple(map(translated.__getitem__, members)))
+        key = tuple(G.conj_row(g, gens))
+        if key not in seen:
+            seen.add(key)
+            rows.append(list(map(from_parent.get, G.conj_row(g, to_parent))))
+    trans = transporters(rows)
+    every = (1 << len(rows)) - 1
+    maps: list[list[MapTuple]] = []
+    for members, sub_gens in zip(lat.shape.members, lat.shape.gens):
+        todo = every
+        for x in sub_gens:
+            todo &= every ^ trans[x].get(None, 0)
+        # the trivial subgroup has the one map (0,), which itemgetter
+        # of one item would return as 0
+        take = itemgetter(*members) if len(members) > 1 else lambda row: (row[0],)
+        found = []
+        while todo:
+            row = rows[(todo & -todo).bit_length() - 1]
+            coset = todo
+            for x in sub_gens:
+                coset &= trans[x][row[x]]
+            todo &= ~coset
+            found.append(take(row))
+        maps.append(found)
     return FusionSystem(SG, p, maps)
 
 
@@ -1146,6 +1171,20 @@ def op_is_trivial(quo: FiniteGroup, p: int) -> bool:
     return len(core) == 1
 
 
+def centric_radical(F: FusionSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices of the F-centric and of the F-radical subgroups,
+    found once per system and kept on ``F``: ``fusion_invariants``
+    reports both and ``alperin_generators`` takes the subgroups in both,
+    and a radical test may build Out_F(P) as a group."""
+    if F._centric_radical is None:
+        every = range(len(F.lattice.subs))
+        F._centric_radical = (
+            tuple(i for i in every if is_centric(F, i)),
+            tuple(i for i in every if is_radical(F, i)),
+        )
+    return F._centric_radical
+
+
 def classify_subgroup(F: FusionSystem, P: Subgroup) -> SubgroupClassification:
     i = F.index_of(P.members)
     return SubgroupClassification(
@@ -1179,8 +1218,7 @@ def fusion_invariants(F: FusionSystem) -> FusionInvariants:
         for i in range(len(F.lattice.subs))
         if is_strongly_closed(F, i)
     )
-    centric = tuple(i for i in range(len(F.lattice.subs)) if is_centric(F, i))
-    radical = tuple(i for i in range(len(F.lattice.subs)) if is_radical(F, i))
+    centric, radical = centric_radical(F)
     return FusionInvariants(center_of(F), focal_of(F), strongly, centric, radical)
 
 
@@ -1232,8 +1270,11 @@ def alperin_generators(F: FusionSystem) -> list[tuple[Subgroup, list[GroupHom]]]
     if not is_saturated(F):
         raise NotSaturated("generation check requires a saturated system")
     full = F.base.full_subgroup()
+    centric, radical = centric_radical(F)
+    radical_set = set(radical)
+    subs = F.lattice.subs
     return [
-        (sub, [GroupHom(sub, full, m, _checked=True) for m in F.aut_maps(i)])
-        for i, sub in enumerate(F.lattice.subs)
-        if is_centric(F, i) and is_radical(F, i)
+        (subs[i], [GroupHom(subs[i], full, m, _checked=True) for m in F.aut_maps(i)])
+        for i in centric
+        if i in radical_set
     ]

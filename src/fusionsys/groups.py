@@ -20,6 +20,7 @@ from .errors import (
     NotBijection,
     NotPGroup,
     NotSubgroup,
+    UsageError,
 )
 from . import guardrails
 from .records import Record
@@ -684,17 +685,28 @@ class LatticeShape:
     ``masks`` the same sets as bitmasks and ``gens`` a generating sequence
     of each, the one the enumerator reached it by; ``idx`` and
     ``mask_index`` find a subgroup by its members or its mask.  The
-    containment tables are built on first use.  All of it depends only on
-    the table, so one shape is shared by every group with that table.
+    containment tables are built on first use.  ``conj`` (the rows
+    ``conj[g][x] = g x g^-1``) and ``trans`` (``transporters(conj)``) are
+    kept from the enumerator of a dense p-group, which needs them, and
+    are otherwise filled on first use by the group's ``SubgroupLattice``.
+    All of it depends only on the table, so one shape is shared by every
+    group with that table.
     """
 
-    def __init__(self, lattice: dict[tuple[int, ...], tuple[int, ...]]):
+    def __init__(
+        self,
+        lattice: dict[tuple[int, ...], tuple[int, ...]],
+        conj: Optional[list[list[int]]] = None,
+        trans: Optional[list[dict[int, int]]] = None,
+    ):
         self.members = list(lattice)
         self.gens = list(lattice.values())
         self.idx = {m: i for i, m in enumerate(self.members)}
         self.masks = [mask_of(m) for m in self.members]
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
         self._containment: Optional[tuple[list, list]] = None
+        self.conj = conj
+        self.trans = trans
 
     def containment(self) -> tuple[list, list]:
         """``(pos, maximal_of)`` by subgroup index, each maximal list in
@@ -769,12 +781,12 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                 f"subgroup enumeration limited to order {limit}, got {G.order}"
             )
         if G._mul is None:
-            shape = LatticeShape(enumerate_subgroups(G))
+            shape = enumerate_subgroups(G)
         else:
             key = tuple(map(tuple, G._mul))
             shape = _LATTICES.get(key)
             if shape is None:
-                shape = _LATTICES[key] = LatticeShape(enumerate_subgroups(G))
+                shape = _LATTICES[key] = enumerate_subgroups(G)
         subs = [Subgroup(G, m, _checked=True) for m in shape.members]
         for i, s in enumerate(subs):
             s._canonical_index = i
@@ -783,29 +795,38 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     return G._subgroups
 
 
-def enumerate_subgroups(G: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Member tuples of all subgroups of ``G`` in canonical order, each
-    mapped to the generating sequence it was reached by.
+def enumerate_subgroups(G: FiniteGroup) -> LatticeShape:
+    """The shape of the lattice of ``G``: the member tuples of all its
+    subgroups in canonical order, each with the generating sequence it
+    was reached by.
 
     A p-group with a dense table, the trivial group included, is
-    extended normally by index p (``_extend_normally``); any other group
-    closes each subgroup extended by one element of each coset
+    extended normally by index p (``_extend_normally``), and the shape
+    keeps the conjugation rows and transporters that needs; any other
+    group closes each subgroup extended by one element of each coset
     (``_extend_by_cosets``).  ``subgroups`` runs this once per
     multiplication table; ``verify.enumerate_subgroups_plain`` (one
     closure per element) is its twin.
     """
     p = _least_prime(G.order)
+    conj = trans = None
     if _is_p_power(G.order, p) and G._mul is not None:
-        found = list(_extend_normally(G, p).values())
+        every = range(G.order)
+        conj = [G.conj_row(g, every) for g in every]
+        trans = transporters(conj)
+        found = list(_extend_normally(G, p, trans).values())
     else:
         found = list(_extend_by_cosets(G).items())
-    return dict(sorted(found, key=lambda mg: (len(mg[0]), mg[0])))
+    return LatticeShape(dict(sorted(found, key=lambda mg: (len(mg[0]), mg[0]))), conj, trans)
 
 
-def transporters(conj: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every x
-    and every conjugate y of x, from the rows ``conj[g][x] = g x g^-1``."""
-    trans: list[dict[int, int]] = [{} for _ in conj]
+def transporters(conj: Sequence[Sequence[Optional[int]]]) -> list[dict[Optional[int], int]]:
+    """``trans[x][y]``: the mask of the rows g with ``conj[g][x] = y``,
+    for every column x and every y in it.  On the rows
+    ``conj[g][x] = g x g^-1`` of a group that is the mask of the g with
+    g x g^-1 = y; the rows may also be fewer than the columns, and hold
+    None (``fusion_of_group`` marks a conjugate outside S so)."""
+    trans: list[dict[Optional[int], int]] = [{} for _ in conj[0]]
     for g, row in enumerate(conj):
         bit = 1 << g
         for t, y in zip(trans, row):
@@ -824,7 +845,7 @@ def normalizer_mask(trans: list[dict[int, int]], gens: Sequence[int], mask: int)
 
 
 def _extend_normally(
-    G: FiniteGroup, p: int
+    G: FiniteGroup, p: int, trans: list[dict[int, int]]
 ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """The subgroups of a p-group, by mask, each with its members and
     generating sequence.
@@ -832,13 +853,12 @@ def _extend_normally(
     Every maximal subgroup H of a p-group K is normal of index p, so
     K = H<x> = H u xH u ... u x^(p-1)H for any x in K outside H, and that
     x normalizes H and has x^p in H.  So each H is extended only by the
-    x in N(H) with x^p in H (N(H) read off the generators of H), K is
-    read off the table rows with no closure, and all of K outside H,
-    which gives the same K, is marked done at once.
+    x in N(H) with x^p in H (N(H) read off the generators of H and the
+    transporters ``trans`` of G), K is read off the table rows with no
+    closure, and all of K outside H, which gives the same K, is marked
+    done at once.
     """
     rows = G._mul
-    every = range(G.order)
-    trans = transporters([G.conj_row(g, every) for g in every])
     found = {1: ((0,), ())}
     frontier = [1]
     while frontier:
@@ -950,12 +970,46 @@ def characteristic_subgroups(G: FiniteGroup, p: int) -> CharacteristicSubgroups:
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_part(n, p) == n
+
+
+# Miller-Rabin to these bases has no false positive below 3.3 * 10^24
+# (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Whether ``n`` is a prime, in a few modular powers however large
+    it is (trial division up to its square root takes minutes at 2^61):
+    exact below 3.3 * 10^24, and a strong probable prime to twelve
+    bases above."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def p_part(n: int, p: int) -> int:
+    """The largest power of ``p`` dividing ``n``; a ``p`` below 2 is a
+    usage error, since dividing out 1 never ends."""
+    if p < 2:
+        raise UsageError(f"{p} is not a prime")
     out = 1
     while n % p == 0:
         n //= p

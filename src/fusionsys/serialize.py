@@ -11,7 +11,7 @@ import json
 from typing import Optional
 
 from .errors import UsageError
-from .groups import FiniteGroup, Subgroup, cycles_to_perm, perm_to_cycles
+from .groups import FiniteGroup, Subgroup, cycles_to_perm, is_prime, perm_to_cycles
 from .fusion import FusionSystem, lattice_of
 
 
@@ -96,6 +96,8 @@ def fusion_to_json(F: FusionSystem) -> dict:
 
 def fusion_from_json(data: dict) -> FusionSystem:
     p = _int_field(data, "p", "fusion")
+    if not is_prime(p):
+        raise UsageError(f"fusion JSON needs a prime under 'p', got {p}")
     base = group_from_json(data.get("base"), prime_hint=p)
     lat = lattice_of(base)
     declared = _id_lists(_list_field(data, "subgroups", "fusion"), "the subgroup list")

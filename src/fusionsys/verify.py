@@ -972,8 +972,9 @@ def fusion_table_plain(G: FiniteGroup, p: int) -> list[set[MapTuple]]:
 
 
 def check_conjugation_rows() -> str:
-    """``fusion_of_group``, which passes over each distinct conjugation
-    row once, gives the table of the pass over every element."""
+    """``fusion_of_group``, which keeps one conjugation row per coset of
+    C_G(S) and builds one map per coset of C_G(P) among those rows,
+    gives the table of the pass over every element."""
     count = 0
     for name in catalog.names():
         b = catalog.built(name)

@@ -3,13 +3,16 @@
 import argparse
 import json
 import pathlib
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
 from fusionsys import catalog, cli, serialize, verify
 from fusionsys.factor import factorize_all
+from fusionsys.groups import p_part
 from fusionsys.errors import (
     InternalInconsistency,
     NotCommuting,
@@ -284,6 +287,71 @@ def test_empty_required_input_path_is_a_usage_error(tmp_path):
         assert code == 2
         assert report["error"]["code"] == "UsageError"
         assert report["error"]["message"].startswith("cannot read JSON from : ")
+
+
+@contextmanager
+def _fails_after(seconds):
+    """Turn a call that never returns into a test failure."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a two-point group file: C2, whose only prime is 2
+C2_GROUP = {"points": 2, "generators": [[[1, 2]]]}
+
+
+@pytest.mark.parametrize("p", [4, 0, -2, 1])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["group", "describe"],
+        ["fusion", "of-group"],
+        ["fusion", "generate"],
+        ["analyze"],
+        ["factorize"],
+        ["krs", "--fact1", "f.json", "--fact2", "f.json"],
+    ],
+    ids=["describe", "of-group", "generate", "analyze", "factorize", "krs"],
+)
+def test_non_prime_p_is_a_usage_error(tmp_path, command, p):
+    f = tmp_path / "c2.json"
+    f.write_text(json.dumps(C2_GROUP))
+    # before the check, --p 1 spun forever in groups.p_part
+    with _fails_after(10):
+        code, report = run_cli(command + ["--in", str(f), "--p", str(p)])
+    assert code == 2
+    assert report["error"] == {"code": "UsageError", "message": f"--p {p} is not a prime"}
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_p_part_refuses_a_p_below_two(p):
+    with _fails_after(10), pytest.raises(UsageError):
+        p_part(8, p)
+
+
+@pytest.mark.parametrize("p", [4, 0, -2, 1])
+def test_non_prime_p_in_a_fusion_or_generate_file_is_a_usage_error(tmp_path, p):
+    fusion_data = run_cli(["fusion", "of-group", "--catalog", "inner-c2"])[1]["results"]["fusion"]
+    generate_data = {
+        "group": C2_GROUP,
+        "generators": [{"domain": [0, 1], "images": [0, 1]}],
+    }
+    for command, data in (("analyze", fusion_data), ("fusion generate", generate_data)):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(dict(data, p=p)))
+        with _fails_after(10):
+            code, report = run_cli(command.split() + ["--in", str(f)])
+        assert code == 2, command
+        assert report["error"]["code"] == "UsageError", command
 
 
 def test_usage_error_exit_code():

@@ -295,6 +295,23 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
     assert sum(map(len, levels)) == 26 + 24 + 18
 
 
+def test_singleton_classes_drop_the_labels_and_change_no_self_map():
+    # every F-class of inner-c3c3c3 is a singleton, so the self-map
+    # searches run unlabelled; the labelled searches give the same maps
+    F = catalog.built("inner-c3c3c3").fusion
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    assert factor._class_labels(fresh) is None
+    labels = fresh._element_class_index
+    assert factor._automorphism_chain(fresh) == groups.automorphism_chain(
+        F.base, labels, lambda u: factor._preserves(fresh, u)
+    )
+    full = F.base.full_subgroup()
+    labelled = [h.images for h in groups._homs(full, full, False, labels)]
+    assert [m.images for m in factor.fusion_endomorphisms(fresh)] == labelled
+    assert len(labelled) == 3**9
+    assert factor._class_labels(catalog.built("sym4").fusion) is not None
+
+
 def test_aut_s_f_off_the_chain_shortcut_never_multiplies_aut_s_out(monkeypatch):
     # on sigma3-cubed-paired some automorphisms of C3^3 leave F, so the
     # chain of Aut(S,F) is cut by F: one walk over its levels of 6, 4 and

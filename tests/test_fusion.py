@@ -305,6 +305,28 @@ def test_large_p2_lattices_match_their_plain_twins(name):
     assert saturation_report(F) == fusion_mod.saturation_scan(F, is_receptive_plain)
 
 
+# groups with several Sylow generators and a nontrivial C_G(S), so that
+# the table builder keeps fewer rows than G has elements
+@pytest.mark.parametrize(
+    "cycles, points, p",
+    [
+        ([[[1, 2]], [[1, 2, 3, 4, 5, 6]]], 6, 3),
+        ([[[1, 2, 3]], [[1, 4], [2, 5], [3, 6]]], 6, 3),
+        ([[[1, 2]], [[1, 2, 3, 4, 5]]], 5, 2),
+    ],
+    ids=["sym6-p3", "c3wrc2-p3", "sym5-p2"],
+)
+def test_fusion_of_group_matches_the_pass_over_every_element(cycles, points, p):
+    from fusionsys.verify import fusion_table_plain
+
+    G = perm_group(*cycles, points=points)
+    F = fusion_of_group(G, p)
+    S = sylow(G, p)
+    assert len(S.as_group()[0].generators) > 1
+    assert len(S.centralizer_in(G.full_subgroup()).members) > 1
+    assert list(F.map_sets) == [frozenset(ms) for ms in fusion_table_plain(G, p)]
+
+
 def test_iso_maps_are_filed_once_per_domain():
     F = fusion("sym4")
     F = FusionSystem(F.base, F.p, F.maps)
@@ -572,6 +594,28 @@ def test_alperin_generators_inner():
     for sub, auts in gens:
         if sub.order == 8:
             assert len(auts) == 4
+
+
+def test_alperin_generators_reuse_the_centric_radical_subgroups(monkeypatch):
+    # on sym4 one subgroup has an Out_F(P) of mixed order, so the radical
+    # test builds it as a group; fusion_invariants does that once
+    F = fusion("sym4")
+    F = FusionSystem(F.base, F.p, F.maps)
+    calls = []
+    outer = fusion_mod.outer_automorphism_group
+
+    def counting(F, i):
+        calls.append(i)
+        return outer(F, i)
+
+    monkeypatch.setattr(fusion_mod, "outer_automorphism_group", counting)
+    fusion_invariants(F)
+    assert len(calls) == 1
+    gens = fusion_mod.alperin_generators(F)
+    assert len(calls) == 1
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    assert gens == fusion_mod.alperin_generators(fresh)
+    assert len(calls) == 2
 
 
 def test_alperin_regenerates_rigid_table(paired_triple):

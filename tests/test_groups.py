@@ -38,6 +38,7 @@ from fusionsys.groups import (
     sylow,
 )
 from fusionsys import guardrails
+from fusionsys.fusion import lattice_of
 from fusionsys.verify import enumerate_subgroups_plain
 
 
@@ -296,7 +297,7 @@ def test_enumerate_subgroups_closes_once_per_coset(monkeypatch):
     # Sym4 x C2 is no p-group, so its subgroups are found by coset closure
     G = perm_group([[1, 2]], [[1, 2, 3, 4]], [[5, 6]], points=6)
     calls = _counting_closures(monkeypatch)
-    lattice = enumerate_subgroups(G)
+    lattice = enumerate_subgroups(G).members
     assert len(lattice) == 98
     # one closure per coset Hx other than H itself
     assert len(calls) <= sum(G.order // len(m) - 1 for m in lattice)
@@ -308,7 +309,7 @@ def test_p_group_lattice_makes_no_closure(monkeypatch):
     calls = _counting_closures(monkeypatch)
     # C2^5: the sum over k of the Gaussian binomials [5, k]_2
     for G, count in ((c2_5, 374), (trivial, 1)):
-        assert len(enumerate_subgroups(G)) == count
+        assert len(enumerate_subgroups(G).members) == count
     assert calls == []
 
 
@@ -320,6 +321,46 @@ def test_lattice_shape_records_masks_and_generators():
         assert groups.members_of(mask) == members
         assert shape.mask_index[mask] == shape.idx[members]
         assert d8.generated_subgroup(gens).members == members
+
+
+def test_lattice_shape_keeps_the_enumerators_transporters(monkeypatch):
+    # fresh shapes, so no earlier lattice has filled the tables
+    monkeypatch.setattr(groups, "_LATTICES", {})
+    # a dense p-group: the enumerator's rows and transporters are kept on
+    # the shape, and the fusion lattice reads them from there
+    d8, _ = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4).full_subgroup().as_group()
+    subgroups(d8)
+    shape = d8._shape
+    every = range(d8.order)
+    assert shape.conj == [d8.conj_row(g, every) for g in every]
+    assert shape.trans == groups.transporters(shape.conj)
+    lat = lattice_of(d8)
+    assert lat.conj_table() is shape.conj
+    assert lat.transporter_table() is shape.trans
+    # Sym3 is no p-group: its shape gets the tables on first use
+    s3 = perm_group([[1, 2]], [[1, 2, 3]], points=3)
+    subgroups(s3)
+    assert s3._shape.conj is None and s3._shape.trans is None
+    assert lattice_of(s3).transporter_table() is s3._shape.trans
+    assert s3._shape.trans == groups.transporters(
+        [s3.conj_row(g, range(6)) for g in range(6)]
+    )
+
+
+def test_transporters_of_rectangular_rows_with_none():
+    # two rows over three columns; None marks an image outside the set
+    rows = [[0, 1, None], [0, None, 1]]
+    assert groups.transporters(rows) == [{0: 0b11}, {1: 0b01, None: 0b10}, {None: 0b01, 1: 0b10}]
+
+
+def test_is_prime_matches_trial_division_and_refuses_pseudoprimes():
+    trial = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(-3, 2000) if groups.is_prime(n)] == trial
+    # 2^61 - 1 is prime; the others are strong pseudoprimes to the bases
+    # up to 7 and up to 23, and Miller-Rabin to 12 bases rejects them
+    assert groups.is_prime(2**61 - 1)
+    assert not groups.is_prime(3215031751)
+    assert not groups.is_prime(3825123056546413051)
 
 
 def test_equal_subgroups_share_as_group():
