@@ -152,11 +152,10 @@ def cmd_fusion_generate(args, inputs: dict) -> dict:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise UsageError("generate input needs a prime")
     G = serialize.group_from_json(data["group"], prime_hint=p)
-    gens = []
-    for spec in data["generators"]:
-        domain = Subgroup(G, spec["domain"])
-        images = tuple(int(v) for v in spec["images"])
-        gens.append(GroupHom(domain, G.full_subgroup(), images))
+    gens = [
+        GroupHom(Subgroup(G, domain), G.full_subgroup(), images)
+        for domain, images in serialize.generator_specs_from_json(data, G.order)
+    ]
     F = generated_fusion(G, gens, p=p)
     return {"fusion": serialize.fusion_to_json(F)}
 

@@ -199,16 +199,17 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
     return NormalEndomorphism(f, chi, surjective, surjective)
 
 
-class OmegaContext(Record):
+class OmegaContext(Record, hidden=("_commuting",)):
     """A finite automorphism group of the system, given by generators."""
 
-    __slots__ = ("generators", "closure")
+    __slots__ = ("generators", "closure", "_commuting")
 
     def __init__(
         self, generators: tuple[FusionMorphism, ...], closure: tuple[MapTuple, ...]
     ) -> None:
         self.generators = generators
         self.closure = closure
+        self._commuting: Optional[list[MapTuple]] = None
 
     @classmethod
     def from_morphisms(cls, F: FusionSystem, gens: Sequence[FusionMorphism]) -> "OmegaContext":
@@ -246,6 +247,15 @@ class OmegaContext(Record):
             if any(images[on[g]] != on[images[g]] for g in gens):
                 return False
         return True
+
+    def commuting_automorphisms(self, F: FusionSystem) -> list[MapTuple]:
+        """The maps of Aut(S,F) that commute with Omega, for the system
+        ``F`` of the generators: the kept chain of Aut(S,F) walked once,
+        each branch cut at the first level that can tell (``walk_chain``)."""
+        if self._commuting is None:
+            ws = [w.images for w in self.generators]
+            self._commuting = walk_chain(F.base, _automorphism_chain(F), ws)
+        return self._commuting
 
     def fixes_subgroup(self, members: Iterable[int]) -> bool:
         target = set(members)
@@ -345,10 +355,9 @@ def normal_automorphisms(
     """All invertible normal (equivariant) endomorphisms, via the
     surjective criterion.
 
-    Under Omega the kept chain of Aut(S,F) is walked for the maps that
-    commute with Omega, each branch cut at the first level that can tell
-    (``walk_chain``).  The automorphisms f with [f,S] <= Z(F) and
-    f = id on foc(F) form a subgroup of Aut(S,F): with
+    Under Omega the maps of Aut(S,F) that commute with it are read off
+    ``OmegaContext.commuting_automorphisms``.  The automorphisms f with
+    [f,S] <= Z(F) and f = id on foc(F) form a subgroup of Aut(S,F): with
     d_f(x) = x^-1 f(x), d_{f o g}(x) = d_g(x) d_f(g(x)), and a composite
     of maps that fix foc(F) fixes it.  So when every map of the chain
     passes the criterion, every automorphism does, and no map is tested.
@@ -358,8 +367,7 @@ def normal_automorphisms(
     if omega is None:
         autos = fusion_automorphisms(F)
     else:
-        ws = [w.images for w in omega.generators]
-        autos = [FusionMorphism(F, F, a) for a in walk_chain(F.base, chain, ws)]
+        autos = [FusionMorphism(F, F, a) for a in omega.commuting_automorphisms(F)]
     if all(_surjective_normal_criterion(F, u) for level in chain[1] for u in level):
         return list(autos)
     return [m for m in autos if _surjective_normal_criterion(F, m.images)]
@@ -603,11 +611,10 @@ def factorize_all(
     start = factorize(F, omega)
     if len(start.parts) < 2:
         return [start]
-    chain = _automorphism_chain(F)
     if omega is None:
-        levels = chain[1][::-1]
+        levels = _automorphism_chain(F)[1][::-1]
     else:
-        levels = [walk_chain(F.base, chain, [w.images for w in omega.generators])]
+        levels = [omega.commuting_automorphisms(F)]
     keys = {frozenset(start.bases)}
     for level in levels:
         bases = set().union(*keys)

@@ -12,7 +12,6 @@ corestriction and extension of the codomain).
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -26,15 +25,16 @@ from . import guardrails
 from .groups import (
     FiniteGroup,
     GroupHom,
-    LatticeShape,
+    MapTuple,
     Subgroup,
+    SubgroupLattice,
+    conjugation_cosets,
     group_prime,
+    lattice_of,
     mask_of,
     members_of,
-    normalizer_mask,
     p_part,
     quotient,
-    subgroups,
     sylow,
     transporters,
 )
@@ -42,188 +42,6 @@ from .records import Record
 
 if TYPE_CHECKING:
     from .morphisms import FusionMorphism
-
-MapTuple = tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# subgroup lattice cache
-
-
-class SubgroupLattice:
-    """Containment and conjugation data for all subgroups of a group.
-
-    The index tables, member masks and generating sequences come from the
-    group's memoized ``LatticeShape``, so groups with equal multiplication
-    tables share them.  The conjugation action of the group on its
-    subgroups is read off one table of ``g x g^-1`` and one transporter
-    table ``trans[x][y]`` (the mask of the g with g x g^-1 = y), both
-    kept on the shape: the enumerator of a dense p-group leaves them
-    there, and any other group builds them on first use.  Every
-    per-subgroup set is a bitmask (bit x for element x) read off the
-    transporter table as an AND over the generators x of the subgroup P:
-    N_S(P) of the transporters of x into P, C_S(P) of ``trans[x][x]``,
-    and the coset g C_S(P) of ``trans[x][g x g^-1]``.
-    ``coset_rows`` keeps, for each subgroup P, one row of the conjugation
-    table restricted to P per coset of C_S(P) in N_S(P), with the coset
-    as a mask; Aut_S(P) is the set of those rows.  Member tuples are made
-    only at the edge (``normalizer``, ``centralizer``), for callers
-    outside the kernels.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        self.group = G
-        self.subs = subgroups(G)
-        shape = self.shape = G._shape
-        self.idx = shape.idx
-        self.member_sets = [s.member_set for s in self.subs]
-        self.pos, self.maximal_of = shape.containment()
-        self.full_index = self.idx[self.subs[-1].members]
-        self.trivial_index = self.idx[(0,)]
-        self._bits = [1 << x for x in range(G.order)]
-        self._normalizers: Optional[list[int]] = None
-        self._centralizers: Optional[list[int]] = None
-        self._coset_rows: dict[int, tuple[tuple[MapTuple, int], ...]] = {}
-        self._aut_s: dict[int, frozenset[MapTuple]] = {}
-        self._cyclic: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
-
-    def index_of(self, members: Iterable[int]) -> int:
-        key = tuple(sorted(members))
-        if key not in self.idx:
-            raise NotSubgroup(f"{key} is not a subgroup of the base group")
-        return self.idx[key]
-
-    def image_index(self, m: MapTuple) -> Optional[int]:
-        """The index of the subgroup whose members ``m`` lists in some
-        order without repeats, found by mask; None when there is none."""
-        mask = sum(map(self._bits.__getitem__, m))
-        # a repeated entry carries, which leaves fewer bits than entries
-        if mask.bit_count() != len(m):
-            return None
-        return self.shape.mask_index.get(mask)
-
-    def conj_table(self) -> list[list[int]]:
-        """``conj[g][x] = g x g^-1`` over the whole group."""
-        shape = self.shape
-        if shape.conj is None:
-            G = self.group
-            every = range(G.order)
-            shape.conj = [G.conj_row(g, every) for g in every]
-        return shape.conj
-
-    def transporter_table(self) -> list[dict[int, int]]:
-        """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every
-        x and every conjugate y of x (``groups.transporters``)."""
-        shape = self.shape
-        if shape.trans is None:
-            shape.trans = transporters(self.conj_table())
-        return shape.trans
-
-    def normalizer_mask(self, i: int) -> int:
-        """N_S(P_i) as a mask: the g that conjugate each generator of P_i
-        into P_i."""
-        if self._normalizers is None:
-            self._normalizers = _normalizer_masks(self.transporter_table(), self.shape)
-        return self._normalizers[i]
-
-    def centralizer_mask(self, i: int) -> int:
-        """C_S(P_i) as a mask: the AND of ``trans[x][x]`` = C_S(x) over
-        the generators x of P_i."""
-        if self._centralizers is None:
-            trans = self.transporter_table()
-            every = (1 << len(trans)) - 1
-            centralizers = []
-            for gens in self.shape.gens:
-                mask = every
-                for x in gens:
-                    mask &= trans[x][x]
-                centralizers.append(mask)
-            self._centralizers = centralizers
-        return self._centralizers[i]
-
-    def transporter_mask(self, q: int, p: int) -> int:
-        """T_S(P_q, P_p) as a mask: the g with g P_q g^-1 <= P_p, an AND
-        over the generators of P_q of the transporters into P_p; it is
-        not 0 exactly when P_q is S-conjugate into P_p."""
-        return normalizer_mask(self.transporter_table(), self.shape.gens[q], self.shape.masks[p])
-
-    def is_conjugation(self, q: int, phi: MapTuple) -> bool:
-        """Whether the map ``phi`` on P_q is c_g for some g in S: both
-        are homomorphisms, so they agree on P_q when they agree on its
-        generators, and the g that do form an AND of transporters."""
-        trans, pos = self.transporter_table(), self.pos[q]
-        mask = (1 << len(trans)) - 1
-        for x in self.shape.gens[q]:
-            mask &= trans[x].get(phi[pos[x]], 0)
-            if not mask:
-                return False
-        return True
-
-    def normalizer(self, i: int) -> tuple[int, ...]:
-        """Members of N_S(P_i)."""
-        return members_of(self.normalizer_mask(i))
-
-    def centralizer(self, i: int) -> tuple[int, ...]:
-        """Members of C_S(P_i)."""
-        return members_of(self.centralizer_mask(i))
-
-    def coset_rows(self, i: int) -> tuple[tuple[MapTuple, int], ...]:
-        """The distinct conjugation maps of N_S(P_i) on P_i, each with the
-        mask of the elements giving it: g and g' give one map exactly when
-        g' lies in g C_S(P_i), so one row is read per coset (a row per
-        element of N_S(P_i) costs three to four times as much on
-        ``p2-lattice``).  The coset g C_S(P_i), the h with
-        h x h^-1 = g x g^-1 for every generator x of P_i, is the AND of
-        ``trans[x][g x g^-1]``; ``verify.coset_rows_plain`` multiplies it
-        out and sorts it."""
-        if i not in self._coset_rows:
-            conj, trans = self.conj_table(), self.transporter_table()
-            members, gens = self.subs[i].members, self.shape.gens[i]
-            rows = []
-            todo = self.normalizer_mask(i)
-            while todo:
-                row = conj[(todo & -todo).bit_length() - 1]
-                # the coset lies in N_S(P_i) outside the cosets read before
-                coset = todo
-                for x in gens:
-                    coset &= trans[x][row[x]]
-                todo &= ~coset
-                rows.append((tuple(map(row.__getitem__, members)), coset))
-            self._coset_rows[i] = tuple(rows)
-        return self._coset_rows[i]
-
-    def aut_s(self, i: int) -> frozenset[MapTuple]:
-        """Aut_S(P_i): the conjugation maps of N_S(P_i) on P_i."""
-        if i not in self._aut_s:
-            self._aut_s[i] = frozenset(row for row, _ in self.coset_rows(i))
-        return self._aut_s[i]
-
-    def cyclic_generators(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Each cyclic subgroup's index with the elements x that generate
-        it, ascending by index: the powers of x, as a mask, find <x>."""
-        if self._cyclic is None:
-            G, bits = self.group, self._bits
-            by_index: dict[int, list[int]] = {}
-            for x in range(G.order):
-                mask, y = 1, x
-                while y:
-                    mask |= bits[y]
-                    y = G.mul(y, x)
-                by_index.setdefault(self.shape.mask_index[mask], []).append(x)
-            self._cyclic = tuple((i, tuple(xs)) for i, xs in sorted(by_index.items()))
-        return self._cyclic
-
-
-def _normalizer_masks(trans: list[dict[int, int]], shape: LatticeShape) -> list[int]:
-    """N(P) as a mask for every subgroup P of the shape: the AND over the
-    generators x of P of the transporters of x into P."""
-    return [normalizer_mask(trans, gens, mask) for gens, mask in zip(shape.gens, shape.masks)]
-
-
-def lattice_of(G: FiniteGroup) -> SubgroupLattice:
-    if G._fusion_lattice is None:
-        G._fusion_lattice = SubgroupLattice(G)
-    return G._fusion_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +198,13 @@ class FusionSystem:
         each x is joined only with its images under the maps on <x>
         (``verify.element_classes_plain`` joins along every map)."""
         if self._element_classes is None:
-            n = self.base.order
-            parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             lat = self.lattice
-            for i, xs in lat.cyclic_generators():
-                pos = lat.pos[i]
-                at = [pos[x] for x in xs]
-                for m in self.maps[i]:
-                    for x, t in zip(xs, at):
-                        rx, ry = find(x), find(m[t])
-                        if rx != ry:
-                            parent[max(rx, ry)] = min(rx, ry)
-            buckets: dict[int, list[int]] = {}
-            for x in range(n):
-                buckets.setdefault(find(x), []).append(x)
-            classes = self._element_classes = tuple(
-                tuple(v) for _, v in sorted(buckets.items())
+            joins = (
+                (x, m[lat.pos[i][x]])
+                for i, xs in lat.cyclic_generators() for m in self.maps[i] for x in xs
             )
-            self._element_class_index = _class_index(classes, n)
+            classes, self._element_class_index = _classes(self.base.order, joins)
+            self._element_classes = classes
             self._element_class_masks = [mask_of(cls) for cls in classes]
         return self._element_classes
 
@@ -413,28 +213,12 @@ class FusionSystem:
         return classes[self._element_class_index[x]]
 
     def subgroup_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The F-classes of subgroups, by index: P_i is joined with the
+        image of each of its maps."""
         if self._subgroup_classes is None:
             k = len(self.lattice.subs)
-            parent = list(range(k))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i in range(k):
-                for j in self._iso_buckets(i):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-            buckets: dict[int, list[int]] = {}
-            for i in range(k):
-                buckets.setdefault(find(i), []).append(i)
-            self._subgroup_classes = tuple(
-                tuple(sorted(v)) for _, v in sorted(buckets.items())
-            )
-            self._subgroup_class_index = _class_index(self._subgroup_classes, k)
+            joins = ((i, j) for i in range(k) for j in self._iso_buckets(i))
+            self._subgroup_classes, self._subgroup_class_index = _classes(k, joins)
         return self._subgroup_classes
 
     def subgroup_class_of(self, i: int) -> tuple[int, ...]:
@@ -455,13 +239,33 @@ class FusionSystem:
         )
 
 
-def _class_index(classes: tuple[tuple[int, ...], ...], n: int) -> list[int]:
-    """The position in ``classes`` of the class of each of 0..n-1."""
-    index = [0] * n
-    for c, cls in enumerate(classes):
-        for x in cls:
-            index[x] = c
-    return index
+def _classes(
+    n: int, joins: Iterable[tuple[int, int]]
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The classes of 0..n-1 under the equivalence that the pairs
+    ``joins`` generate, each ascending, in the order of their least
+    members, and the position of the class of each of 0..n-1 (a
+    union-find that keeps the least member as the root)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in joins:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    roots = [find(x) for x in range(n)]
+    buckets: dict[int, list[int]] = {}
+    for x, r in enumerate(roots):
+        buckets.setdefault(r, []).append(x)
+    # each root is the least member of its class, so the buckets are
+    # filed in the order of their least members
+    position = {r: c for c, r in enumerate(buckets)}
+    return tuple(map(tuple, buckets.values())), [position[r] for r in roots]
 
 
 def _invert_map(m: MapTuple, members: tuple[int, ...], image: tuple[int, ...]) -> MapTuple:
@@ -496,11 +300,11 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
     that is per coset of C_G(S), with None for a conjugate outside S.
     For each P the rows that send P into S are those that send its
     generators into S, and rows that agree on the generators of P agree
-    on P, so they give one map per coset of C_G(P) among them; a coset
-    is read off the transporters of the rows (``trans[x][y]``, the rows
-    sending x to y) as an AND over the generators, as
-    ``SubgroupLattice.coset_rows`` does, and one map tuple is built per
-    coset.  ``verify.fusion_table_plain`` conjugates by every element."""
+    on P, so they give one map per coset of C_G(P) among them, read off
+    the transporters of the rows (``trans[x][y]``, the rows sending x to
+    y) by ``groups.conjugation_cosets``, the walk of
+    ``SubgroupLattice.coset_rows``.  ``verify.fusion_table_plain``
+    conjugates by every element."""
     if S is None:
         S = sylow(G, p)
     else:
@@ -528,18 +332,7 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
         todo = every
         for x in sub_gens:
             todo &= every ^ trans[x].get(None, 0)
-        # the trivial subgroup has the one map (0,), which itemgetter
-        # of one item would return as 0
-        take = itemgetter(*members) if len(members) > 1 else lambda row: (row[0],)
-        found = []
-        while todo:
-            row = rows[(todo & -todo).bit_length() - 1]
-            coset = todo
-            for x in sub_gens:
-                coset &= trans[x][row[x]]
-            todo &= ~coset
-            found.append(take(row))
-        maps.append(found)
+        maps.append(conjugation_cosets(rows, trans, todo, members, sub_gens)[0])
     return FusionSystem(SG, p, maps)
 
 

@@ -10,7 +10,7 @@ and every search breaks ties by least id.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
@@ -25,10 +25,9 @@ from .errors import (
 from . import guardrails
 from .records import Record
 
-if TYPE_CHECKING:
-    from .fusion import SubgroupLattice
-
 Perm = tuple[int, ...]
+# a map on a subgroup P: the image of each member of P, in member order
+MapTuple = tuple[int, ...]
 
 # Dense n*n multiplication tables are kept up to this order; larger
 # permutation groups multiply by composing tuples through a lookup dict.
@@ -132,7 +131,7 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._subgroups: Optional[list["Subgroup"]] = None
         self._shape: Optional[LatticeShape] = None
-        self._fusion_lattice: Optional["SubgroupLattice"] = None
+        self._lattice: Optional[SubgroupLattice] = None
         # Subgroup.as_group() results, keyed by member tuple, so equal
         # subgroups share one standalone group (and its lattice).
         self._as_groups: dict[tuple[int, ...], tuple[FiniteGroup, tuple[int, ...]]] = {}
@@ -686,11 +685,11 @@ class LatticeShape:
     of each, the one the enumerator reached it by; ``idx`` and
     ``mask_index`` find a subgroup by its members or its mask.  The
     containment tables are built on first use.  ``conj`` (the rows
-    ``conj[g][x] = g x g^-1``) and ``trans`` (``transporters(conj)``) are
-    kept from the enumerator of a dense p-group, which needs them, and
-    are otherwise filled on first use by the group's ``SubgroupLattice``.
-    All of it depends only on the table, so one shape is shared by every
-    group with that table.
+    ``conj[g][x] = g x g^-1``) and ``trans`` (``transporters(conj)``)
+    come from ``conjugation_tables``, kept by the enumerator of a dense
+    p-group, which needs them, or else filled on first use by the
+    group's ``SubgroupLattice``, and written nowhere else.  All of it
+    depends only on the table, so one shape serves every equal table.
     """
 
     def __init__(
@@ -811,13 +810,19 @@ def enumerate_subgroups(G: FiniteGroup) -> LatticeShape:
     p = _least_prime(G.order)
     conj = trans = None
     if _is_p_power(G.order, p) and G._mul is not None:
-        every = range(G.order)
-        conj = [G.conj_row(g, every) for g in every]
-        trans = transporters(conj)
+        conj, trans = conjugation_tables(G)
         found = list(_extend_normally(G, p, trans).values())
     else:
         found = list(_extend_by_cosets(G).items())
     return LatticeShape(dict(sorted(found, key=lambda mg: (len(mg[0]), mg[0]))), conj, trans)
+
+
+def conjugation_tables(G: FiniteGroup) -> tuple[list[list[int]], list[dict[int, int]]]:
+    """The rows ``conj[g][x] = g x g^-1`` over all of ``G`` and their
+    ``transporters``, the two tables a ``LatticeShape`` keeps."""
+    every = range(G.order)
+    conj = [G.conj_row(g, every) for g in every]
+    return conj, transporters(conj)
 
 
 def transporters(conj: Sequence[Sequence[Optional[int]]]) -> list[dict[Optional[int], int]]:
@@ -832,6 +837,36 @@ def transporters(conj: Sequence[Sequence[Optional[int]]]) -> list[dict[Optional[
         for t, y in zip(trans, row):
             t[y] = t.get(y, 0) | bit
     return trans
+
+
+def conjugation_cosets(
+    rows: Sequence[Sequence[Optional[int]]],
+    trans: list[dict[Optional[int], int]],
+    todo: int,
+    members: Sequence[int],
+    gens: Sequence[int],
+) -> tuple[list[MapTuple], list[int]]:
+    """The distinct maps on P (these members and generators) of the rows
+    in the mask ``todo``, and beside them the mask of the rows giving each.
+
+    Conjugation rows are homomorphisms, so two agree on P exactly when
+    they agree on its generators: the rows that agree with row g, a coset
+    g C(P), are the AND over the generators x of P of
+    ``trans[x][row_g[x]]`` (``transporters`` of the rows), and one row is
+    read per coset.  The rows in ``todo`` send no generator to None."""
+    # the trivial subgroup has the one map (0,), which itemgetter of one
+    # item would return as 0
+    take = itemgetter(*members) if len(members) > 1 else lambda row: (row[0],)
+    maps, cosets = [], []
+    while todo:
+        row = rows[(todo & -todo).bit_length() - 1]
+        coset = todo
+        for x in gens:
+            coset &= trans[x][row[x]]
+        todo &= ~coset
+        maps.append(take(row))
+        cosets.append(coset)
+    return maps, cosets
 
 
 def normalizer_mask(trans: list[dict[int, int]], gens: Sequence[int], mask: int) -> int:
@@ -916,6 +951,172 @@ def _extend_by_cosets(G: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]]:
 def _right_coset(G: FiniteGroup, members: Sequence[int], x: int) -> list[int]:
     """The coset {h x : h in H} of the subgroup with these members."""
     return [G.mul(h, x) for h in members]
+
+
+# ---------------------------------------------------------------------------
+# subgroup lattice
+
+
+class SubgroupLattice:
+    """Containment and conjugation data for all subgroups of a group.
+
+    The index tables, member masks and generating sequences come from the
+    group's memoized ``LatticeShape``, so groups with equal multiplication
+    tables share them.  The conjugation action of the group on its
+    subgroups is read off one table of ``g x g^-1`` and one transporter
+    table ``trans[x][y]`` (the mask of the g with g x g^-1 = y), both
+    kept on the shape: the enumerator of a dense p-group leaves them
+    there, and for any other group this class fills them on first use
+    (``conjugation_tables``).  ``lattice_of`` keeps one per group.  Every
+    per-subgroup set is a bitmask (bit x for element x) read off the
+    transporter table as an AND over the generators x of the subgroup P:
+    N_S(P) of the transporters of x into P, C_S(P) of ``trans[x][x]``,
+    and the coset g C_S(P) of ``trans[x][g x g^-1]``.
+    ``coset_rows`` keeps, for each subgroup P, one row of the conjugation
+    table restricted to P per coset of C_S(P) in N_S(P), with the coset
+    as a mask; Aut_S(P) is the set of those rows.  Member tuples are made
+    only at the edge (``normalizer``, ``centralizer``), for callers
+    outside the kernels.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.group = G
+        self.subs = subgroups(G)
+        shape = self.shape = G._shape
+        self.idx = shape.idx
+        self.member_sets = [s.member_set for s in self.subs]
+        self.pos, self.maximal_of = shape.containment()
+        self.full_index = self.idx[self.subs[-1].members]
+        self.trivial_index = self.idx[(0,)]
+        self._bits = [1 << x for x in range(G.order)]
+        self._normalizers: Optional[list[int]] = None
+        self._centralizers: Optional[list[int]] = None
+        self._coset_rows: dict[int, tuple[tuple[MapTuple, int], ...]] = {}
+        self._aut_s: dict[int, frozenset[MapTuple]] = {}
+        self._cyclic: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
+
+    def index_of(self, members: Iterable[int]) -> int:
+        key = tuple(sorted(members))
+        if key not in self.idx:
+            raise NotSubgroup(f"{key} is not a subgroup of the base group")
+        return self.idx[key]
+
+    def image_index(self, m: MapTuple) -> Optional[int]:
+        """The index of the subgroup whose members ``m`` lists in some
+        order without repeats, found by mask; None when there is none."""
+        mask = sum(map(self._bits.__getitem__, m))
+        # a repeated entry carries, which leaves fewer bits than entries
+        if mask.bit_count() != len(m):
+            return None
+        return self.shape.mask_index.get(mask)
+
+    def conj_table(self) -> list[list[int]]:
+        """``conj[g][x] = g x g^-1`` over the whole group."""
+        self.transporter_table()
+        return self.shape.conj
+
+    def transporter_table(self) -> list[dict[int, int]]:
+        """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every
+        x and every conjugate y of x (``transporters``)."""
+        shape = self.shape
+        if shape.trans is None:
+            shape.conj, shape.trans = conjugation_tables(self.group)
+        return shape.trans
+
+    def normalizer_mask(self, i: int) -> int:
+        """N_S(P_i) as a mask: the g that conjugate each generator of P_i
+        into P_i."""
+        if self._normalizers is None:
+            self._normalizers = _normalizer_masks(self.transporter_table(), self.shape)
+        return self._normalizers[i]
+
+    def centralizer_mask(self, i: int) -> int:
+        """C_S(P_i) as a mask: the AND of ``trans[x][x]`` = C_S(x) over
+        the generators x of P_i."""
+        if self._centralizers is None:
+            trans = self.transporter_table()
+            every = (1 << len(trans)) - 1
+            centralizers = []
+            for gens in self.shape.gens:
+                mask = every
+                for x in gens:
+                    mask &= trans[x][x]
+                centralizers.append(mask)
+            self._centralizers = centralizers
+        return self._centralizers[i]
+
+    def transporter_mask(self, q: int, p: int) -> int:
+        """T_S(P_q, P_p) as a mask: the g with g P_q g^-1 <= P_p, an AND
+        over the generators of P_q of the transporters into P_p; it is
+        not 0 exactly when P_q is S-conjugate into P_p."""
+        return normalizer_mask(self.transporter_table(), self.shape.gens[q], self.shape.masks[p])
+
+    def is_conjugation(self, q: int, phi: MapTuple) -> bool:
+        """Whether the map ``phi`` on P_q is c_g for some g in S: both
+        are homomorphisms, so they agree on P_q when they agree on its
+        generators, and the g that do form an AND of transporters."""
+        trans, pos = self.transporter_table(), self.pos[q]
+        mask = (1 << len(trans)) - 1
+        for x in self.shape.gens[q]:
+            mask &= trans[x].get(phi[pos[x]], 0)
+            if not mask:
+                return False
+        return True
+
+    def normalizer(self, i: int) -> tuple[int, ...]:
+        """Members of N_S(P_i)."""
+        return members_of(self.normalizer_mask(i))
+
+    def centralizer(self, i: int) -> tuple[int, ...]:
+        """Members of C_S(P_i)."""
+        return members_of(self.centralizer_mask(i))
+
+    def coset_rows(self, i: int) -> tuple[tuple[MapTuple, int], ...]:
+        """The distinct conjugation maps of N_S(P_i) on P_i, each with the
+        mask of the elements giving it, a coset of C_S(P_i)
+        (``conjugation_cosets``: a row per element of N_S(P_i) costs three
+        to four times as much on ``p2-lattice``).
+        ``verify.coset_rows_plain`` multiplies each coset out and sorts it."""
+        if i not in self._coset_rows:
+            self._coset_rows[i] = tuple(zip(*conjugation_cosets(
+                self.conj_table(), self.transporter_table(), self.normalizer_mask(i),
+                self.subs[i].members, self.shape.gens[i],
+            )))
+        return self._coset_rows[i]
+
+    def aut_s(self, i: int) -> frozenset[MapTuple]:
+        """Aut_S(P_i): the conjugation maps of N_S(P_i) on P_i."""
+        if i not in self._aut_s:
+            self._aut_s[i] = frozenset(row for row, _ in self.coset_rows(i))
+        return self._aut_s[i]
+
+    def cyclic_generators(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each cyclic subgroup's index with the elements x that generate
+        it, ascending by index: the powers of x, as a mask, find <x>."""
+        if self._cyclic is None:
+            G, bits = self.group, self._bits
+            by_index: dict[int, list[int]] = {}
+            for x in range(G.order):
+                mask, y = 1, x
+                while y:
+                    mask |= bits[y]
+                    y = G.mul(y, x)
+                by_index.setdefault(self.shape.mask_index[mask], []).append(x)
+            self._cyclic = tuple((i, tuple(xs)) for i, xs in sorted(by_index.items()))
+        return self._cyclic
+
+
+def _normalizer_masks(trans: list[dict[int, int]], shape: LatticeShape) -> list[int]:
+    """N(P) as a mask for every subgroup P of the shape: the AND over the
+    generators x of P of the transporters of x into P."""
+    return [normalizer_mask(trans, gens, mask) for gens, mask in zip(shape.gens, shape.masks)]
+
+
+def lattice_of(G: FiniteGroup) -> SubgroupLattice:
+    """The subgroup lattice of ``G``, built once per group."""
+    if G._lattice is None:
+        G._lattice = SubgroupLattice(G)
+    return G._lattice
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,8 @@ from .errors import (
     NotSubsystem,
     NotSummable,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, direct_product
-from .fusion import (
-    FusionSystem,
-    MapTuple,
-    class_generators,
-    close_maps,
-    lattice_of,
-)
+from .groups import FiniteGroup, GroupHom, MapTuple, Subgroup, direct_product, lattice_of
+from .fusion import FusionSystem, class_generators, close_maps
 from .records import Record
 
 
@@ -112,6 +106,8 @@ def _coerce_images(E: FusionSystem, F: FusionSystem, f) -> MapTuple:
     images = tuple(f)
     if len(images) != E.base.order:
         raise NotSubgroup("image tuple does not cover the source group")
+    if min(images) < 0 or max(images) >= F.base.order:
+        raise NotSubgroup(f"image ids must lie in 0..{F.base.order - 1}")
     return images
 
 

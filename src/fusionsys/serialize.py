@@ -11,8 +11,8 @@ import json
 from typing import Optional
 
 from .errors import UsageError
-from .groups import FiniteGroup, Subgroup, cycles_to_perm, is_prime, perm_to_cycles
-from .fusion import FusionSystem, lattice_of
+from .groups import FiniteGroup, Subgroup, cycles_to_perm, is_prime, lattice_of, perm_to_cycles
+from .fusion import FusionSystem
 
 
 def canonical_dumps(data) -> str:
@@ -184,6 +184,23 @@ def certificate_to_json(cert) -> dict:
         "constructive": cert.constructive,
         "note": cert.note,
     }
+
+
+def generator_specs_from_json(
+    data: dict, order: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The domain members and images of each entry of a generate file's
+    ``"generators"``, every id an element of a group of this order."""
+    specs = []
+    for spec in _list_field(data, "generators", "generate"):
+        domain, images = (
+            _id_list(_list_field(spec, key, "generator"), f"a generator's {key!r}")
+            for key in ("domain", "images")
+        )
+        if not all(0 <= x < order for x in domain + images):
+            raise UsageError(f"a generator names an element outside 0..{order - 1}")
+        specs.append((domain, images))
+    return specs
 
 
 def omega_maps_from_json(data: dict) -> list[tuple[int, ...]]:

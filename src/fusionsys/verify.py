@@ -25,7 +25,9 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     LatticeShape,
+    MapTuple,
     Subgroup,
+    SubgroupLattice,
     _closure_ids,
     all_homs,
     automorphism_chain,
@@ -36,6 +38,7 @@ from .groups import (
     fitting_split,
     group_prime,
     injective_homs,
+    lattice_of,
     mask_of,
     members_of,
     omega_central_series,
@@ -48,8 +51,6 @@ from .groups import (
 )
 from .fusion import (
     FusionSystem,
-    MapTuple,
-    SubgroupLattice,
     _invert_map,
     center_of,
     close_maps,
@@ -65,7 +66,6 @@ from .fusion import (
     is_receptive,
     is_saturated,
     is_strongly_closed,
-    lattice_of,
     op_is_trivial,
     outer_automorphism_group,
     restrict_full,

@@ -354,6 +354,37 @@ def test_non_prime_p_in_a_fusion_or_generate_file_is_a_usage_error(tmp_path, p):
         assert report["error"]["code"] == "UsageError", command
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [{"foo": 1}],
+        [{"domain": [0, 1], "images": ["a", 1]}],
+        [{"domain": [0, 99], "images": [0, 1]}],
+        [{"domain": [0, 1], "images": [0, 2]}],
+        [5],
+        {"x": 1},
+    ],
+    ids=["no-domain", "non-id-image", "domain-outside", "image-outside", "not-an-object",
+         "not-a-list"],
+)
+def test_malformed_generator_specs_are_a_usage_error(tmp_path, generators):
+    f = tmp_path / "gen.json"
+    f.write_text(json.dumps({"group": C2_GROUP, "p": 2, "generators": generators}))
+    code, report = run_cli(["fusion", "generate", "--in", str(f)])
+    assert code == 2
+    assert report["error"]["code"] == "UsageError"
+
+
+def test_omega_image_outside_the_group_is_rejected(tmp_path):
+    group = tmp_path / "c2c2.json"
+    group.write_text(json.dumps({"points": 4, "generators": [[[1, 2]], [[3, 4]]]}))
+    omega = tmp_path / "om.json"
+    omega.write_text(json.dumps({"maps": [[0, 1, 2, 99]]}))
+    code, report = run_cli(["factorize", "--in", str(group), "--p", "2", "--omega", str(omega)])
+    assert code == 1
+    assert report["error"]["code"] == "NotSubgroup"
+
+
 def test_usage_error_exit_code():
     code, report = run_cli(["analyze"])
     assert code == 2

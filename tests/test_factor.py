@@ -264,6 +264,26 @@ def test_omega_check_catches_a_dropped_generator(monkeypatch):
     assert "Omega commutation differs from the all-element test" in result.detail
 
 
+def test_omega_walks_aut_s_f_once_for_factorize_all_and_normal_automorphisms(monkeypatch):
+    F = catalog.built("inner-c2c4").fusion
+    fresh = FusionSystem(F.base, F.p, F.maps)
+    inv = tuple(F.base.inv(x) for x in range(8))
+    omega = factor.OmegaContext.from_morphisms(fresh, [check_morphism(fresh, fresh, inv)])
+    walks = []
+
+    def counting(G, chain, commuting=()):
+        walks.append(tuple(commuting))
+        return groups.walk_chain(G, chain, commuting)
+
+    monkeypatch.setattr(factor, "walk_chain", counting)
+    facts = factorize_all(fresh, omega)
+    normal = normal_automorphisms(fresh, omega)
+    assert [w for w in walks if w] == [(inv,)]
+    assert len(facts) == 4
+    plain = factor.OmegaContext.from_morphisms(F, [check_morphism(F, F, inv)])
+    assert [m.images for m in normal] == [m.images for m in normal_automorphisms(F, plain)]
+
+
 def test_self_map_check_catches_a_missing_chain_level(monkeypatch):
     def last_level_dropped(G, labels=None, keep=None):
         base, levels = groups.automorphism_chain(G, labels, keep)

@@ -249,7 +249,7 @@ def test_conjugation_tables_check_catches_a_normalizer_of_the_first_generator(mo
     # fresh catalog objects, so no normalizer table is already cached
     monkeypatch.setattr(catalog, "_BUILDS", {})
     monkeypatch.setattr(groups, "_LATTICES", {})
-    monkeypatch.setattr(fusion_mod, "_normalizer_masks", first_generator_only)
+    monkeypatch.setattr(groups, "_normalizer_masks", first_generator_only)
     checks = dict(verify.FUSION_CORE_CHECKS)
     result = verify._run("fusion-core/conjugation-tables", checks["conjugation-tables"])
     assert not result.passed
@@ -306,20 +306,24 @@ def test_large_p2_lattices_match_their_plain_twins(name):
 
 
 # groups with several Sylow generators and a nontrivial C_G(S), so that
-# the table builder keeps fewer rows than G has elements
+# the table builder keeps fewer rows than G has elements; Alt7, of order
+# 2520, is above the dense-table limit and multiplies by permutations
 @pytest.mark.parametrize(
     "cycles, points, p",
     [
         ([[[1, 2]], [[1, 2, 3, 4, 5, 6]]], 6, 3),
         ([[[1, 2, 3]], [[1, 4], [2, 5], [3, 6]]], 6, 3),
         ([[[1, 2]], [[1, 2, 3, 4, 5]]], 5, 2),
+        ([[[1, 2, 3]], [[3, 4, 5, 6, 7]]], 7, 2),
     ],
-    ids=["sym6-p3", "c3wrc2-p3", "sym5-p2"],
+    ids=["sym6-p3", "c3wrc2-p3", "sym5-p2", "alt7-p2"],
 )
 def test_fusion_of_group_matches_the_pass_over_every_element(cycles, points, p):
+    from fusionsys.groups import _DENSE_MUL_LIMIT
     from fusionsys.verify import fusion_table_plain
 
     G = perm_group(*cycles, points=points)
+    assert (G._mul is None) == (G.order > _DENSE_MUL_LIMIT)
     F = fusion_of_group(G, p)
     S = sylow(G, p)
     assert len(S.as_group()[0].generators) > 1

@@ -31,6 +31,7 @@ from fusionsys.groups import (
     enumerate_subgroups,
     fitting_split,
     injective_homs,
+    lattice_of,
     normal_closure,
     omega_central_series,
     quotient,
@@ -38,7 +39,6 @@ from fusionsys.groups import (
     sylow,
 )
 from fusionsys import guardrails
-from fusionsys.fusion import lattice_of
 from fusionsys.verify import enumerate_subgroups_plain
 
 
@@ -327,7 +327,7 @@ def test_lattice_shape_keeps_the_enumerators_transporters(monkeypatch):
     # fresh shapes, so no earlier lattice has filled the tables
     monkeypatch.setattr(groups, "_LATTICES", {})
     # a dense p-group: the enumerator's rows and transporters are kept on
-    # the shape, and the fusion lattice reads them from there
+    # the shape, and the group's lattice reads them from there
     d8, _ = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4).full_subgroup().as_group()
     subgroups(d8)
     shape = d8._shape

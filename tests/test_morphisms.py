@@ -8,6 +8,7 @@ from fusionsys import fusion as fusion_mod
 from fusionsys.errors import (
     NotCommuting,
     NotFusionPreserving,
+    NotSubgroup,
     NotSubsystem,
     NotSummable,
 )
@@ -85,6 +86,13 @@ def test_rejection_with_witness():
             break
     assert rejected is not None
     assert "domain" in rejected.witness
+
+
+@pytest.mark.parametrize("image", [99, -1])
+def test_image_id_outside_the_target_is_rejected(image):
+    F = fusion("inner-c2c2")
+    with pytest.raises(NotSubgroup, match="image ids"):
+        check_morphism(F, F, (0, 1, 2, image))
 
 
 def test_morphism_between_systems(paired_triple):
