@@ -88,6 +88,9 @@ class FusionSystem:
         self._subgroup_class_index: Optional[list[int]] = None
         self._class_generators: Optional[tuple[tuple[int, MapTuple], ...]] = None
         self._saturation = None
+        # set by fusion_of_group: S is a Sylow p-subgroup of a group G
+        # and the table is F_S(G), which is saturated
+        self._sylow_provenance = False
         self._center: Optional[Subgroup] = None
         self._focal: Optional[Subgroup] = None
         self._focal_generators: Optional[tuple[int, ...]] = None
@@ -304,7 +307,8 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
     the transporters of the rows (``trans[x][y]``, the rows sending x to
     y) by ``groups.conjugation_cosets``, the walk of
     ``SubgroupLattice.coset_rows``.  ``verify.fusion_table_plain``
-    conjugates by every element."""
+    conjugates by every element.  The system is marked saturated by
+    provenance (``saturation_report``)."""
     if S is None:
         S = sylow(G, p)
     else:
@@ -333,7 +337,9 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
         for x in sub_gens:
             todo &= every ^ trans[x].get(None, 0)
         maps.append(conjugation_cosets(rows, trans, todo, members, sub_gens)[0])
-    return FusionSystem(SG, p, maps)
+    F = FusionSystem(SG, p, maps)
+    F._sylow_provenance = True
+    return F
 
 
 def inner_fusion(S: FiniteGroup) -> FusionSystem:
@@ -711,10 +717,32 @@ def is_receptive(
 
 
 def saturation_report(F: FusionSystem) -> SaturationReport:
-    """Scan every conjugacy class for a fully automized receptive member."""
+    """Scan every conjugacy class for a fully automized receptive member.
+
+    F_S(G) with S a Sylow p-subgroup of G is saturated (Puig; Broto, Levi
+    and Oliver 2003), and in a saturated system P is fully automized and
+    receptive exactly when P is fully normalized (Aschbacher, Kessar and
+    Oliver 2011, Part I, section 2).  So on a system that
+    ``fusion_of_group`` built no test runs: each class's witness is the
+    member the scan stops at, its first of largest |N_S(P)|
+    (``fully_normalized``).  Every other system is scanned;
+    ``fusion-core/saturation-by-provenance`` compares the two on every
+    group system of the suites."""
     if F._saturation is None:
-        F._saturation = saturation_scan(F, is_receptive)
+        if F._sylow_provenance:
+            F._saturation = SaturationReport(True, tuple(
+                ClassReport(cls, fully_normalized(F, cls), None)
+                for cls in F.subgroup_classes()
+            ))
+        else:
+            F._saturation = saturation_scan(F, is_receptive)
     return F._saturation
+
+
+def fully_normalized(F: FusionSystem, cls: tuple[int, ...]) -> int:
+    """The first member of the subgroup class ``cls`` of largest N_S(P)."""
+    sizes = [F.lattice.normalizer_mask(i).bit_count() for i in cls]
+    return cls[sizes.index(max(sizes))]
 
 
 def saturation_scan(
@@ -808,9 +836,10 @@ def is_central_subgroup(F: FusionSystem, i: int) -> bool:
 
 
 def _known_saturated(F: FusionSystem) -> bool:
-    """True when a saturation report of ``F`` is cached with a True
-    verdict; no test is run."""
-    return F._saturation is not None and F._saturation.verdict
+    """True when ``F`` is saturated by provenance (``fusion_of_group``)
+    or a saturation report of ``F`` is cached with a True verdict; no
+    test is run."""
+    return F._sylow_provenance or (F._saturation is not None and F._saturation.verdict)
 
 
 def center_of(F: FusionSystem) -> Subgroup:
@@ -822,8 +851,9 @@ def center_of(F: FusionSystem) -> Subgroup:
     is itself central it is the answer; otherwise the central subgroups
     inside Fix are joined one by one.
 
-    For a saturated F, <Fix> is central, so when a True saturation verdict
-    is cached no extension test runs.  Let Z = <Fix> <= Z(S) and let
+    For a saturated F, <Fix> is central, so on a system that
+    ``fusion_of_group`` built, or once a True saturation verdict is
+    cached, no extension test runs.  Let Z = <Fix> <= Z(S) and let
     phi: P -> S be in F.  Take P* in the F-class of P that is receptive,
     an isomorphism alpha: P -> P* in F, and beta := alpha o phi^-1, an
     isomorphism phi(P) -> P* in F.  Z centralizes P, so Z lies in
@@ -968,13 +998,23 @@ def centric_radical(F: FusionSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The indices of the F-centric and of the F-radical subgroups,
     found once per system and kept on ``F``: ``fusion_invariants``
     reports both and ``alperin_generators`` takes the subgroups in both,
-    and a radical test may build Out_F(P) as a group."""
+    and a radical test may build Out_F(P) as a group.
+
+    Both are tested on one member of each F-class and hold for the whole
+    class: ``is_centric`` tests every member, and an isomorphism
+    phi: P -> Q in F carries Aut_F(P) onto Aut_F(Q) and Inn(P) onto
+    Inn(Q), so Out_F(P) and Out_F(Q) are isomorphic.
+    ``fusion-core/radical-by-order`` compares the lists with the tests of
+    every subgroup."""
     if F._centric_radical is None:
-        every = range(len(F.lattice.subs))
-        F._centric_radical = (
-            tuple(i for i in every if is_centric(F, i)),
-            tuple(i for i in every if is_radical(F, i)),
-        )
+        centric: list[int] = []
+        radical: list[int] = []
+        for cls in F.subgroup_classes():
+            if is_centric(F, cls[0]):
+                centric += cls
+            if is_radical(F, cls[0]):
+                radical += cls
+        F._centric_radical = (tuple(sorted(centric)), tuple(sorted(radical)))
     return F._centric_radical
 
 

@@ -9,6 +9,7 @@ and every search breaks ties by least id.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -684,11 +685,12 @@ class LatticeShape:
     ``masks`` the same sets as bitmasks and ``gens`` a generating sequence
     of each, the one the enumerator reached it by; ``idx`` and
     ``mask_index`` find a subgroup by its members or its mask.  The
-    containment tables are built on first use.  ``conj`` (the rows
-    ``conj[g][x] = g x g^-1``) and ``trans`` (``transporters(conj)``)
-    come from ``conjugation_tables``, kept by the enumerator of a dense
-    p-group, which needs them, or else filled on first use by the
-    group's ``SubgroupLattice``, and written nowhere else.  All of it
+    member positions and the maximal subgroups are built on first use.
+    ``conj`` (the rows ``conj[g][x] = g x g^-1``) and ``trans``
+    (``transporters(conj)``) come from ``conjugation_tables``, kept by the
+    enumerator of a dense p-group, which needs them, or else filled on
+    first use by the group's ``SubgroupLattice``, and written nowhere
+    else.  All of it
     depends only on the table, so one shape serves every equal table.
     """
 
@@ -703,24 +705,37 @@ class LatticeShape:
         self.idx = {m: i for i, m in enumerate(self.members)}
         self.masks = [mask_of(m) for m in self.members]
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
-        self._containment: Optional[tuple[list, list]] = None
+        self._pos: Optional[list[dict[int, int]]] = None
+        self._maximal: Optional[list[tuple[int, ...]]] = None
         self.conj = conj
         self.trans = trans
 
-    def containment(self) -> tuple[list, list]:
-        """``(pos, maximal_of)`` by subgroup index, each maximal list in
+    def positions(self) -> list[dict[int, int]]:
+        """The position of each member in each member tuple, by index."""
+        if self._pos is None:
+            self._pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
+        return self._pos
+
+    def maximal_of(self) -> list[tuple[int, ...]]:
+        """The maximal subgroups of each subgroup, by index, each list in
         ascending index order.
 
-        Only lattices of p-groups are asked for this (the bases of fusion
-        systems and their subgroups and products).  There the maximal
-        subgroups of K are exactly the subgroups of index p that lie in
-        K (``_maximal_of_index_p``); ``verify.containment_plain``
-        compares every pair instead."""
-        if self._containment is None:
-            pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-            p = _least_prime(len(self.members[-1]))
-            self._containment = (pos, _maximal_of_index_p(self.members, self.gens, p))
-        return self._containment
+        In a p-group the maximal subgroups of K are exactly the subgroups
+        of index p that lie in K (``_maximal_of_index_p``);
+        ``verify.containment_plain`` compares every pair instead.  In any
+        other group that misses some (Sym3 has maximal subgroups of index
+        2 and 3), so there this raises ``NotPGroup``.  The bases of fusion
+        systems, their subgroups and products are p-groups."""
+        if self._maximal is None:
+            order = len(self.members[-1])
+            p = _least_prime(order)
+            if not _is_p_power(order, p):
+                raise NotPGroup(
+                    f"maximal subgroups are read off index {p} only in a p-group, "
+                    f"not in a group of order {order}"
+                )
+            self._maximal = _maximal_of_index_p(self.members, self.gens, p)
+        return self._maximal
 
 
 def _maximal_of_index_p(
@@ -985,7 +1000,7 @@ class SubgroupLattice:
         shape = self.shape = G._shape
         self.idx = shape.idx
         self.member_sets = [s.member_set for s in self.subs]
-        self.pos, self.maximal_of = shape.containment()
+        self.pos = shape.positions()
         self.full_index = self.idx[self.subs[-1].members]
         self.trivial_index = self.idx[(0,)]
         self._bits = [1 << x for x in range(G.order)]
@@ -994,6 +1009,14 @@ class SubgroupLattice:
         self._coset_rows: dict[int, tuple[tuple[MapTuple, int], ...]] = {}
         self._aut_s: dict[int, frozenset[MapTuple]] = {}
         self._cyclic: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
+
+    @cached_property
+    def maximal_of(self) -> list[tuple[int, ...]]:
+        """The maximal subgroups of each subgroup, by index
+        (``LatticeShape.maximal_of``).  Read on a group that is not a
+        p-group it raises ``NotPGroup``; the rest of the lattice serves
+        any group."""
+        return self.shape.maximal_of()
 
     def index_of(self, members: Iterable[int]) -> int:
         key = tuple(sorted(members))
@@ -1242,7 +1265,10 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     A p-subgroup H = <gens> grows by the least p-element outside it that
     normalizes it, tested on ``gens``; then the least conjugate is found
     by masks: of two sets of one size, the one holding the least element
-    of their symmetric difference has the smaller member tuple."""
+    of their symmetric difference has the smaller member tuple.  The
+    conjugates come one per coset of N_G(S) (``conjugate_masks``: 9
+    conjugations on Sym4 x Sym4 at p = 2, where one per element made
+    576); ``verify.sylow_plain`` conjugates by every element."""
     target = p_part(G.order, p)
     if target == 1:
         return G.trivial_subgroup()
@@ -1267,12 +1293,30 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     if len(members) != target:
         raise NotSubgroup("maximal p-subgroup is not of full p-part order")
     best = mask_of(members)
-    for g in range(G.order):
-        cand = mask_of(G.conj_row(g, members))
+    for cand in conjugate_masks(G, members, gens):
         diff = cand ^ best
         if cand & diff & -diff:
             best = cand
     return Subgroup(G, members_of(best), _checked=True)
+
+
+def conjugate_masks(G: FiniteGroup, members: Sequence[int], gens: Sequence[int]) -> list[int]:
+    """The distinct conjugates g H g^-1 of the subgroup H with these
+    members and generators, as masks, in the order of the least g giving
+    each.  g H g^-1 depends only on the coset g N_G(H), and N_G(H) is the
+    g that conjugate the generators of H into H, so one g per coset is
+    conjugated and the rest of its coset is skipped."""
+    mask = mask_of(members)
+    every = range(G.order)
+    normalizer = [g for g in every if all(mask >> y & 1 for y in G.conj_row(g, gens))]
+    seen = bytearray(G.order)
+    out = []
+    for g in every:
+        if not seen[g]:
+            for x in G.products([g], normalizer):
+                seen[x] = 1
+            out.append(mask_of(G.conj_row(g, members)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,18 @@ from .groups import (
     automorphism_chain,
     automorphisms,
     characteristic_subgroups,
+    conjugate_masks,
     cycles_to_perm,
     direct_product,
     fitting_split,
     group_prime,
     injective_homs,
+    is_prime,
     lattice_of,
     mask_of,
     members_of,
     omega_central_series,
+    p_part,
     perm_compose,
     perm_inverse,
     quotient,
@@ -53,6 +56,7 @@ from .fusion import (
     FusionSystem,
     _invert_map,
     center_of,
+    centric_radical,
     close_maps,
     control_subgroup,
     focal_of,
@@ -492,7 +496,7 @@ def check_containment() -> str:
     for name, G in groups:
         subgroups(G)
         fresh = LatticeShape(dict(zip(G._shape.members, G._shape.gens)))
-        assert fresh.containment()[1] == containment_plain(G), (
+        assert fresh.maximal_of() == containment_plain(G), (
             f"{name}: maximal subgroups differ from the pairwise loop"
         )
     return f"maximal subgroups of {len(groups)} p-group lattices equal the pairwise loop"
@@ -539,6 +543,55 @@ def check_derived_subgroup() -> str:
     return f"derived subgroups of {len(groups)} groups equal the all-pairs closure"
 
 
+def sylow_plain(G: FiniteGroup, p: int) -> Subgroup:
+    """The slow twin of the least-conjugate step of ``groups.sylow``: the
+    least member tuple among the conjugates of its answer by every
+    element of G.  Every Sylow p-subgroup is one of them."""
+    S = sylow(G, p)
+    least = min(tuple(sorted(G.conj_row(g, S.members))) for g in range(G.order))
+    return Subgroup(G, least)
+
+
+def conjugate_masks_plain(G: FiniteGroup, members: tuple[int, ...]) -> set[int]:
+    """The slow twin of ``groups.conjugate_masks``: the conjugates of the
+    subgroup by every element of G, as masks."""
+    return {mask_of(G.conj_row(g, members)) for g in range(G.order)}
+
+
+def alt7() -> FiniteGroup:
+    """Alt(7), of order 2520: above the dense-table limit, so it
+    multiplies by permutations."""
+    return FiniteGroup.from_permutations(
+        [cycles_to_perm(c, 7) for c in ([[1, 2, 3]], [[3, 4, 5, 6, 7]])], points=7
+    )
+
+
+def check_sylow_least_conjugate() -> str:
+    """``sylow``, which conjugates by one element of each coset of
+    N_G(S), returns the least Sylow p-subgroup that conjugating by every
+    element finds, on every catalog group, the three ``p2-lattice``
+    groups and Alt(7), at every prime dividing the order.  The walk of
+    one element per coset, ``conjugate_masks``, finds each conjugate of
+    S once."""
+    groups = [(name, _group(name)) for name in catalog.names()]
+    groups += p2_groups() + [("alt7", alt7())]
+    pairs = 0
+    for name, G in groups:
+        for p in (q for q in range(2, G.order + 1) if G.order % q == 0 and is_prime(q)):
+            S = sylow(G, p)
+            assert S.order == p_part(G.order, p), f"{name}: Sylow {p}-subgroup of wrong order"
+            assert S == sylow_plain(G, p), (
+                f"{name}: Sylow {p}-subgroup is not the least conjugate"
+            )
+            walk = conjugate_masks(G, S.members, S.generating_sequence())
+            every = conjugate_masks_plain(G, S.members)
+            assert len(walk) == len(every) and set(walk) == every, (
+                f"{name}: the coset walk misses or repeats a conjugate of the Sylow {p}-subgroup"
+            )
+            pairs += 1
+    return f"Sylow subgroups of {len(groups)} groups at {pairs} primes equal the least conjugate"
+
+
 GROUP_CORE_CHECKS = [
     ("group-axioms", check_group_axioms),
     ("cayley-tables", check_cayley_tables),
@@ -550,6 +603,7 @@ GROUP_CORE_CHECKS = [
     ("fitting-split", check_fitting_split),
     ("o-p-prime", check_o_p_prime),
     ("derived-subgroup", check_derived_subgroup),
+    ("sylow-least-conjugate", check_sylow_least_conjugate),
 ]
 
 
@@ -590,6 +644,25 @@ SMALL_BASES = {
 }
 
 
+# D8 x D8, Sym4 x Sym4 and C2^5 at p = 2, the groups of the p2-lattice
+# benchmark workload: lattices of 374 to 389 subgroups.
+P2_GROUPS = {
+    "d8xd8": ([[[1, 2, 3, 4]], [[1, 3]], [[5, 6, 7, 8]], [[5, 7]]], 8),
+    "sym4xsym4": ([[[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]]], 8),
+    "c2^5": ([[[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]]], 10),
+}
+
+
+def p2_groups() -> list[tuple[str, FiniteGroup]]:
+    """The groups of ``P2_GROUPS``, built afresh."""
+    return [
+        (name, FiniteGroup.from_permutations(
+            [cycles_to_perm(c, points) for c in cycles], points=points
+        ))
+        for name, (cycles, points) in P2_GROUPS.items()
+    ]
+
+
 def small_base_groups() -> dict[str, FiniteGroup]:
     """The group of each small base, built afresh."""
     return {
@@ -628,10 +701,10 @@ def unsaturated_battery() -> list[tuple[str, FusionSystem]]:
 
 def check_center_fixed_points() -> str:
     """``center_of`` against its twin on every catalog system, on a fresh
-    copy (the extension test) and on a copy with its saturation verdict
-    cached (the saturated shortcut), where it also equals the fixed
-    points of Z(S); and on the battery of systems that are not
-    saturated."""
+    copy (the extension test), on a copy with its saturation verdict
+    cached and on the system ``fusion_of_group`` builds afresh (the
+    saturated shortcut), where it also equals the fixed points of Z(S);
+    and on the battery of systems that are not saturated."""
     for name in catalog.names():
         F = _fusion(name)
         z = center_of(FusionSystem(F.base, F.p, F.maps))
@@ -641,6 +714,10 @@ def check_center_fixed_points() -> str:
             assert center_of(known) == z, (
                 f"{name}: saturated center differs from the extension loop"
             )
+        b = catalog.built(name)
+        assert center_of(fusion_of_group(b.group, b.entry.prime)) == z, (
+            f"{name}: center of the group's system differs from the extension loop"
+        )
         fixed = {
             x
             for x in F.base.center_members()
@@ -1155,16 +1232,64 @@ def check_automizers() -> str:
 
 def check_radical_by_order() -> str:
     """``is_radical``, which reads most answers off |Out_F(P)|, agrees
-    with O_p of the table of Out_F(P) on every subgroup."""
+    with O_p of the table of Out_F(P) on every subgroup; and
+    ``centric_radical``, which tests one member of each F-class, lists
+    the subgroups that the tests of every subgroup find, on a fresh copy
+    of each system."""
     systems = orbit_battery()
     subs = 0
     for label, F in systems:
-        for i in range(len(F.lattice.subs)):
-            assert is_radical(F, i) == is_radical_plain(F, i), (
-                f"{label}: radicality of subgroup {i} differs from the Out_F table"
-            )
-            subs += 1
-    return f"{subs} subgroups of {len(systems)} systems: radicality equals the Out_F table"
+        every = range(len(F.lattice.subs))
+        radical = tuple(i for i in every if is_radical_plain(F, i))
+        assert tuple(i for i in every if is_radical(F, i)) == radical, (
+            f"{label}: radicality differs from the Out_F table"
+        )
+        centric = tuple(i for i in every if is_centric(F, i))
+        fresh = FusionSystem(F.base, F.p, F.maps)
+        assert centric_radical(fresh) == (centric, radical), (
+            f"{label}: centric-radical lists differ from the test of every subgroup"
+        )
+        subs += len(every)
+    return (
+        f"{subs} subgroups of {len(systems)} systems: radicality equals the Out_F "
+        f"table, and the lists by class equal the test of every subgroup"
+    )
+
+
+def provenance_systems() -> list[tuple[str, FusionSystem]]:
+    """Every system of the orbit battery that ``fusion_of_group`` builds
+    (the catalog and GL(3,2)) and the systems of the three
+    ``p2-lattice`` groups, each built afresh."""
+    systems = [
+        (name, fusion_of_group(b.group, b.entry.prime))
+        for name in catalog.names()
+        for b in [catalog.built(name)]
+    ]
+    systems.append(("gl32", gl32_fusion()))
+    systems += [(name, fusion_of_group(G, 2)) for name, G in p2_groups()]
+    return systems
+
+
+def check_saturation_by_provenance() -> str:
+    """``saturation_report``, which reads each class's witness off
+    |N_S(P)| on a system that ``fusion_of_group`` built, equals the scan
+    of every class by ``is_receptive`` on each such system.  Many classes
+    have several fully normalized members, so a witness other than the
+    first of them fails here."""
+    systems = provenance_systems()
+    ties = 0
+    for label, F in systems:
+        report = saturation_report(F)
+        assert report == saturation_scan(F, is_receptive), (
+            f"{label}: saturation report by provenance differs from the scan"
+        )
+        for cls in F.subgroup_classes():
+            sizes = [F.lattice.normalizer_mask(i).bit_count() for i in cls]
+            ties += sizes.count(max(sizes)) > 1
+    return (
+        f"{len(systems)} saturation reports by provenance equal the scan "
+        f"({ties} classes with several fully normalized members)"
+    )
 
 
 FUSION_CORE_CHECKS = [
@@ -1183,6 +1308,7 @@ FUSION_CORE_CHECKS = [
     ("receptive-representatives", check_receptive_representatives),
     ("automizers", check_automizers),
     ("radical-by-order", check_radical_by_order),
+    ("saturation-by-provenance", check_saturation_by_provenance),
 ]
 
 

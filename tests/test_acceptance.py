@@ -98,6 +98,7 @@ LEMMA_SUITE = [
     ("fusion-core", "receptive-representatives"),
     ("fusion-core", "automizers"),
     ("fusion-core", "radical-by-order"),
+    ("fusion-core", "saturation-by-provenance"),
     ("morphisms", "kernel-strongly-closed"),
     ("morphisms", "iso-inverse"),
     ("morphisms", "commuting-criteria-agree"),
@@ -113,6 +114,7 @@ LEMMA_SUITE = [
     ("group-core", "cayley-tables"),
     ("group-core", "containment"),
     ("group-core", "o-p-prime"),
+    ("group-core", "sylow-least-conjugate"),
     ("factor", "normal-end-properties"),
     ("factor", "normal-monoid"),
     ("factor", "projections-normal"),

@@ -34,7 +34,7 @@ from fusionsys.fusion import (
     restrict_full,
     saturation_report,
 )
-from fusionsys.verify import regenerate_from_alperin
+from fusionsys.verify import P2_GROUPS, regenerate_from_alperin
 
 
 def fusion(name):
@@ -191,6 +191,68 @@ def _full_order(G, images):
     return n
 
 
+def _counting_receptivity(monkeypatch):
+    """Patch ``is_receptive`` to record the subgroups it tests."""
+    tested = []
+    receptive = fusion_mod.is_receptive
+
+    def counting(F, i):
+        tested.append(i)
+        return receptive(F, i)
+
+    monkeypatch.setattr(fusion_mod, "is_receptive", counting)
+    return tested
+
+
+def test_saturation_of_a_group_system_makes_no_receptivity_test(monkeypatch):
+    tested = _counting_receptivity(monkeypatch)
+    systems = [fusion_of_group(catalog.built(name).group, catalog.entry(name).prime)
+               for name in ["sym4", "sigma3-cubed-paired", "sym4-c2"]]
+    cycles, points = P2_GROUPS["sym4xsym4"]
+    systems.append(fusion_of_group(perm_group(*cycles, points=points), 2))
+    for F in systems:
+        report = saturation_report(F)
+        assert report.verdict
+        assert all(c.witness is not None and c.failure is None for c in report.per_class)
+    assert tested == []
+
+
+def test_saturation_of_other_systems_still_tests_receptivity(monkeypatch):
+    from fusionsys import serialize
+
+    tested = _counting_receptivity(monkeypatch)
+    F = fusion("sym4")
+    klein = next(
+        sub for sub in F.lattice.subs
+        if sub.order == 4 and is_strongly_closed(F, F.index_of(sub.members))
+    )
+    c3 = perm_group([[1, 2, 3]], points=3)
+    inv = GroupHom(c3.full_subgroup(), c3.full_subgroup(), (0, 2, 1))
+    others = {
+        "json": serialize.fusion_from_json(serialize.fusion_to_json(F)),
+        "generated": generated_fusion(c3, [inv]),
+        "restricted": restrict_full(F, klein),
+        "rebuilt": FusionSystem(F.base, F.p, F.maps),
+    }
+    for label, E in others.items():
+        tested.clear()
+        saturation_report(E)
+        assert tested, label
+
+
+def test_provenance_check_catches_the_last_fully_normalized_member(monkeypatch):
+    assert _fusion_core_result("saturation-by-provenance").passed
+
+    def last_of_largest(F, cls):
+        sizes = [F.lattice.normalizer_mask(i).bit_count() for i in cls]
+        return cls[len(sizes) - 1 - sizes[::-1].index(max(sizes))]
+
+    monkeypatch.setattr(fusion_mod, "fully_normalized", last_of_largest)
+    result = _fusion_core_result("saturation-by-provenance")
+    assert not result.passed
+    assert "differs from the scan" in result.detail
+
+
 def test_control_subgroup_proper_on_dihedral():
     # an order-3 automorphism of the normal Klein subgroup transports only
     # the centralizer part of the dihedral conjugation action
@@ -270,15 +332,6 @@ def test_conjugation_tables_check_catches_a_conjugation_test_on_the_first_genera
     result = _fusion_core_result("conjugation-tables")
     assert not result.passed
     assert "is_conjugation of" in result.detail
-
-
-# D8 x D8, Sym4 x Sym4 and C2^5 at p = 2, the groups of the p2-lattice
-# benchmark workload: lattices of 374 to 389 subgroups.
-P2_GROUPS = {
-    "d8xd8": ([[[1, 2, 3, 4]], [[1, 3]], [[5, 6, 7, 8]], [[5, 7]]], 8),
-    "sym4xsym4": ([[[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]]], 8),
-    "c2^5": ([[[1, 2]], [[3, 4]], [[5, 6]], [[7, 8]], [[9, 10]]], 10),
-}
 
 
 @pytest.mark.parametrize("name", list(P2_GROUPS))
@@ -738,6 +791,25 @@ def test_automizer_check_catches_a_missing_inner_automorphism(monkeypatch):
     result = _fusion_core_result("automizers")
     assert not result.passed
     assert "inner automorphisms of subgroup" in result.detail
+
+
+def test_radical_check_catches_radicality_left_on_the_class_root(monkeypatch):
+    from fusionsys import verify
+
+    assert _fusion_core_result("radical-by-order").passed
+
+    def root_only(F):
+        every = range(len(F.lattice.subs))
+        roots = {cls[0] for cls in F.subgroup_classes()}
+        return (
+            tuple(i for i in every if fusion_mod.is_centric(F, i)),
+            tuple(i for i in every if i in roots and fusion_mod.is_radical(F, i)),
+        )
+
+    monkeypatch.setattr(verify, "centric_radical", root_only)
+    result = _fusion_core_result("radical-by-order")
+    assert not result.passed
+    assert "centric-radical lists differ" in result.detail
 
 
 def test_radical_check_catches_p_power_out_called_radical(monkeypatch):

@@ -347,6 +347,18 @@ def test_lattice_shape_keeps_the_enumerators_transporters(monkeypatch):
     )
 
 
+def test_maximal_subgroups_are_refused_off_p_groups():
+    # index p finds only C3 in Sym3 and would miss the three subgroups of
+    # order 2; the rest of the lattice still serves the group
+    s3 = perm_group([[1, 2]], [[1, 2, 3]], points=3)
+    lat = lattice_of(s3)
+    with pytest.raises(NotPGroup):
+        lat.maximal_of
+    assert lat.normalizer(lat.full_index) == tuple(range(6))
+    d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
+    assert sorted(map(len, lattice_of(d8).maximal_of)) == [0, 1, 1, 1, 1, 1, 1, 3, 3, 3]
+
+
 def test_transporters_of_rectangular_rows_with_none():
     # two rows over three columns; None marks an image outside the set
     rows = [[0, 1, None], [0, None, 1]]
@@ -516,6 +528,42 @@ def test_sylow_deterministic_least(groups):
         tuple(sorted(s4.conj(g, x) for x in S.members)) for g in range(24)
     }
     assert S.members == min(conjugates)
+
+
+def test_sylow_conjugates_once_per_coset_of_the_normalizer():
+    # D8 x D8 is its own normalizer in Sym4 x Sym4: 9 cosets, 9 conjugates
+    G = perm_group([[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]], points=8)
+    S = sylow(G, 2)
+    walk = groups.conjugate_masks(G, S.members, S.generating_sequence())
+    assert len(walk) == 9
+    assert set(walk) == {
+        groups.mask_of(G.conj(g, x) for x in S.members) for g in range(G.order)
+    }
+
+
+def test_sylow_check_catches_a_walk_over_right_cosets(monkeypatch):
+    from fusionsys import verify
+
+    check = dict(verify.GROUP_CORE_CHECKS)["sylow-least-conjugate"]
+    assert verify._run("group-core/sylow-least-conjugate", check).passed
+
+    def right_cosets(G, members, gens):
+        # marks N g instead of g N, on which g H g^-1 is not constant
+        mask = groups.mask_of(members)
+        normalizer = [
+            g for g in range(G.order) if all(mask >> y & 1 for y in G.conj_row(g, gens))
+        ]
+        seen, out = set(), []
+        for g in range(G.order):
+            if g not in seen:
+                seen.update(G.products(normalizer, [g]))
+                out.append(groups.mask_of(G.conj_row(g, members)))
+        return out
+
+    monkeypatch.setattr(verify, "conjugate_masks", right_cosets)
+    result = verify._run("group-core/sylow-least-conjugate", check)
+    assert not result.passed
+    assert "misses or repeats a conjugate" in result.detail
 
 
 # -- homomorphism enumeration --------------------------------------------------
