@@ -80,6 +80,7 @@ from .groups import (
     Subgroup,
     _homs,
     automorphism_chain,
+    composer,
     injective_homs,
     normal_closure,
     p_part,
@@ -222,12 +223,12 @@ class OmegaContext(Record, hidden=("_commuting",)):
         ident = tuple(range(F.base.order))
         closure = {ident}
         frontier = [ident]
-        gen_maps = [w.images for w in gens]
+        then = [composer(w.images) for w in gens]
         while frontier:
             nxt = []
             for cur in frontier:
-                for g in gen_maps:
-                    comp = tuple(cur[v] for v in g)
+                for get in then:
+                    comp = get(cur)
                     if comp not in closure:
                         closure.add(comp)
                         nxt.append(comp)

@@ -28,6 +28,7 @@ from .groups import (
     MapTuple,
     Subgroup,
     SubgroupLattice,
+    composer,
     conjugation_cosets,
     group_prime,
     lattice_of,
@@ -375,12 +376,6 @@ def class_generators(F: FusionSystem) -> tuple[tuple[int, MapTuple], ...]:
 # closure engine and generated fusion systems
 
 
-def _compose(x: MapTuple, y: MapTuple, pos: dict[int, int]) -> MapTuple:
-    """``x o y`` for maps on one subgroup P, with ``pos`` its positions:
-    ``y`` sends P into P and ``x`` is then applied."""
-    return tuple(x[pos[v]] for v in y)
-
-
 class _ClassClosure:
     """The isomorphisms of a morphism table, held class by class.
 
@@ -388,7 +383,9 @@ class _ClassClosure:
     member P_k keeps a transporter ``tau[k]``: P_r -> P_k and its inverse
     ``sigma[k]``, and the root keeps its vertex group A_r <= Aut(P_r), so
     that Iso(P, Q) = tau[Q] o A_r o sigma[P].  ``total`` is the size of
-    that table, the sum of |C|^2 |A_r| over the classes C.
+    that table, the sum of |C|^2 |A_r| over the classes C.  Every product
+    is read by ``composer`` of its right factor, built once per vertex
+    group generator, transporter or sigma[k] that meets many maps.
     """
 
     def __init__(self, lat: SubgroupLattice, limit: int):
@@ -402,6 +399,8 @@ class _ClassClosure:
         # None stands for the trivial vertex group
         self.group: list[Optional[set[MapTuple]]] = [None] * n
         self.gens: list[list[MapTuple]] = [[] for _ in range(n)]
+        # x -> x o g for each generator g, beside ``gens``
+        self.then: list[list[Callable[[MapTuple], MapTuple]]] = [[] for _ in range(n)]
         self.total = 0
         self._grow(n, "starting the table")
 
@@ -424,8 +423,11 @@ class _ClassClosure:
         lat = self.lat
         j = lat.image_index(m)
         r, s = self.root[d], self.root[j]
-        # a = sigma[j] o m o tau[d]: P_r -> P_s
-        a = _compose(self.sigma[j], _compose(m, self.tau[d], lat.pos[d]), lat.pos[j])
+        # a = sigma[j] o m o tau[d]: P_r -> P_s; a root's tau and sigma
+        # are the identity
+        a = m if d == r else composer(self.tau[d], lat.pos[d])(m)
+        if j != s:
+            a = composer(a, lat.pos[j])(self.sigma[j])
         if r != s:
             if len(self.members[r]) < len(self.members[s]):
                 r, s, a = s, r, _invert_map(a, lat.subs[r].members, lat.subs[s].members)
@@ -439,15 +441,16 @@ class _ClassClosure:
         lat = self.lat
         pos_s = lat.pos[s]
         a_inv = _invert_map(a, lat.subs[r].members, lat.subs[s].members)
+        then_a = composer(a, pos_s)
         for k in self.members[s]:
-            self.tau[k] = _compose(self.tau[k], a, pos_s)
-            self.sigma[k] = _compose(a_inv, self.sigma[k], pos_s)
+            self.tau[k] = then_a(self.tau[k])
+            self.sigma[k] = composer(self.sigma[k], pos_s)(a_inv)
             self.root[k] = r
         before = self._weight(r) + self._weight(s)
         self.members[r] += self.members[s]
         self._grow(self._weight(r) - before, "merging two classes")
-        moved = [_compose(a_inv, _compose(g, a, pos_s), pos_s) for g in self.gens[s]]
-        self.members[s], self.group[s], self.gens[s] = [], None, []
+        moved = [composer(then_a(g), pos_s)(a_inv) for g in self.gens[s]]
+        self.members[s], self.group[s], self.gens[s], self.then[s] = [], None, [], []
         self._extend(r, moved, "merging two classes")
 
     def _extend(self, r: int, candidates: list[MapTuple], step: str) -> bool:
@@ -458,7 +461,7 @@ class _ClassClosure:
         if group is None:
             group = {self.lat.subs[r].members}
         pos = self.lat.pos[r]
-        gens = self.gens[r]
+        gens, then = self.gens[r], self.then[r]
         weight = len(self.members[r]) ** 2
         grew = False
         for g in candidates:
@@ -466,15 +469,16 @@ class _ClassClosure:
                 continue
             grew = True
             gens.append(g)
+            then.append(composer(g, pos))
             new: list[MapTuple] = []
-            for y in [_compose(x, g, pos) for x in group]:
+            for y in list(map(then[-1], group)):
                 if y not in group:
                     group.add(y)
                     new.append(y)
                     self._grow(weight, step)
             for y in new:
-                for h in gens:
-                    z = _compose(y, h, pos)
+                for get in then:
+                    z = get(y)
                     if z not in group:
                         group.add(z)
                         new.append(z)
@@ -496,9 +500,10 @@ class _ClassClosure:
             pos_r = lat.pos[r]
             group = self.group[r] or {lat.subs[r].members}
             # tau[Q] o a for every Q and a, as maps on P_r
-            onto = [_compose(self.tau[k], a, pos_r) for k in cls for a in group]
+            then = [composer(a, pos_r) for a in group]
+            onto = [get(self.tau[k]) for k in cls for get in then]
             for k in cls:
-                store[k].update(_compose(b, self.sigma[k], pos_r) for b in onto)
+                store[k].update(map(composer(self.sigma[k], pos_r), onto))
         return store
 
 
@@ -529,6 +534,8 @@ def close_maps(
     )
     queue.extend(seeds)
     seen: set[tuple[int, MapTuple]] = set()
+    # the restriction to each maximal subgroup of P_d, as x -> x o incl
+    restrict: dict[int, list[tuple[int, Callable[[MapTuple], MapTuple]]]] = {}
     while queue:
         item = queue.popleft()
         d, m = item
@@ -536,9 +543,11 @@ def close_maps(
             continue
         seen.add(item)
         if classes.join(d, m):
-            pos = lat.pos[d]
-            for e in lat.maximal_of[d]:
-                queue.append((e, tuple(m[pos[x]] for x in lat.subs[e].members)))
+            if d not in restrict:
+                restrict[d] = [
+                    (e, composer(lat.subs[e].members, lat.pos[d])) for e in lat.maximal_of[d]
+                ]
+            queue.extend((e, get(m)) for e, get in restrict[d])
     return classes.table()
 
 
@@ -671,7 +680,7 @@ def double_coset_reps(F: FusionSystem, q_idx: int, p_idx: int) -> Iterator[MapTu
         return
     pos_p = lat.pos[p_idx]
     pos_q = lat.pos[q_idx]
-    right = [[pos_q[y] for y in beta] for beta in lat.aut_s(q_idx)]
+    right = [composer(beta, pos_q) for beta in lat.aut_s(q_idx)]
     normalizer = lat.normalizer_mask(q_idx).bit_count()
     covered: Optional[set[MapTuple]] = None
     for phi in isos:
@@ -685,10 +694,9 @@ def double_coset_reps(F: FusionSystem, q_idx: int, p_idx: int) -> Iterator[MapTu
             return
         if covered is None:
             covered = set()
-        for alpha in left:
-            x = tuple(alpha[pos_p[v]] for v in phi)
+        for x in map(composer(phi, pos_p), left):
             if x not in covered:
-                covered.update(tuple(x[t] for t in beta) for beta in right)
+                covered.update(get(x) for get in right)
 
 
 def is_receptive(
@@ -933,23 +941,24 @@ def is_centric(F: FusionSystem, i: int) -> bool:
     )
 
 
+def aut_table(F: FusionSystem, i: int) -> tuple[list[MapTuple], list[list[int]]]:
+    """Aut_F(P_i) in map order with the identity first (id 0), and its
+    Cayley table: row a, column b holds the id of a o b.  Each column is
+    read by one ``composer`` of b, then the columns are transposed;
+    ``verify.aut_table_plain`` composes every product elementwise."""
+    members = F.lattice.subs[i].members
+    pos = F.lattice.pos[i]
+    elems = [members] + [a for a in sorted(F.aut_maps(i)) if a != members]
+    idx = {m: t for t, m in enumerate(elems)}
+    cols = [list(map(idx.__getitem__, map(composer(b, pos), elems))) for b in elems]
+    return elems, list(map(list, zip(*cols)))
+
+
 def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list[int]]:
     """Out_F(P) as a finite group plus the label of each Aut_F(P) map."""
-    sub = F.lattice.subs[i]
-    members = sub.members
-    pos = F.lattice.pos[i]
-    auts = sorted(F.aut_maps(i))
-    identity = tuple(members)
-    # the identity automorphism gets id 0
-    elems = [identity] + [a for a in auts if a != identity]
+    members = F.lattice.subs[i].members
+    elems, rows = aut_table(F, i)
     idx = {m: t for t, m in enumerate(elems)}
-    rows = []
-    for a in elems:
-        row = []
-        for b in elems:
-            comp = tuple(a[pos[v]] for v in b)
-            row.append(idx[comp])
-        rows.append(row)
     conj = F.lattice.conj_table()
     inner = sorted({idx[tuple(conj[x][y] for y in members)] for x in members})
     aut_group = FiniteGroup.from_cayley(rows)

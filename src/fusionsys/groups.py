@@ -44,6 +44,20 @@ def perm_compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
+def composer(
+    y: Sequence[int], pos: Optional[dict[int, int]] = None
+) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """x -> x o y, in C: ``itemgetter`` of the entries of ``y``, read
+    through ``pos`` (the positions of the members that y maps into) when
+    y is a map on a subgroup.  Build it once for a right operand that
+    meets many left ones.  A one-entry y gets a 1-tuple, where
+    ``itemgetter`` of one index would return the item."""
+    if len(y) == 1:
+        k = y[0] if pos is None else pos[y[0]]
+        return lambda x: (x[k],)
+    return itemgetter(*(y if pos is None else map(pos.__getitem__, y)))
+
+
 def perm_inverse(a: Perm) -> Perm:
     out = [0] * len(a)
     for i, v in enumerate(a):
@@ -195,18 +209,13 @@ class FiniteGroup:
         return n
 
     def _build_inverses(self) -> None:
-        inv = [0] * self.order
-        if self.perms is not None and self._mul is None:
-            for i, p in enumerate(self.perms):
-                inv[i] = self._perm_index[perm_inverse(p)]
+        """Invert the permutations when there are, else find 0 in each
+        dense row (in C)."""
+        if self.perms is not None:
+            index = self._perm_index
+            self._inv = [index[perm_inverse(p)] for p in self.perms]
         else:
-            for a in range(self.order):
-                row = self._mul[a]
-                for b in range(self.order):
-                    if row[b] == 0:
-                        inv[a] = b
-                        break
-        self._inv = inv
+            self._inv = [row.index(0) for row in self._mul]
 
     @property
     def is_abelian(self) -> bool:
@@ -251,13 +260,14 @@ class FiniteGroup:
         # and right[v][x] is the id of elements[x] o norm[v]
         parent, via = [0], [0]
         right: list[list[int]] = [[] for _ in norm]
+        then = [composer(g) for g in norm]
         queue = [0]
         while queue:
             nxt = []
             for x in queue:
                 p = elements[x]
-                for v, g in enumerate(norm):
-                    q = perm_compose(p, g)
+                for v, get in enumerate(then):
+                    q = get(p)
                     t = index.get(q)
                     if t is None:
                         t = index[q] = len(elements)
@@ -278,8 +288,6 @@ class FiniteGroup:
             gid = index[g]
             if gid != 0 and gid not in gen_ids:
                 gen_ids.append(gid)
-        if not gen_ids and n == 1:
-            gen_ids = []
         return cls(
             mul_rows,
             gen_ids,
@@ -314,15 +322,12 @@ class FiniteGroup:
             group = cls(rows, group._greedy_generators(), prime_hint=prime_hint)
         elif len(_closure_ids(group, group.generators)) != n:
             raise NotSubgroup("declared generators do not generate")
-        # Light's associativity test over the generating set.
+        # Light's associativity test over the generating set: the row of
+        # x g is the row of x composed with the row of g, (x g) y = x (g y)
         for g in group.generators or range(n):
-            rg = rows[g]
-            for x in range(n):
-                xg = rows[x][g]
-                rx = rows[x]
-                for y in range(n):
-                    if rows[xg][y] != rx[rg[y]]:
-                        raise NotSubgroup("multiplication table is not associative")
+            then_g = composer(rows[g])
+            if any(then_g(rx) != tuple(rows[rx[g]]) for rx in rows):
+                raise NotSubgroup("multiplication table is not associative")
         return group
 
     def _greedy_generators(self) -> list[int]:
@@ -869,9 +874,7 @@ def conjugation_cosets(
     g C(P), are the AND over the generators x of P of
     ``trans[x][row_g[x]]`` (``transporters`` of the rows), and one row is
     read per coset.  The rows in ``todo`` send no generator to None."""
-    # the trivial subgroup has the one map (0,), which itemgetter of one
-    # item would return as 0
-    take = itemgetter(*members) if len(members) > 1 else lambda row: (row[0],)
+    take = composer(members)
     maps, cosets = [], []
     while todo:
         row = rows[(todo & -todo).bit_length() - 1]
@@ -1495,7 +1498,7 @@ def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> 
     b_1..b_k of G and levels, level i fixing b_1..b_{i-1}) that commutes
     with each automorphism w in ``commuting``, once, in image-tuple order.
     Top down, a partial product p meets each u of the next level as
-    p o u = itemgetter(*u)(p), in C.  A pair (w, b) of ``commuting`` and
+    p o u = composer(u)(p), in C.  A pair (w, b) of ``commuting`` and
     the base is tested, p(w(b)) = w(p(b)), at the first level whose
     prefix <b_1..b_i> holds b and w(b), and a failing branch is cut.
     That is exact: later levels fix the prefix pointwise, and the last
@@ -1505,7 +1508,7 @@ def walk_chain(G: FiniteGroup, chain: tuple, commuting: Sequence[Perm] = ()) -> 
     pending = [(w, b) for w in commuting for b in base]
     prods: list[Perm] = [tuple(range(G.order))]
     for i, level in enumerate(levels):
-        getters = [itemgetter(*u) for u in level]
+        getters = list(map(composer, level))
         prods = [get(p) for p in prods for get in getters]
         if pending:
             prefix = set(_closure_ids(G, base[: i + 1]))

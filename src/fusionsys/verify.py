@@ -55,6 +55,7 @@ from .groups import (
 from .fusion import (
     FusionSystem,
     _invert_map,
+    aut_table,
     center_of,
     centric_radical,
     close_maps,
@@ -71,7 +72,6 @@ from .fusion import (
     is_saturated,
     is_strongly_closed,
     op_is_trivial,
-    outer_automorphism_group,
     restrict_full,
     saturation_report,
     saturation_scan,
@@ -316,7 +316,27 @@ def affine_c7_fusion() -> FusionSystem:
 # group-core suite
 
 
+def inverse_battery() -> list[tuple[str, FiniteGroup]]:
+    """The ``p2-lattice`` groups, each again as its dense table alone,
+    and Alt(7), built afresh: beyond the catalog, both ways of
+    ``FiniteGroup._build_inverses`` (inverting permutations, finding 0 in
+    each dense row) at orders up to 2520."""
+    groups = p2_groups()
+    groups += [(f"{name}/dense", FiniteGroup(G._mul, G.generators)) for name, G in groups]
+    return groups + [("alt7", alt7())]
+
+
+def inverse_law_fails(G: FiniteGroup) -> Optional[int]:
+    """The least x with x x^-1 != 1 or x^-1 x != 1, if any: O(|G|)."""
+    return next(
+        (x for x in range(G.order) if G.mul(x, G.inv(x)) != 0 or G.mul(G.inv(x), x) != 0),
+        None,
+    )
+
+
 def check_group_axioms() -> str:
+    """The exhaustive laws on every catalog group, and the inverse law on
+    the larger groups of ``inverse_battery``."""
     count = 0
     for name in catalog.names():
         G = _group(name)
@@ -324,7 +344,11 @@ def check_group_axioms() -> str:
             G.verify_axioms()
             count += 1
     assert count == len(catalog.names())
-    return f"exhaustive laws on {count} groups"
+    battery = inverse_battery()
+    for name, G in battery:
+        x = inverse_law_fails(G)
+        assert x is None, f"{name}: inverse law fails at element {x}"
+    return f"exhaustive laws on {count} groups, the inverse law on {len(battery)} more"
 
 
 def check_subgroup_lattice() -> str:
@@ -1174,9 +1198,24 @@ def is_receptive_plain(
     return True, None, None, None
 
 
+def aut_table_plain(F: FusionSystem, i: int) -> tuple[list[MapTuple], list[list[int]]]:
+    """The slow twin of ``aut_table``: every product a o b of Aut_F(P_i)
+    composed elementwise and looked up."""
+    members = F.lattice.subs[i].members
+    pos = F.lattice.pos[i]
+    elems = [members] + [a for a in sorted(F.aut_maps(i)) if a != members]
+    idx = {m: t for t, m in enumerate(elems)}
+    return elems, [[idx[tuple(a[pos[v]] for v in b)] for b in elems] for a in elems]
+
+
 def is_radical_plain(F: FusionSystem, i: int) -> bool:
-    """The slow twin of ``is_radical``: O_p of the table of Out_F(P_i)."""
-    return op_is_trivial(outer_automorphism_group(F, i)[0], F.p)
+    """The slow twin of ``is_radical``: O_p of Out_F(P_i), the quotient
+    of the elementwise table of Aut_F(P_i) by Inn(P_i)."""
+    elems, rows = aut_table_plain(F, i)
+    A = FiniteGroup.from_cayley(rows)
+    members = F.lattice.subs[i].members
+    inner = sorted({elems.index(tuple(F.base.conj(x, y) for y in members)) for x in members})
+    return op_is_trivial(quotient(A, Subgroup(A, inner, _checked=True))[0], F.p)
 
 
 def orbit_battery() -> list[tuple[str, FusionSystem]]:
@@ -1231,15 +1270,22 @@ def check_automizers() -> str:
 
 
 def check_radical_by_order() -> str:
-    """``is_radical``, which reads most answers off |Out_F(P)|, agrees
-    with O_p of the table of Out_F(P) on every subgroup; and
-    ``centric_radical``, which tests one member of each F-class, lists
-    the subgroups that the tests of every subgroup find, on a fresh copy
-    of each system."""
+    """The table of Aut_F(P) that ``aut_table`` reads column by column
+    equals the table composed product by product, on every subgroup (a
+    transposed table gives the opposite group, which has the same O_p,
+    so radicality alone cannot tell); ``is_radical``, which reads most
+    answers off |Out_F(P)|, agrees with O_p of Out_F(P) built from that
+    table; and ``centric_radical``, which tests one member of each
+    F-class, lists the subgroups that the tests of every subgroup find,
+    on a fresh copy of each system."""
     systems = orbit_battery()
     subs = 0
     for label, F in systems:
         every = range(len(F.lattice.subs))
+        for i in every:
+            assert aut_table(F, i) == aut_table_plain(F, i), (
+                f"{label}: Aut_F table of subgroup {i} differs from composing every product"
+            )
         radical = tuple(i for i in every if is_radical_plain(F, i))
         assert tuple(i for i in every if is_radical(F, i)) == radical, (
             f"{label}: radicality differs from the Out_F table"
@@ -1251,8 +1297,9 @@ def check_radical_by_order() -> str:
         )
         subs += len(every)
     return (
-        f"{subs} subgroups of {len(systems)} systems: radicality equals the Out_F "
-        f"table, and the lists by class equal the test of every subgroup"
+        f"{subs} subgroups of {len(systems)} systems: the Aut_F tables and "
+        f"radicality equal the elementwise Out_F table, and the lists by class "
+        f"equal the test of every subgroup"
     )
 
 

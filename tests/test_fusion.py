@@ -828,6 +828,48 @@ def test_radical_check_catches_p_power_out_called_radical(monkeypatch):
     assert "differs from the Out_F table" in result.detail
 
 
+def test_radical_check_catches_a_transposed_aut_table(monkeypatch):
+    from fusionsys import verify
+
+    table = fusion_mod.aut_table
+
+    def transposed(F, i):
+        elems, rows = table(F, i)
+        return elems, [list(col) for col in zip(*rows)]
+
+    # the opposite group has the same O_p, so only the rows can tell
+    monkeypatch.setattr(fusion_mod, "aut_table", transposed)
+    monkeypatch.setattr(verify, "aut_table", transposed)
+    result = _fusion_core_result("radical-by-order")
+    assert not result.passed
+    assert "Aut_F table of subgroup" in result.detail
+
+
+def test_out_f_of_the_trivial_subgroup_is_trivial():
+    F = fusion("sym4")
+    i = F.lattice.index_of((0,))
+    assert fusion_mod.aut_table(F, i) == ([(0,)], [[0]])
+    quo, label = fusion_mod.outer_automorphism_group(F, i)
+    assert quo.order == 1 and label == [0]
+
+
+def test_generated_fusion_with_a_seed_on_the_trivial_subgroup():
+    c2 = perm_group([[1, 2]], points=2)
+    trivial = c2.trivial_subgroup()
+    F = generated_fusion(c2, [GroupHom(trivial, trivial, (0,))])
+    assert F.maps == inner_fusion(c2).maps
+    assert F.maps[0] == ((0,),)
+    # an automorphism of order 3 of C2 x C2 restricts to the trivial subgroup
+    v4 = perm_group([[1, 2]], [[3, 4]], points=4)
+    identity = v4.full_subgroup().members
+    rotation = next(
+        a for a in automorphisms(v4) if a.images != identity != a.compose(a).images
+    )
+    F = generated_fusion(v4, [rotation])
+    assert F.maps[0] == ((0,),)
+    assert F.morphism_count() == 13 and is_saturated(F)
+
+
 def _double_coset_count(F, q_idx, p_idx):
     """Aut_S(P) \\ Iso_F(Q, P) / Aut_S(Q), counted by brute force."""
     lat = F.lattice
@@ -935,15 +977,21 @@ def test_sym4_regeneration_composes_less_than_the_worklist_pops(monkeypatch):
     monkeypatch.setattr(verify, "deque", CountingDeque)
     verify.close_maps_plain(F.base, seeds)
     # every composition of the class closure (vertex groups, transporters,
-    # conjugated generators and the final table) goes through _compose
+    # conjugated generators, restrictions and the final table) is read by
+    # a composer
     compositions = []
-    compose = fusion_mod._compose
+    composer = fusion_mod.composer
 
-    def counting(x, y, pos):
-        compositions.append(1)
-        return compose(x, y, pos)
+    def counting(y, pos=None):
+        get = composer(y, pos)
 
-    monkeypatch.setattr(fusion_mod, "_compose", counting)
+        def composing(x):
+            compositions.append(1)
+            return get(x)
+
+        return composing
+
+    monkeypatch.setattr(fusion_mod, "composer", counting)
     table = fusion_mod.close_maps(F.base, seeds)
     assert [frozenset(ms) for ms in table] == list(F.map_sets)
     assert 0 < len(compositions) < CountingDeque.pops

@@ -124,13 +124,18 @@ def test_group_laws_random_generators(perms):
 
 def test_from_permutations_composes_once_per_tree_edge(monkeypatch):
     calls = []
-    compose = groups.perm_compose
+    composer = groups.composer
 
-    def counting(a, b):
-        calls.append(1)
-        return compose(a, b)
+    def counting(y, pos=None):
+        get = composer(y, pos)
 
-    monkeypatch.setattr(groups, "perm_compose", counting)
+        def composing(x):
+            calls.append(1)
+            return get(x)
+
+        return composing
+
+    monkeypatch.setattr(groups, "composer", counting)
     gens = [
         cycles_to_perm(c, 8) for c in ([[1, 2]], [[1, 2, 3, 4]], [[5, 6]], [[5, 6, 7, 8]])
     ]
@@ -159,6 +164,55 @@ def test_cayley_check_catches_a_wrong_tree_parent(monkeypatch):
     result = _cayley_check()
     assert not result.passed
     assert "dense table differs" in result.detail
+
+
+def _group_axioms_check():
+    from fusionsys import verify
+
+    check = dict(verify.GROUP_CORE_CHECKS)["group-axioms"]
+    return verify._run("group-core/group-axioms", check)
+
+
+def test_inverse_battery_takes_both_inverse_paths():
+    from fusionsys import verify
+
+    battery = dict(verify.inverse_battery())
+    assert battery["sym4xsym4/dense"].perms is None
+    assert battery["sym4xsym4/dense"].order == 576
+    assert battery["alt7"]._mul is None and battery["alt7"].order == 2520
+    assert all(verify.inverse_law_fails(G) is None for G in battery.values())
+
+
+def test_inverse_law_catches_an_inverse_table_shifted_by_one(monkeypatch):
+    from fusionsys import verify
+
+    build_inverses = FiniteGroup._build_inverses
+
+    def shifted(self):
+        build_inverses(self)
+        self._inv = self._inv[1:] + self._inv[:1]
+
+    monkeypatch.setattr(FiniteGroup, "_build_inverses", shifted)
+    for name, G in verify.inverse_battery():
+        assert verify.inverse_law_fails(G) == 0, name
+    # the catalog groups may hold their inverses already: leave them out
+    monkeypatch.setattr(catalog, "names", lambda: [])
+    result = _group_axioms_check()
+    assert not result.passed
+    assert "inverse law fails at element 0" in result.detail
+
+
+def test_composer_returns_a_tuple_for_a_one_entry_map():
+    assert groups.composer((0,))((7,)) == (7,)
+    assert groups.composer((5,), {5: 0})((7,)) == (7,)
+    assert groups.composer((1, 0))((7, 8)) == (8, 7)
+    assert groups.composer((5, 3), {3: 0, 5: 1})((7, 8)) == (8, 7)
+
+
+def test_one_point_permutation_closes_to_the_trivial_group():
+    G = FiniteGroup.from_permutations([(0,)], points=1)
+    assert G.order == 1 and G.generators == () and G.perms == ((0,),)
+    assert G._mul == [[0]] and G.inv(0) == 0
 
 
 def test_containment_check_catches_a_dropped_maximal_subgroup(monkeypatch):
