@@ -10,8 +10,8 @@ Checks made in the call, each on generators and exact because the set
 it tests is closed under composition, inverses and restriction (a
 failure reruns the full scan, so witnesses are unchanged):
 - ``check_morphism``: the homomorphism law on the generators of S,
-  then the push of ``class_generators`` of the source; the certificate
-  and every self-map candidate go through it;
+  then the push of ``class_generators`` of the source; every self-map
+  candidate goes through it;
 - ``normal_complement``: the complement's law on the generators of S,
   its push, and commuting images, decided by ``sum_morphisms`` on the
   tuples of one pushed class generator and identities;
@@ -26,8 +26,7 @@ failure reruns the full scan, so witnesses are unchanged):
   pass as parts by identity, then the commuting generator tuples, the
   cover read off the element components, and ``class_generators(F)``
   projected onto the parts;
-- equivariance on the generators of S, and the certificate's transport
-  of the part tables entrywise.
+- equivariance on the generators of S (``OmegaContext.commutes_with``).
 
 ``factorize_all`` is the orbit of ``factorize`` under Aut(S,F): the
 factorization into indecomposables is unique up to a normal automorphism
@@ -52,7 +51,9 @@ criterion against the plain complement test ``verify.is_normal_endo``),
 (Aut(S,F) and the endomorphisms against the filtered backtracker),
 ``factor/fitting-factorize`` (``stable_image_kernel_plain``, f^|S| on
 each element), ``krs/certificate-twin`` (``krs_certificate_plain``,
-every normal automorphism), ``krs/orbit-is-every-factorization``
+every normal automorphism; alpha, its complement, the swap maps and the
+transport), ``krs/krs-end-to-end`` (alpha and the transport, on
+``inner-c3c3c3`` too), ``krs/orbit-is-every-factorization``
 (``factorize_all_plain``, the recursive search through every proven
 split, which alone guards the Omega case) and ``krs/aut-structure``.
 """
@@ -110,7 +111,6 @@ from .morphisms import (
     check_morphism,
     hom_law_on_generators,
     identity_morphism,
-    image,
     is_product_decomposition,
     projections,
     subsystem_of,
@@ -676,10 +676,11 @@ def krs_certificate(
 ) -> KrsCertificate:
     """Normal automorphism alpha and permutation sigma with
     alpha(part_i of fact1) = part_sigma(i) of fact2, by projection swaps.
-    The swap maps are logged unproved (``krs/certificate-twin`` asserts
-    that they and alpha are normal automorphisms, against the exhaustive
-    ``verify.krs_certificate_plain``); the delivered alpha is checked here,
-    and a failure raises InternalInconsistency."""
+    alpha is the inverse of the composed swaps, with complement
+    x -> alpha(x)^-1 x; neither it nor the logged swap maps are proved
+    again here (``krs/certificate-twin``, against the exhaustive
+    ``verify.krs_certificate_plain``, and ``krs/krs-end-to-end`` check
+    them).  A swap loop that cannot go on raises InternalInconsistency."""
     if not is_saturated(F):
         raise NotSaturated("certificates require a saturated system")
     _check_factorization_input(F, fact1, omega)
@@ -728,41 +729,14 @@ def krs_certificate(
     alpha_images = [0] * G.order
     for x, y in enumerate(total):
         alpha_images[y] = x
-    try:
-        ne = normal_complement(F, check_morphism(F, F, tuple(alpha_images)))
-    except (NotSubgroup, NotFusionPreserving, NotNormal) as exc:
-        raise InternalInconsistency(f"certificate automorphism rejected: {exc}") from exc
-    if omega is not None and not omega.commutes_with(ne.images):
-        raise InternalInconsistency("certificate automorphism is not equivariant")
-
+    chi_images = [G.mul(G.inv(y), x) for x, y in enumerate(alpha_images)]
+    alpha = NormalEndomorphism(
+        FusionMorphism(F, F, alpha_images), FusionMorphism(F, F, chi_images), True, True
+    )
     sigma = [0] * k
     for r, j in enumerate(assigned):
         sigma[j] = r
-    _verify_certificate(F, fact1, fact2, ne.morphism, tuple(sigma))
-    return KrsCertificate(ne, tuple(sigma), tuple(log), True)
-
-
-def _verify_certificate(
-    F: FusionSystem,
-    fact1: Factorization,
-    fact2: Factorization,
-    alpha: FusionMorphism,
-    sigma: tuple[int, ...],
-) -> None:
-    for i, part in enumerate(fact1.parts):
-        target = fact2.parts[sigma[i]]
-        mapped = {alpha.images[x] for x in part.base.members}
-        if mapped != target.base.member_set:
-            raise InternalInconsistency("certificate does not transport the bases")
-        # entrywise transport of the full subsystems
-        target_maps = set(target.translated_maps())
-        pushed = set()
-        for members, mp in part.translated_maps():
-            dom_idx = F.index_of(members)
-            new_idx, new_map = alpha.push_map(dom_idx, mp)
-            pushed.add((F.lattice.subs[new_idx].members, new_map))
-        if pushed != target_maps:
-            raise InternalInconsistency("certificate does not transport the tables")
+    return KrsCertificate(alpha, tuple(sigma), tuple(log), True)
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +780,11 @@ def find_isomorphism(E1: FusionSystem, E2: FusionSystem) -> Optional[FusionMorph
 
 
 def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
-    """Automorphism group as stabilizer extended by part permutations;
-    ``krs/aut-structure`` asserts the theorem (the realized permutations,
-    the counts and the section) from the returned fields."""
+    """Automorphism group as stabilizer extended by part permutations.
+    The stabilizer is counted as the automorphisms that fix every part
+    base setwise; ``krs/aut-structure`` asserts the theorem (every
+    automorphism permutes the bases, the realized permutations, the
+    counts and the section) from the returned fields."""
     z_trivial = center_of(F).order == 1
     foc_full = focal_of(F).order == F.base.order
     if not (z_trivial or foc_full):
@@ -820,20 +796,9 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
     autos = fusion_automorphisms(F)
     k = len(fact.parts)
     base_sets = [p.base.member_set for p in fact.parts]
-    base_index = {p.base.members: i for i, p in enumerate(fact.parts)}
-
-    aut0_order = 0
-    for a in autos:
-        sigma = []
-        for i in range(k):
-            mapped = tuple(sorted(a.images[x] for x in base_sets[i]))
-            if mapped not in base_index:
-                raise InternalInconsistency(
-                    "automorphism does not permute the factor bases"
-                )
-            sigma.append(base_index[mapped])
-        if sigma == list(range(k)):
-            aut0_order += 1
+    aut0_order = sum(
+        all({a.images[x] for x in b} == b for b in base_sets) for a in autos
+    )
 
     isos: list[list[Optional[FusionMorphism]]] = [[None] * k for _ in range(k)]
     for i in range(k):

@@ -309,7 +309,7 @@ class FiniteGroup:
         n = len(table)
         rows = [list(r) for r in table]
         for r in rows:
-            if len(r) != n or any(not (0 <= v < n) for v in r):
+            if len(r) != n or min(r) < 0 or max(r) >= n:
                 raise NotSubgroup("malformed Cayley table")
         for x in range(n):
             if rows[0][x] != x or rows[x][0] != x:
@@ -418,13 +418,11 @@ def _table_from_tree(
 
 
 def _closure_ids(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """The subgroup generated by ``seed``: right products from the
+    identity, which close in a finite group (g^-1 is a power of g)."""
     members = {0}
     queue = [0]
     gens = [g for g in seed if g != 0]
-    for g in gens:
-        if g not in members:
-            members.add(g)
-            queue.append(g)
     while queue:
         x = queue.pop()
         for g in gens:
@@ -432,10 +430,6 @@ def _closure_ids(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
             if y not in members:
                 members.add(y)
                 queue.append(y)
-            z = G.mul(g, x)
-            if z not in members:
-                members.add(z)
-                queue.append(z)
     return tuple(sorted(members))
 
 

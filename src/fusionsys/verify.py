@@ -2381,11 +2381,18 @@ def check_krs_end_to_end() -> str:
             cert = krs_certificate(F, facts[i], facts[j])
             assert len(cert.sigma) == len(facts[i].parts)
             assert cert.alpha.images in nauts, f"{name}: alpha not normal"
+            assert transports_plain(cert.alpha.images, facts[i], facts[j], cert.sigma), (
+                f"{name}: no transport"
+            )
             count += 1
-        cert = krs_certificate(F, factorize(F), facts[-1])
-        assert cert.alpha.images in nauts
+        start = factorize(F)
+        cert = krs_certificate(F, start, facts[-1])
+        assert cert.alpha.images in nauts, f"{name}: alpha not normal"
+        assert transports_plain(cert.alpha.images, start, facts[-1], cert.sigma), (
+            f"{name}: no transport"
+        )
         count += 1
-    return f"{count} certificates constructed and membership-checked"
+    return f"{count} certificates constructed, membership- and transport-checked"
 
 
 def check_krs_rigid() -> str:
@@ -2476,7 +2483,8 @@ def check_krs_certificate_twin() -> str:
     """The projection-swap certificate against its exhaustive twin, on the
     multi-factor systems below order 27 and in the equivariant contexts:
     the twin finds an alpha; the certificate's alpha and swap maps are
-    normal (equivariant) automorphisms, and alpha transports the parts."""
+    normal (equivariant) automorphisms, its complement is the one
+    ``normal_complement`` forces, and alpha transports the parts."""
     cases = [(_fusion(n), None) for n in catalog.MULTI_FACTOR if n != "inner-c3c3c3"]
     count = 0
     for F, omega in cases + equivariant_contexts():
@@ -2487,6 +2495,10 @@ def check_krs_certificate_twin() -> str:
             cert = krs_certificate(F, f1, f2, omega)
             assert krs_certificate_plain(F, f1, f2, omega), f"{label}: no normal automorphism"
             assert cert.alpha.images in nauts, f"{label}: alpha is not a normal automorphism"
+            forced = normal_complement(F, check_morphism(F, F, cert.alpha.images))
+            assert cert.alpha.complement.images == forced.complement.images, (
+                f"{label}: complement is not the forced one"
+            )
             assert {h.images for h in cert.construction_log} <= nauts, f"{label}: swap map"
             assert transports_plain(cert.alpha.images, f1, f2, cert.sigma), f"{label}: no transport"
             count += 1

@@ -770,6 +770,12 @@ def test_cayley_round_trip():
     bad[3][4] = 0 if bad[3][4] else 1
     with pytest.raises(NotSubgroup):
         FiniteGroup.from_cayley(bad)
+    # an entry outside range(n), at either end
+    for v in (-1, 8):
+        bad = [row[:] for row in rows]
+        bad[5][2] = v
+        with pytest.raises(NotSubgroup, match="malformed"):
+            FiniteGroup.from_cayley(bad)
 
 
 # -- generators ----------------------------------------------------------------
@@ -777,6 +783,36 @@ def test_cayley_round_trip():
 
 def _generated(G):
     return groups._closure_ids(G, G.generators) == tuple(range(G.order))
+
+
+def _two_sided_closure(G, seed):
+    members, queue = {0, *seed}, [0, *seed]
+    while queue:
+        x = queue.pop()
+        for g in seed:
+            for y in (G.mul(x, g), G.mul(g, x)):
+                if y not in members:
+                    members.add(y)
+                    queue.append(y)
+    return tuple(sorted(members))
+
+
+def test_closure_by_right_products_matches_two_sided_search():
+    checked = 0
+    for name in catalog.names():
+        b = catalog.built(name)
+        for G in (b.group, b.fusion.base):
+            for seed in [(x,) for x in range(G.order)] + [tuple(G.generators)]:
+                assert groups._closure_ids(G, seed) == _two_sided_closure(G, seed), (
+                    name,
+                    seed,
+                )
+                checked += 1
+    # every element of the 17 catalog groups and their Sylow bases, and
+    # each generating set
+    assert checked == sum(
+        b.group.order + b.fusion.base.order + 2 for b in map(catalog.built, catalog.names())
+    )
 
 
 def test_declared_generators_generate_the_group():

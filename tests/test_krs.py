@@ -5,11 +5,11 @@ import itertools
 
 import pytest
 
-from fusionsys import catalog, factor, verify
-from fusionsys.errors import HypothesisFailed, InternalInconsistency
+from fusionsys import catalog, verify
+from fusionsys.errors import HypothesisFailed
 from fusionsys.groups import Subgroup, direct_product, sylow
 from fusionsys.fusion import fusion_of_group
-from fusionsys.morphisms import check_morphism
+from fusionsys.morphisms import FusionMorphism, check_morphism
 from fusionsys.factor import (
     AutStructure,
     KrsCertificate,
@@ -86,28 +86,56 @@ def test_plain_twin_respects_omega():
     assert omega.commutes_with(alpha)
 
 
-def test_certificate_guard_failure_is_not_papered_over(monkeypatch):
-    # the first transport check fails; no second path may answer instead
-    real, calls = factor._verify_certificate, []
+def _krs_check_with(monkeypatch, edit, check=verify.check_krs_certificate_twin):
+    """A krs check (``krs/certificate-twin`` by default) run on
+    certificates passed through ``edit``."""
 
-    def fails_once(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise InternalInconsistency("certificate does not transport the tables")
-        return real(*args)
+    def mutant(F, f1, f2, omega=None):
+        return edit(F, omega, krs_certificate(F, f1, f2, omega))
 
-    monkeypatch.setattr(factor, "_verify_certificate", fails_once)
-    F = fusion("inner-c2c2")
-    facts = factorize_all(F)
-    with pytest.raises(InternalInconsistency, match="transport"):
-        krs_certificate(F, facts[0], facts[1])
+    monkeypatch.setattr(verify, "krs_certificate", mutant)
+    return verify._run(check.__name__, check)
+
+
+def test_certificate_checks_reject_swapped_sigma(monkeypatch):
+    # every pair of both checks has at least two parts; swapping the
+    # images of the first two sends part 0 to a part alpha does not carry
+    # it to
+    def edit(F, omega, cert):
+        assert len(cert.sigma) >= 2
+        sigma = (cert.sigma[1], cert.sigma[0]) + cert.sigma[2:]
+        return KrsCertificate(
+            cert.alpha, sigma, cert.construction_log, cert.constructive, cert.note
+        )
+
+    for check in (verify.check_krs_certificate_twin, verify.check_krs_end_to_end):
+        result = _krs_check_with(monkeypatch, edit, check)
+        assert not result.passed, check.__name__
+        assert "no transport" in result.detail
+
+
+def test_certificate_twin_check_rejects_identity_complement(monkeypatch):
+    # the forced complement x -> alpha(x)^-1 x is never the identity
+    def edit(F, omega, cert):
+        alpha = cert.alpha.morphism
+        identity = FusionMorphism(F, F, range(F.base.order))
+        return KrsCertificate(
+            NormalEndomorphism(alpha, identity, True, True),
+            cert.sigma,
+            cert.construction_log,
+            cert.constructive,
+            cert.note,
+        )
+
+    result = _krs_check_with(monkeypatch, edit)
+    assert not result.passed
+    assert "complement is not the forced one" in result.detail
 
 
 def test_certificate_twin_check_rejects_alpha_not_normal(monkeypatch):
     # swap alpha for a fusion automorphism outside the normal
     # (equivariant) ones wherever one exists: the rotation context has some
-    def mutant(F, f1, f2, omega=None):
-        cert = krs_certificate(F, f1, f2, omega)
+    def edit(F, omega, cert):
         normal = {m.images for m in normal_automorphisms(F, omega)}
         for m in fusion_automorphisms(F):
             if m.images not in normal:
@@ -120,8 +148,7 @@ def test_certificate_twin_check_rejects_alpha_not_normal(monkeypatch):
                 )
         return cert
 
-    monkeypatch.setattr(verify, "krs_certificate", mutant)
-    result = verify._run("certificate-twin", verify.check_krs_certificate_twin)
+    result = _krs_check_with(monkeypatch, edit)
     assert not result.passed
     assert "alpha is not a normal automorphism" in result.detail
 
