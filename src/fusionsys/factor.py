@@ -8,24 +8,20 @@ composite.
 
 Checks made in the call, each on generators and exact because the set
 it tests is closed under composition, inverses and restriction (a
-failure reruns the full scan, so witnesses are unchanged):
-- ``check_morphism``: the homomorphism law on the generators of S,
-  then the push of ``class_generators`` of the source; every self-map
-  candidate goes through it;
-- ``normal_complement``: the complement's law on the generators of S,
-  its push, and commuting images, decided by ``sum_morphisms`` on the
-  tuples of one pushed class generator and identities;
+failure reruns the full scan only where a witness is reported):
+- ``_pushes_class_generators``, the push test of ``check_morphism``
+  for maps known to be homomorphisms: chain leaves of Aut(S,F),
+  End(S,F) candidates and ``find_isomorphism`` candidates;
+- ``normal_complement``: the complement's law, its push, and commuting
+  images (``_check_summable``), without building the sum;
 - ``normal_automorphisms``: the center/focal criterion on the chain
   maps of Aut(S,F), and on every map only when one fails;
 - Aut(S,F) is kept as a stabiliser chain, one level per base element,
-  from the F-class-labelled transversal search (``check_morphism`` on
-  first leaves; End(S,F) is the labelled search, filtered); the listings
-  walk it, and under Omega cut a branch at the first level that fixes
-  enough of S to test a pair (w, b) exactly;
-- ``is_product_decomposition`` on every split tried: kept restrictions
-  pass as parts by identity, then the commuting generator tuples, the
-  cover read off the element components, and ``class_generators(F)``
-  projected onto the parts;
+  from the F-class-labelled transversal search; the listings walk it,
+  and under Omega cut a branch at the first level that fixes enough of
+  S to test a pair (w, b) exactly;
+- ``_split_works``: the generator tuples of each admissible pair
+  (``_generator_seeds``) alone;
 - equivariance on the generators of S (``OmegaContext.commutes_with``).
 
 ``factorize_all`` is the orbit of ``factorize`` under Aut(S,F): the
@@ -41,6 +37,8 @@ Theorems are not proved again in a call.  Checks made in
 pushed), ``morphisms/commuting-criteria-agree``
 (``commute_check_plain``, every tuple and part scanned),
 ``morphisms/restriction-is-subsystem`` (every kept restriction scanned),
+``factor/factorizations-are-products`` (every split the product of its
+parts, entrywise),
 ``morphisms/product-by-projection`` (the inner product entrywise),
 ``morphisms/sum-bookkeeping`` (``sum_morphisms_plain``, image closures
 and every tuple; sums, f + chi among them, re-accepted by
@@ -55,7 +53,8 @@ every normal automorphism; alpha, its complement, the swap maps and the
 transport), ``krs/krs-end-to-end`` (alpha and the transport, on
 ``inner-c3c3c3`` too), ``krs/orbit-is-every-factorization``
 (``factorize_all_plain``, the recursive search through every proven
-split, which alone guards the Omega case) and ``krs/aut-structure``.
+split, which alone guards the Omega case; Omega restricted to each part
+re-accepted by ``check_morphism_plain``) and ``krs/aut-structure``.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     HypothesisFailed,
     InternalInconsistency,
-    NotCommuting,
     NotFusionPreserving,
     NotNormal,
     NotSaturated,
@@ -106,9 +104,12 @@ from .fusion import (
 from .morphisms import (
     FusionMorphism,
     Subsystem,
+    _check_summable,
+    _generator_seeds,
     _noncommuting_pair,
     _projections,
-    check_morphism,
+    _push_every_map,
+    _pushes_class_generators,
     hom_law_on_generators,
     identity_morphism,
     is_product_decomposition,
@@ -168,10 +169,12 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
     The complement candidate sends x to f(x)^-1 x; ``f`` is normal exactly
     when that map is a fusion-preserving homomorphism whose image commutes
     with the image of ``f``.  Each clause is tested on generators:
-    ``hom_law_on_generators``, ``check_morphism`` and ``sum_morphisms``.
-    ``verify.is_normal_endo`` is the plain twin, which the verify check
-    ``factor/surjective-criterion`` compares with the center/focal
-    criterion.
+    ``hom_law_on_generators``, ``_pushes_class_generators`` and the
+    commuting test of ``sum_morphisms``; f + chi sends x to
+    f(x) f(x)^-1 x = x, so only that test of the sum can fail, and the
+    sum itself is not built.  ``verify.is_normal_endo`` is the plain
+    twin, which the verify check ``factor/surjective-criterion``
+    compares with the center/focal criterion.
     """
     if f.source is not F or f.target is not F:
         raise NotSubgroup("normality is only defined for endomorphisms")
@@ -179,16 +182,16 @@ def normal_complement(F: FusionSystem, f: FusionMorphism) -> NormalEndomorphism:
     chi_images = tuple(G.mul(G.inv(f.images[x]), x) for x in range(G.order))
     if not hom_law_on_generators(G, G, chi_images):
         raise NotNormal("complement is not a homomorphism")
+    chi = FusionMorphism(F, F, chi_images)
     try:
-        chi = check_morphism(F, F, chi_images, hom_checked=True)
+        if not _pushes_class_generators(chi):
+            _push_every_map(chi)
     except NotFusionPreserving as exc:
         raise NotNormal(
             "complement is not fusion-preserving", witness=exc.witness
         ) from exc
-    # f + chi sends x to f(x) f(x)^-1 x = x, so only the commuting test
-    # of the sum can fail
     try:
-        sum_morphisms([f, chi])
+        _check_summable([f, chi])
     except NotSummable as exc:
         raise NotNormal(
             "images of f and its complement do not commute",
@@ -263,19 +266,17 @@ class OmegaContext(Record, hidden=("_commuting",)):
         return all({w.images[x] for x in target} == target for w in self.generators)
 
     def restrict_to(self, F: FusionSystem, T: Subgroup, E: FusionSystem) -> "OmegaContext":
+        """Omega on the restriction ``E`` of ``F`` to an invariant
+        subgroup ``T``, whose generators restrict to fusion
+        automorphisms of ``E``."""
         if not self.fixes_subgroup(T.members):
             raise NotSubgroup("context does not preserve the subgroup")
         pos = {m: t for t, m in enumerate(T.members)}
-        gens = []
-        for w in self.generators:
-            gens.append(
-                check_morphism(E, E, tuple(pos[w.images[m]] for m in T.members))
-            )
+        gens = [
+            FusionMorphism(E, E, tuple(pos[w.images[m]] for m in T.members))
+            for w in self.generators
+        ]
         return OmegaContext.from_morphisms(E, gens)
-
-
-def trivial_omega(F: FusionSystem) -> OmegaContext:
-    return OmegaContext.from_morphisms(F, [])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,8 @@ def trivial_omega(F: FusionSystem) -> OmegaContext:
 def _automorphism_chain(F: FusionSystem) -> tuple[tuple[int, ...], list[list[MapTuple]]]:
     """Aut(S,F) as a base of S and the levels of its stabiliser chain,
     kept on F: ``automorphism_chain`` with the F-class labels
-    (``_class_labels``), each level map accepted by ``check_morphism``."""
+    (``_class_labels``), each level map accepted by
+    ``_pushes_class_generators``."""
     if F._automorphism_chain is None:
         F._automorphism_chain = automorphism_chain(
             F.base, _class_labels(F), lambda u: _preserves(F, u)
@@ -304,26 +306,20 @@ def _class_labels(F: FusionSystem) -> Optional[list[int]]:
 
 
 def _preserves(F: FusionSystem, a: MapTuple) -> bool:
-    try:
-        check_morphism(F, F, a, hom_checked=True)
-    except NotFusionPreserving:
-        return False
-    return True
+    return _pushes_class_generators(FusionMorphism(F, F, a))
 
 
 def fusion_endomorphisms(F: FusionSystem) -> list[FusionMorphism]:
     """All fusion-preserving self-maps, in image-tuple order: the
     homomorphisms S -> S that send each F-class into one F-class
-    (``_homs`` with ``_class_labels``), each accepted by ``check_morphism``."""
+    (``_homs`` with ``_class_labels``), each accepted by
+    ``_pushes_class_generators``."""
     if F._endomorphisms is None:
         full = F.base.full_subgroup()
-        found = []
-        for h in _homs(full, full, False, _class_labels(F)):
-            try:
-                found.append(check_morphism(F, F, h.images, hom_checked=True))
-            except NotFusionPreserving:
-                continue
-        F._endomorphisms = found
+        homs = _homs(full, full, False, _class_labels(F))
+        F._endomorphisms = [
+            m for m in (FusionMorphism(F, F, h.images) for h in homs) if _pushes_class_generators(m)
+        ]
     return F._endomorphisms
 
 
@@ -534,17 +530,16 @@ def _meet_trivially(T: Subgroup, U: Subgroup) -> bool:
 
 
 def _split_works(F: FusionSystem, i: int, j: int) -> Optional[tuple[Subsystem, Subsystem]]:
-    sub_i = subsystem_of(F, F.lattice.subs[i])
-    sub_j = subsystem_of(F, F.lattice.subs[j])
-    try:
-        ok = is_product_decomposition(F, [sub_i, sub_j])
-    except NotCommuting:
+    """The kept restrictions of an admissible pair when they commute in
+    ``F``, else None: a strongly closed commuting split is a direct
+    product (``factor/factorizations-are-products``), and the generator
+    tuples decide commuting (``_generator_seeds``, checked against every
+    tuple by ``morphisms/commuting-criteria-agree``)."""
+    parts = (subsystem_of(F, F.lattice.subs[i]), subsystem_of(F, F.lattice.subs[j]))
+    bases = [p.base.members for p in parts]
+    if _generator_seeds(F, bases, [p.translated_generators() for p in parts]) is None:
         return None
-    if not ok:
-        raise InternalInconsistency(
-            "strongly closed commuting split failed to cover the system"
-        )
-    return sub_i, sub_j
+    return parts
 
 
 def _proven_splits(
@@ -770,12 +765,10 @@ def find_isomorphism(E1: FusionSystem, E2: FusionSystem) -> Optional[FusionMorph
     full1 = E1.base.full_subgroup()
     full2 = E2.base.full_subgroup()
     for h in injective_homs(full1, full2):
-        try:
-            m = check_morphism(E1, E2, h.images)
-        except NotFusionPreserving:
-            continue
+        m = FusionMorphism(E1, E2, h.images)
         # morphism counts match, so a fusion-preserving bijection is onto
-        return m
+        if _pushes_class_generators(m):
+            return m
     return None
 
 
@@ -826,15 +819,14 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
 
     section: dict[tuple[int, ...], MapTuple] = {}
     decomp = list(zip(*projections(F.base, [p.base.members for p in fact.parts])))
+    local = [{m: t for t, m in enumerate(p.base.members)} for p in fact.parts]
     for sigma in gamma:
         images = [0] * F.base.order
         for x in range(F.base.order):
             acc = 0
             for i, t in enumerate(decomp[x]):
-                part = fact.parts[i]
                 b = beta[i][sigma[i]]
-                t_local = part.base.members.index(t)
-                mapped_local = b.images[t_local]
+                mapped_local = b.images[local[i][t]]
                 acc = F.base.mul(
                     acc, fact.parts[sigma[i]].base.members[mapped_local]
                 )
@@ -849,16 +841,12 @@ def aut_structure(F: FusionSystem, fact: Factorization) -> AutStructure:
 # Goldschmidt-style transfer to a realizing group (p = 2)
 
 
-def goldschmidt_factor(
-    G: FiniteGroup, fact: Factorization, *, p: int = 2
-) -> list[Subgroup]:
+def goldschmidt_factor(G: FiniteGroup, fact: Factorization) -> list[Subgroup]:
     """Lift the factorization of F_S(G) that the caller built, on the
     Sylow table that ``fusion_of_group(G, 2)`` uses, to a direct
     factorization of G via normal closures of the part bases.  Once the
     closures factor G, ``fact.system`` is F_S(G) exactly when each part's
     fusion is its closure's, since both are the product of the parts'."""
-    if p != 2:
-        raise HypothesisFailed("transfer is stated at p = 2")
     chars = characteristic_subgroups(G, 2)
     if chars.o_p_prime.order != 1:
         raise HypothesisFailed("group has a nontrivial odd-order core")
@@ -869,14 +857,11 @@ def goldschmidt_factor(
     if base.order != SG.order or not hom_law_on_generators(base, SG, tuple(range(SG.order))):
         raise NotSubsystem("factorization belongs to a different system")
 
-    closures = []
-    part_subgroups_in_g = []
-    for part in fact.parts:
-        g_members = tuple(S.members[t] for t in part.base.members)
-        T_in_g = Subgroup(G, g_members)
-        part_subgroups_in_g.append(T_in_g)
-        closures.append(normal_closure(G, T_in_g))
-
+    part_subgroups_in_g = [
+        Subgroup(G, (S.members[t] for t in part.base.members), _checked=True)
+        for part in fact.parts
+    ]
+    closures = [normal_closure(G, T_in_g) for T_in_g in part_subgroups_in_g]
     for H, K in itertools.combinations(closures, 2):
         if _noncommuting_pair(G, H.members, K.members) is not None:
             raise InternalInconsistency("normal closures do not commute pairwise")

@@ -279,6 +279,8 @@ def _invert_map(m: MapTuple, members: tuple[int, ...], image: tuple[int, ...]) -
 
 def fusion_equal(F1: FusionSystem, F2: FusionSystem) -> bool:
     """Entrywise equality: same base table, same subgroups, same morphisms."""
+    if F1 is F2:
+        return True
     G1, G2 = F1.base, F2.base
     if G1.order != G2.order or F1.p != F2.p:
         return False
@@ -355,14 +357,18 @@ def class_generators(F: FusionSystem) -> tuple[tuple[int, MapTuple], ...]:
     the automorphisms of R outside Aut_S(R) and one isomorphism from R
     onto each other member.  ``F`` is closed under composition and
     inverses, so Iso_F(P, Q) = tau_Q Aut_F(R) tau_P^-1 for these
-    isomorphisms tau.  Built once per system."""
+    isomorphisms tau.  Aut_S(R) <= Aut_F(R) has |N_S(R)|/|C_S(R)|
+    maps, so Aut_S(R) is listed only when Aut_F(R) has more.  Built once
+    per system."""
     if F._class_generators is None:
         lat = F.lattice
         gens = []
         for cls in F.subgroup_classes():
             r = cls[0]
-            inner = lat.aut_s(r)
-            gens += [(r, a) for a in F.aut_maps(r) if a not in inner]
+            auts = F.aut_maps(r)
+            if len(auts) * lat.centralizer_mask(r).bit_count() > lat.normalizer_mask(r).bit_count():
+                inner = lat.aut_s(r)
+                gens += [(r, a) for a in auts if a not in inner]
             for q in cls[1:]:
                 isos = F.iso_maps(r, q)
                 if not isos:

@@ -559,9 +559,6 @@ class Subgroup:
             for x in self.members
         )
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, self.member_set & other.member_set, _checked=True)
-
 
 def _greedy_generating_sequence(G: FiniteGroup, members: Sequence[int]) -> tuple[int, ...]:
     member_set = set(members)

@@ -3,6 +3,17 @@
 A morphism is a group homomorphism between the base groups that pushes
 every source morphism to a target morphism; the induced functor is
 determined by the underlying map.
+
+Checks made in the call, each on generators (a failure reruns the full
+scan, so witnesses are unchanged): the homomorphism law and the push
+test ``_pushes_class_generators`` in ``check_morphism`` (the push test
+alone in ``FusionMorphism.inverse``); parts that are not kept
+restrictions, and the tuples of one class generator and identities, in
+``commute_check`` and ``sum_morphisms``.  Composites, kernels, inner
+systems, sums and the maps of ``ProductSystem`` are built without a
+test; ``fusionsys.verify`` guards each (``morphisms/product-universal``,
+``kernel-strongly-closed``, ``restriction-is-subsystem``,
+``sum-bookkeeping``).
 """
 
 from __future__ import annotations
@@ -65,22 +76,24 @@ class FusionMorphism:
         return Subgroup(self.target.base, set(self.images), _checked=True)
 
     def compose(self, inner: "FusionMorphism") -> "FusionMorphism":
-        """self o inner."""
+        """self o inner, a morphism since both are."""
         if inner.target is not self.source:
             raise NotSubgroup("morphisms are not composable")
-        return check_morphism(
-            inner.source,
-            self.target,
-            tuple(self.images[v] for v in inner.images),
+        return FusionMorphism(
+            inner.source, self.target, tuple(self.images[v] for v in inner.images)
         )
 
     def inverse(self) -> "FusionMorphism":
+        # a bijection onto a larger system is not invertible as a morphism
         if not (self.is_injective and self.is_surjective):
             raise NotSubgroup("morphism is not invertible")
         back = [0] * len(self.images)
         for x, y in enumerate(self.images):
             back[y] = x
-        return check_morphism(self.target, self.source, tuple(back))
+        m = FusionMorphism(self.target, self.source, tuple(back))
+        if not _pushes_class_generators(m):
+            _push_every_map(m)
+        return m
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,45 +140,49 @@ def hom_law_on_generators(A: FiniteGroup, B: FiniteGroup, images: MapTuple) -> b
     return all(images[xg] == v for xg, v in zip(left, right))
 
 
-def check_morphism(
-    E: FusionSystem, F: FusionSystem, f, *, hom_checked: bool = False
-) -> FusionMorphism:
-    """Validate that ``f`` pushes every source morphism into the target.
+def check_morphism(E: FusionSystem, F: FusionSystem, f) -> FusionMorphism:
+    """Validate that ``f`` is a homomorphism that pushes every source
+    morphism into the target.
 
-    Unless ``hom_checked`` (the caller got the map from a verified
-    enumeration), ``f`` must be a homomorphism: it is accepted when
-    ``hom_law_on_generators`` holds, and a rejected map goes through
-    the scan of every pair, so NotSubgroup names the first failing pair
-    (x, y).
-
-    ``f`` is accepted when the push of every map in
-    ``class_generators(E)`` lies in ``F``.  This is exact for closed
-    tables: the maps whose push is defined and lies in ``F`` are closed
-    under restriction and composition; under inverses too, since a
-    pushed map in ``F`` is injective, so the push of an inverse is the
-    inverse of the push; and a conjugation map c_g pushes to
-    c_f(g).  Those operations build every map of ``E`` from its class
-    generators and the conjugation maps of its base.  A map that fails
-    goes through ``_push_every_map``, which raises NotFusionPreserving
-    with the first failing source morphism (domains scanned
-    largest-first so global obstructions surface early);
-    ``verify.check_morphism_plain`` runs that scan alone.
+    ``f`` must pass ``hom_law_on_generators``; a rejected map goes
+    through the scan of every pair, so NotSubgroup names the first
+    failing pair (x, y).  Then ``_pushes_class_generators`` decides the
+    push, and a map that fails goes through ``_push_every_map``, which
+    raises NotFusionPreserving with the first failing source morphism
+    (domains scanned largest-first so global obstructions surface
+    early); ``verify.check_morphism_plain`` runs that scan alone.
     """
     images = _coerce_images(E, F, f)
     A, B = E.base, F.base
-    if not hom_checked and not hom_law_on_generators(A, B, images):
+    if not hom_law_on_generators(A, B, images):
         for x in range(A.order):
             for y in range(A.order):
                 if images[A.mul(x, y)] != B.mul(images[x], images[y]):
                     raise NotSubgroup(f"not a group homomorphism at ({x},{y})")
     m = FusionMorphism(E, F, images)
-    try:
-        pushed = all(F.has_map(*m.push_map(d, phi)) for d, phi in class_generators(E))
-    except InternalInconsistency:
-        pushed = False
-    if not pushed:
+    if not _pushes_class_generators(m):
         _push_every_map(m)
     return m
+
+
+def _pushes_class_generators(m: FusionMorphism) -> bool:
+    """For a homomorphism ``m``: the push of every map in
+    ``class_generators`` of the source lies in the target.
+
+    This is exact for closed tables: the maps whose push is defined and
+    lies in the target are closed under restriction and composition;
+    under inverses too, since a pushed map in the target is injective,
+    so the push of an inverse is the inverse of the push; and a
+    conjugation map c_g pushes to c_m(g).  Those operations build every
+    map of the source from its class generators and the conjugation
+    maps of its base.  The verify check ``morphisms/push-on-generators``
+    compares it with ``verify.check_morphism_plain``."""
+    try:
+        return all(
+            m.target.has_map(*m.push_map(d, phi)) for d, phi in class_generators(m.source)
+        )
+    except InternalInconsistency:
+        return False
 
 
 def _push_every_map(m: FusionMorphism) -> None:
@@ -206,17 +223,10 @@ def zero_morphism(E: FusionSystem, F: FusionSystem) -> FusionMorphism:
 
 
 def kernel(m: FusionMorphism) -> Subgroup:
-    """Kernel of the underlying homomorphism; must be strongly closed."""
-    ker = Subgroup(
-        m.source.base,
-        (x for x in range(m.source.base.order) if m.images[x] == 0),
-        _checked=True,
-    )
-    from .fusion import is_strongly_closed
-
-    if not is_strongly_closed(m.source, m.source.index_of(ker.members)):
-        raise InternalInconsistency("kernel is not strongly closed in the source")
-    return ker
+    """Kernel of the underlying homomorphism, strongly closed in the
+    source (the verify check ``morphisms/kernel-strongly-closed``
+    asserts it)."""
+    return Subgroup(m.source.base, (x for x, y in enumerate(m.images) if y == 0), _checked=True)
 
 
 def image(m: FusionMorphism) -> FusionSystem:
@@ -245,15 +255,18 @@ class Subsystem(Record):
 
     def translated_maps(self) -> list[tuple[tuple[int, ...], MapTuple]]:
         """Morphisms as (domain members, images) in ambient ids."""
-        out = []
-        to_parent = self.base.members
-        for dom_idx, ms in enumerate(self.system.maps):
-            members = tuple(
-                to_parent[x] for x in self.system.lattice.subs[dom_idx].members
-            )
-            for mp in ms:
-                out.append((members, tuple(to_parent[v] for v in mp)))
-        return out
+        return self._translated((d, mp) for d, ms in enumerate(self.system.maps) for mp in ms)
+
+    def translated_generators(self) -> list[tuple[tuple[int, ...], MapTuple]]:
+        """``class_generators`` of the system, in ambient ids."""
+        return self._translated(class_generators(self.system))
+
+    def _translated(self, maps: Iterable[tuple[int, MapTuple]]) -> list:
+        to_parent, subs = self.base.members, self.system.lattice.subs
+        return [
+            (tuple(to_parent[x] for x in subs[d].members), tuple(to_parent[v] for v in mp))
+            for d, mp in maps
+        ]
 
 
 def _assert_subsystem(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
@@ -368,10 +381,8 @@ class ProductSystem:
             for b in range(Fi.base.order):
                 key = tuple(b if j == i else 0 for j in range(k))
                 emb.append(self.encode[key])
-            self.embeddings.append(check_morphism(Fi, self.product, tuple(emb)))
-            self.projections.append(
-                check_morphism(self.product, Fi, self.components[i])
-            )
+            self.embeddings.append(FusionMorphism(Fi, self.product, tuple(emb)))
+            self.projections.append(FusionMorphism(self.product, Fi, self.components[i]))
 
 
 def product(factors: Sequence[FusionSystem]) -> ProductSystem:
@@ -437,18 +448,9 @@ def _commute_seeds(F: FusionSystem, subsystems: Sequence[Subsystem]) -> set[tupl
         raise NotSubgroup("need at least one subsystem")
     for sub in subsystems:
         _assert_subsystem(F, sub.base, sub.system)
-    _commute_elementwise(F.base, [sub.base.members for sub in subsystems])
-    generators = [
-        [
-            (
-                tuple(sub.base.members[x] for x in sub.system.lattice.subs[d].members),
-                tuple(sub.base.members[v] for v in mp),
-            )
-            for d, mp in class_generators(sub.system)
-        ]
-        for sub in subsystems
-    ]
-    seeds = _generator_seeds(F, [sub.base.members for sub in subsystems], generators)
+    bases = [sub.base.members for sub in subsystems]
+    _commute_elementwise(F.base, bases)
+    seeds = _generator_seeds(F, bases, [sub.translated_generators() for sub in subsystems])
     return _commute_scan(F, subsystems) if seeds is None else seeds
 
 
@@ -574,9 +576,8 @@ def _inner_from_seeds(
         members = F.lattice.subs[d_idx].members
         local_dom = lat_t.index_of(tuple(from_parent[x] for x in members))
         local_seeds.append((local_dom, tuple(from_parent[v] for v in psi)))
-    sub = FusionSystem(TG, F.p, close_maps(TG, local_seeds))
-    _assert_subsystem(F, T, sub)
-    return sub
+    # closed from maps of F, so a subsystem of F
+    return FusionSystem(TG, F.p, close_maps(TG, local_seeds))
 
 
 def is_product_decomposition(
@@ -593,7 +594,8 @@ def is_product_decomposition(
     well-defined function of pi_a(x) and that map on pi_a(W) is a
     morphism of the part's system.  The product is a fusion system and
     holds the conjugation maps of S, since each part holds those of its
-    base, so testing ``class_generators(F)`` is enough.  The twin
+    base, so testing ``class_generators(F)`` is enough, and a generator
+    that is a conjugation map of S needs no projection.  The twin
     ``verify.product_decomposition_plain`` compares the inner product
     with ``F`` entrywise."""
     _commute_seeds(F, subsystems)
@@ -620,7 +622,7 @@ def is_product_decomposition(
                 return False
         return True
 
-    return all(inside(i, m) for i, m in class_generators(F))
+    return all(lat.is_conjugation(i, m) or inside(i, m) for i, m in class_generators(F))
 
 
 def projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> list[MapTuple]:
@@ -656,7 +658,34 @@ def _projections(G: FiniteGroup, bases: Sequence[tuple[int, ...]]) -> Optional[l
 
 
 def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
-    """Pointwise product of morphisms with commuting images.
+    """Pointwise product of morphisms with commuting images
+    (``_check_summable``)."""
+    if not morphisms:
+        raise NotSubgroup("empty sum")
+    E = morphisms[0].source
+    F = morphisms[0].target
+    for m in morphisms[1:]:
+        if m.source is not E or m.target is not F:
+            raise NotSubgroup("summands must share source and target")
+    if len(morphisms) == 1:
+        return morphisms[0]
+    _check_summable(morphisms)
+    G = F.base
+    summed = []
+    for x in range(E.base.order):
+        acc = 0
+        for m in morphisms:
+            acc = G.mul(acc, m.images[x])
+        summed.append(acc)
+    # commuting images make the sum a fusion-preserving homomorphism;
+    # ``verify.check_sum_bookkeeping`` re-accepts sums with
+    # ``verify.check_morphism_plain``
+    return FusionMorphism(E, F, tuple(summed))
+
+
+def _check_summable(morphisms: Sequence[FusionMorphism]) -> None:
+    """NotSummable unless the images of morphisms with a common source
+    and target commute.
 
     The image of a summand m is the subsystem generated by the pushes of
     every map of the source, which the pushes of ``class_generators``
@@ -667,16 +696,7 @@ def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
     ``commute_check``).  Only a failure builds the images, through
     ``image``, and scans every tuple (``_commute_scan``) for the
     NotSummable witness; ``verify.sum_morphisms_plain`` always does."""
-    if not morphisms:
-        raise NotSubgroup("empty sum")
-    E = morphisms[0].source
-    F = morphisms[0].target
-    for m in morphisms[1:]:
-        if m.source is not E or m.target is not F:
-            raise NotSubgroup("summands must share source and target")
-    if len(morphisms) == 1:
-        return morphisms[0]
-
+    E, F = morphisms[0].source, morphisms[0].target
     bases = [m.image_subgroup().members for m in morphisms]
     subs = F.lattice.subs
     generators = [
@@ -694,15 +714,3 @@ def sum_morphisms(morphisms: Sequence[FusionMorphism]) -> FusionMorphism:
         raise NotSummable(
             "images of the summands do not commute", witness=exc.witness
         ) from exc
-
-    G = F.base
-    summed = []
-    for x in range(E.base.order):
-        acc = 0
-        for m in morphisms:
-            acc = G.mul(acc, m.images[x])
-        summed.append(acc)
-    # commuting images make the sum a fusion-preserving homomorphism;
-    # ``verify.check_sum_bookkeeping`` re-accepts sums with
-    # ``verify.check_morphism_plain``
-    return FusionMorphism(E, F, tuple(summed))

@@ -85,6 +85,7 @@ from .morphisms import (
     _commute_scan,
     _product_base,
     _push_every_map,
+    _pushes_class_generators,
     _subsystem_scan,
     check_morphism,
     commute_check,
@@ -1364,15 +1365,21 @@ FUSION_CORE_CHECKS = [
 
 
 def check_kernel_strongly_closed() -> str:
-    count = 0
-    for name in ["sigma3-squared", "inner-c2c4", "dihedral18-sigma3"]:
-        F = _fusion(name)
-        for ne in normal_endos(F)[:12]:
-            kernel(ne.morphism)
-            count += 1
+    """The kernel of a fusion-preserving map is strongly closed in its
+    source, which ``kernel`` does not test: the kernels of normal
+    endomorphisms, their complements and a zero map."""
     zero = zero_morphism(_fusion("sigma3"), _fusion("sigma3"))
     assert kernel(zero).order == 3
-    return f"{count + 1} kernels strongly closed"
+    maps = [zero]
+    for name in ["sigma3-squared", "inner-c2c4", "dihedral18-sigma3"]:
+        for ne in normal_endos(_fusion(name))[:12]:
+            maps += [ne.morphism, ne.complement]
+    for m in maps:
+        ker = kernel(m)
+        assert is_strongly_closed(m.source, m.source.index_of(ker.members)), (
+            f"kernel {ker.members} is not strongly closed in the source"
+        )
+    return f"{len(maps)} kernels strongly closed"
 
 
 def check_iso_inverse() -> str:
@@ -1400,14 +1407,32 @@ def check_product_oracle() -> str:
 
 
 def check_product_universal() -> str:
+    """The inner system of a product lies in it; projection i after
+    embedding j is the identity for i = j and zero otherwise; and the
+    embeddings, the projections and their composites, which
+    ``ProductSystem`` and ``FusionMorphism.compose`` build without a
+    test, pass ``check_morphism_plain``, for products of two and three
+    factors."""
     big, F1, F2 = product_oracle_pair("sigma3", "sigma3")
-    ps = product([F1, F2])
-    inner = inner_fusion(ps.product.base)
-    for i, m in ((i, m) for i in range(len(inner.maps)) for m in inner.maps[i]):
-        assert ps.product.has_map(i, m), "inner system escapes the product"
-    for pr in ps.projections:
-        check_morphism(ps.product, pr.target, pr.images)
-    return "inner system and ambient land inside the product"
+    count = 0
+    for factors in ([F1, F2], [F1, _fusion("dihedral18"), F2]):
+        ps = product(factors)
+        inner = inner_fusion(ps.product.base)
+        for i, m in ((i, m) for i in range(len(inner.maps)) for m in inner.maps[i]):
+            assert ps.product.has_map(i, m), "inner system escapes the product"
+        maps = ps.embeddings + ps.projections
+        maps += [emb.compose(pr) for emb, pr in zip(ps.embeddings, ps.projections)]
+        for i, pr in enumerate(ps.projections):
+            for j, emb in enumerate(ps.embeddings):
+                n = emb.source.base.order
+                maps.append(pr.compose(emb))
+                assert maps[-1].images == (tuple(range(n)) if i == j else (0,) * n), (
+                    f"projection {i} after embedding {j} is not {'the identity' if i == j else 'zero'}"
+                )
+        for m in maps:
+            check_morphism_plain(m.source, m.target, m.images)
+        count += len(maps)
+    return f"inner system lands inside the product; {count} structure maps are morphisms"
 
 
 def check_commuting_associativity() -> str:
@@ -1628,19 +1653,21 @@ def plain_self_maps(name: str, F: FusionSystem) -> list[tuple[MapTuple, tuple[Op
 
 
 def check_push_on_generators() -> str:
-    """``check_morphism``, which pushes the class generators of the
-    source, accepts the maps that ``check_morphism_plain`` accepts and
-    rejects the others with the same witness.  The candidates are every
-    endomorphism of the base of each system of ``self_map_systems()``;
-    for ``inner-c3c3c3`` only the automorphisms."""
+    """``_pushes_class_generators``, the push test of ``check_morphism``
+    and of the self-map searches, accepts the maps that
+    ``check_morphism_plain`` accepts and no other; a map it rejects
+    gets its witness from the plain scan itself (``_push_every_map``).
+    The candidates are every endomorphism of the base of each system of
+    ``self_map_systems()``; for ``inner-c3c3c3`` only the
+    automorphisms."""
     verdicts: Counter = Counter()
     for name, F in self_map_systems():
         for images, plain in plain_self_maps(name, F):
-            fast = _outcome(lambda: check_morphism(F, F, images, hom_checked=True).images)
-            assert fast == plain, (
-                f"{name}: check_morphism differs from the plain scan on {images}"
+            accepted = _pushes_class_generators(FusionMorphism(F, F, images))
+            assert accepted == (plain[0] is None), (
+                f"{name}: the push test differs from the plain scan on {images}"
             )
-            verdicts[fast[0]] += 1
+            verdicts[plain[0]] += 1
     assert verdicts[None] and verdicts["NotFusionPreserving"], "both verdicts must occur"
     return (
         f"{verdicts[None]} accepted and {verdicts['NotFusionPreserving']} "
@@ -1930,7 +1957,25 @@ def check_restriction_is_subsystem() -> str:
     kept by ``factorize_all_plain`` on every catalog system, which splits
     at every depth, and the restrictions of the unsaturated battery to
     each of its subgroups, where maps leave the subgroups that are not
-    strongly closed."""
+    strongly closed.  The inner systems that ``commute_check`` and
+    ``image`` close without a scan pass it too: those of the commuting
+    axis families and of the factorizations of the multi-factor
+    systems, and the images of the normal endomorphisms of the
+    endomorphism suite and of their complements."""
+    F, Fbar, subs = axis_subsystems()
+    families = [(F, subs[:2]), (F, [subs[0], subs[2]]), (Fbar, subs)]
+    for name in catalog.MULTI_FACTOR:
+        E = _fusion(name)
+        families += [(E, list(fact.parts)) for fact in factorize_all(E)[:4]]
+    for system, family in families:
+        res = commute_check(system, family)
+        _subsystem_scan(system, res.inner_base, res.inner)
+    images = 0
+    for name in catalog.ENDO_SUITE:
+        for ne in catalog_normal_endos(name):
+            for m in (ne.morphism, ne.complement):
+                _subsystem_scan(m.target, m.image_subgroup(), image(m))
+                images += 1
     kept = []
     for name in catalog.names():
         F = _fusion(name)
@@ -1947,7 +1992,10 @@ def check_restriction_is_subsystem() -> str:
             _subsystem_scan(F, Subgroup(F.base, members, _checked=True), E)
             kept.append(E)
             checked += 1
-    return f"{checked} kept restrictions pass the full subsystem scan"
+    return (
+        f"{checked} kept restrictions, {len(families)} inner products and "
+        f"{images} images pass the full subsystem scan"
+    )
 
 
 MORPHISM_CHECKS = [
@@ -2280,11 +2328,12 @@ def factorize_all_plain(
 
 def check_factorizations_are_products() -> str:
     """Every factorization that ``factorize`` and ``factorize_all`` return
-    is a direct factorization: ``factorize`` proves each of its splits
-    once and assembles the parts without proving the whole again, and
-    the parts from ``factorize_all`` are the images of those bases under
-    fusion automorphisms, with no split proven.  The proof here is the
-    plain one, the inner product compared entrywise."""
+    is a direct factorization: ``factorize`` decides each of its splits
+    by the generator tuples alone, since a strongly closed commuting
+    split is a direct product, and assembles the parts without proving
+    the whole, and the parts from ``factorize_all`` are the images of
+    those bases under fusion automorphisms, with no split proven.  The
+    proof here is the plain one, the inner product compared entrywise."""
     cases = [(_fusion(name), None) for name in catalog.names()]
     cases += equivariant_contexts()
     count = 0
@@ -2440,7 +2489,7 @@ def check_orbit_is_every_factorization() -> str:
     contexts = equivariant_contexts()
     contexts.append(relabelling(_fusion("inner-c3c3c3"), (3, 4, 5, 0, 1, 2, 6, 7, 8)))
     cases += [(f"equivariant {F.base.order}", F, omega) for F, omega in contexts]
-    count = 0
+    count = restricted = 0
     for label, F, omega in cases:
         orbit = [f.key() for f in factorize_all(F, omega)]
         plain = [f.key() for f in factorize_all_plain(F, omega)]
@@ -2449,7 +2498,26 @@ def check_orbit_is_every_factorization() -> str:
             f"the split search {len(plain)}"
         )
         count += len(orbit)
-    return f"{len(cases)} systems: the orbits give the {count} factorizations of the split search"
+        if omega is not None:
+            restricted += restricted_generators_plain(F, omega)
+    return (
+        f"{len(cases)} systems: the orbits give the {count} factorizations of "
+        f"the split search; {restricted} restricted Omega generators are morphisms"
+    )
+
+
+def restricted_generators_plain(F: FusionSystem, omega: OmegaContext) -> int:
+    """Every generator of Omega restricted to a part of a proven split,
+    at every depth, re-accepted by ``check_morphism_plain``, which
+    ``OmegaContext.restrict_to`` does not call; the number of them."""
+    count = 0
+    for split in _proven_splits(F, omega):
+        for sub, og in split:
+            for w in og.generators:
+                check_morphism_plain(sub.system, sub.system, w.images)
+                count += 1
+            count += restricted_generators_plain(sub.system, og)
+    return count
 
 
 def transports_plain(alpha: MapTuple, fact1: Factorization, fact2: Factorization, sigma) -> bool:

@@ -101,6 +101,7 @@ LEMMA_SUITE = [
     ("fusion-core", "saturation-by-provenance"),
     ("morphisms", "kernel-strongly-closed"),
     ("morphisms", "iso-inverse"),
+    ("morphisms", "product-universal"),
     ("morphisms", "commuting-criteria-agree"),
     ("morphisms", "factor-intersection-central"),
     ("morphisms", "hom-law-on-generators"),

@@ -301,12 +301,13 @@ def test_aut_s_f_of_an_inner_system_tests_only_the_chain_levels(monkeypatch):
     F = catalog.built("inner-c3c3c3").fusion
     fresh = FusionSystem(F.base, F.p, F.maps)
     calls = []
+    pushes_class_generators = factor._pushes_class_generators
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return check_morphism(*args, **kwargs)
+    def counting(m):
+        calls.append(m.images)
+        return pushes_class_generators(m)
 
-    monkeypatch.setattr(factor, "check_morphism", counting)
+    monkeypatch.setattr(factor, "_pushes_class_generators", counting)
     autos = factor.fusion_automorphisms(fresh)
     _, levels = groups.automorphism_chain(F.base)
     # |GL(3,3)| = 26 * 24 * 18, and one test per chain map
@@ -733,8 +734,8 @@ def test_factorize_all_restricts_each_subgroup_once(monkeypatch):
 
 
 def test_factorize_all_proves_each_split_without_rescanning(monkeypatch):
-    # the parts are kept restrictions, and the product test reads the
-    # cover off its own decomposition
+    # the parts are kept restrictions, and a split is decided by its
+    # generator tuples alone
     F = fusion("inner-c3c3c3")
     F = FusionSystem(F.base, F.p, F.maps)
     calls = Counter()

@@ -344,9 +344,39 @@ def test_goldschmidt_rejects_a_factorization_of_another_system():
 
 def test_goldschmidt_hypothesis_guard():
     b = catalog.built("sigma3")
-    with pytest.raises(HypothesisFailed):
-        goldschmidt_factor(b.group, factorize(b.fusion), p=3)
+    with pytest.raises(HypothesisFailed, match="odd-order core"):
+        goldschmidt_factor(b.group, factorize(b.fusion))
     alt = catalog.built("alt4")
     with pytest.raises(HypothesisFailed):
         # the alternating group is not generated by its 2-elements
         goldschmidt_factor(alt.group, factorize(alt.fusion))
+
+# -- one proof per fact --------------------------------------------------------
+
+
+def _prove_once_cases():
+    cases = [(name, fusion(name), None) for name in catalog.names()]
+    F, omega = verify.relabelling(fusion("inner-c3c3c3"), (3, 4, 5, 0, 1, 2, 6, 7, 8))
+    return cases + [("inner-c3c3c3 under the swap", F, omega)]
+
+
+@pytest.mark.parametrize(
+    "name, F, omega", _prove_once_cases(), ids=[case[0] for case in _prove_once_cases()]
+)
+def test_factorize_and_krs_prove_nothing_again(monkeypatch, name, F, omega):
+    # the full scans are the witness and twin paths: a call that succeeds
+    # on a fresh copy of the system runs none of them
+    from fusionsys import factor, morphisms
+    from fusionsys.fusion import FusionSystem
+
+    scans = []
+    for scan in ("_commute_scan", "_push_every_map", "_subsystem_scan"):
+        for module in (morphisms, factor):
+            if hasattr(module, scan):
+                monkeypatch.setattr(module, scan, lambda *args, _scan=scan: scans.append(_scan))
+    if omega is None:
+        F = FusionSystem(F.base, F.p, F.maps)
+    factorize(F, omega)
+    facts = factorize_all(F, omega)
+    krs_certificate(F, facts[0], facts[-1], omega)
+    assert scans == []
