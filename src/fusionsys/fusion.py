@@ -12,7 +12,7 @@ corestriction and extension of the codomain).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import (
     GuardrailExceeded,
@@ -75,7 +75,6 @@ class FusionSystem:
             raise NotSubgroup("morphism table does not match the subgroup list")
         self.maps = tuple(tuple(sorted(set(ms))) for ms in maps_by_dom)
         self.map_sets = [frozenset(ms) for ms in self.maps]
-        self._hom_cache: dict[tuple[int, int], tuple[MapTuple, ...]] = {}
         # Iso(P_i, P_j) for every j, filled by one scan of maps[i]
         self._iso_cache: dict[int, dict[int, tuple[MapTuple, ...]]] = {}
         # restrict_full(self, T), keyed by the members of T
@@ -157,13 +156,8 @@ class FusionSystem:
 
     def hom_maps(self, i: int, j: int) -> tuple[MapTuple, ...]:
         """Morphism maps P_i -> P_j (image constrained to P_j)."""
-        key = (i, j)
-        if key not in self._hom_cache:
-            target = self.lattice.member_sets[j]
-            self._hom_cache[key] = tuple(
-                m for m in self.maps[i] if set(m) <= target
-            )
-        return self._hom_cache[key]
+        target = self.lattice.member_sets[j]
+        return tuple(m for m in self.maps[i] if set(m) <= target)
 
     def iso_maps(self, i: int, j: int) -> tuple[MapTuple, ...]:
         """Isomorphisms P_i -> P_j in table order."""
@@ -626,9 +620,12 @@ def is_fully_automized(F: FusionSystem, i: int) -> bool:
     return (len(F.aut_maps(i)) // len(F.lattice.aut_s(i))) % F.p != 0
 
 
-def _control_mask(lat: SubgroupLattice, q_idx: int, phi: MapTuple, p_idx: int) -> int:
-    """N_phi as a mask: the cosets of C_S(Q) in N_S(Q) whose conjugation
-    on Q transports through phi into Aut_S(P)."""
+def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> Subgroup:
+    """N_phi: the elements g of N_S(Q) whose conjugation transports
+    through phi into Aut_S(P).  The test reads c_g on Q only, so it runs
+    once per coset of C_S(Q) in N_S(Q) (``SubgroupLattice.coset_rows``),
+    and the cosets that pass are joined as masks."""
+    lat = F.lattice
     pos_q = lat.pos[q_idx]
     aut_s_p = lat.aut_s(p_idx)
     back = {v: t for t, v in enumerate(phi)}
@@ -638,16 +635,6 @@ def _control_mask(lat: SubgroupLattice, q_idx: int, phi: MapTuple, p_idx: int) -
     for row, coset in lat.coset_rows(q_idx):
         if tuple(phi[pos_q[row[t]]] for t in preimages) in aut_s_p:
             mask |= coset
-    return mask
-
-
-def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> Subgroup:
-    """The elements g of N_S(Q) whose conjugation transports through phi
-    into conjugation on the target.  The test reads c_g on Q only, so it
-    runs once per coset of C_S(Q) in N_S(Q), and the cosets that pass are
-    joined as masks."""
-    lat = F.lattice
-    mask = _control_mask(lat, q_idx, phi, p_idx)
     # every subgroup is in the lattice, so this lookup is the closure check
     n_idx = lat.shape.mask_index.get(mask)
     if n_idx is None:
@@ -655,64 +642,16 @@ def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> 
     return lat.subs[n_idx]
 
 
-def double_coset_reps(F: FusionSystem, q_idx: int, p_idx: int) -> Iterator[MapTuple]:
-    """The first isomorphism Q -> P, in table order, of each double coset
-    Aut_S(P) phi Aut_S(Q) that can fail receptivity.
-
-    For phi' = c_h o phi o c_k, N_phi' = k^-1 N_phi k, and phi' extends
-    to N_phi' exactly when phi extends to N_phi, so receptivity needs one
-    phi per double coset.  The S-conjugations Q -> P, when there are any,
-    are one double coset, c_g Aut_S(Q) = Aut_S(P) c_g for any g in
-    T_S(Q, P), of size |Aut_S(P)|; for phi = c_g on Q, N_phi = N_S(Q) and
-    c_g on N_S(Q) is in F, so phi extends and that double coset is never
-    yielded (``SubgroupLattice.is_conjugation`` tells its members).
-
-    The other double cosets are counted: A phi B with A = Aut_S(P) and
-    B = Aut_S(Q) has |A| |B| / |A cap phi B phi^-1| = |A| |N_S(Q) : N_phi|
-    members, and the scan stops once the double cosets passed cover
-    |Iso_F(Q, P)|.  So when |Iso_F(Q, P)| = |Aut_S(P)| (every class of an
-    inner system) nothing is scanned.  The members of a yielded double
-    coset are listed only when a further double coset exists: a double
-    coset is a union of the right cosets (alpha o phi) Aut_S(Q), so each
-    alpha whose product is already covered skips its whole coset."""
-    lat = F.lattice
-    isos = F.iso_maps(q_idx, p_idx)
-    left = lat.aut_s(p_idx)
-    todo = len(isos)
-    conjugate = q_idx == p_idx or lat.transporter_mask(q_idx, p_idx) != 0
-    if conjugate:
-        todo -= len(left)
-    if not todo:
-        return
-    pos_p = lat.pos[p_idx]
-    pos_q = lat.pos[q_idx]
-    right = [composer(beta, pos_q) for beta in lat.aut_s(q_idx)]
-    normalizer = lat.normalizer_mask(q_idx).bit_count()
-    covered: Optional[set[MapTuple]] = None
-    for phi in isos:
-        if covered is not None and phi in covered:
-            continue
-        if conjugate and lat.is_conjugation(q_idx, phi):
-            continue
-        yield phi
-        todo -= len(left) * normalizer // _control_mask(lat, q_idx, phi, p_idx).bit_count()
-        if not todo:
-            return
-        if covered is None:
-            covered = set()
-        for x in map(composer(phi, pos_p), left):
-            if x not in covered:
-                covered.update(get(x) for get in right)
-
-
 def is_receptive(
     F: FusionSystem, i: int
 ) -> tuple[bool, Optional[MapTuple], Optional[int], Optional[Subgroup]]:
     """Check receptivity of subgroup ``i``; on failure also return the
     failing isomorphism (as a map from the failing class member) and its
-    control subgroup.  One phi per double coset that can fail is tested
-    (``double_coset_reps``), the first in table order, so the first
-    failing phi is the one a test of every phi finds
+    control subgroup.  Every isomorphism Q -> P_i from the class is
+    tested in table order except the S-conjugations
+    (``SubgroupLattice.is_conjugation``), which always extend: for
+    phi = c_g with g in S, N_phi = N_S(Q), and c_g on N_S(Q) is in F.  So
+    the first failing phi is the one a test of every phi finds
     (``verify.is_receptive_plain``).  A map psi on N_phi extends phi when
     it agrees with phi on the generators of Q: psi restricted to Q and
     phi are homomorphisms."""
@@ -720,7 +659,9 @@ def is_receptive(
     for q_idx in F.subgroup_class_of(i):
         gens = lat.shape.gens[q_idx]
         pos_q = lat.pos[q_idx]
-        for phi in double_coset_reps(F, q_idx, i):
+        for phi in F.iso_maps(q_idx, i):
+            if lat.is_conjugation(q_idx, phi):
+                continue
             n_phi = control_subgroup(F, q_idx, phi, i)
             n_idx = n_phi.canonical_index
             pos_n = lat.pos[n_idx]

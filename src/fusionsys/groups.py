@@ -1062,12 +1062,6 @@ class SubgroupLattice:
             self._centralizers = centralizers
         return self._centralizers[i]
 
-    def transporter_mask(self, q: int, p: int) -> int:
-        """T_S(P_q, P_p) as a mask: the g with g P_q g^-1 <= P_p, an AND
-        over the generators of P_q of the transporters into P_p; it is
-        not 0 exactly when P_q is S-conjugate into P_p."""
-        return normalizer_mask(self.transporter_table(), self.shape.gens[q], self.shape.masks[p])
-
     def is_conjugation(self, q: int, phi: MapTuple) -> bool:
         """Whether the map ``phi`` on P_q is c_g for some g in S: both
         are homomorphisms, so they agree on P_q when they agree on its

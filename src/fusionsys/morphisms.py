@@ -29,8 +29,16 @@ from .errors import (
     NotSubsystem,
     NotSummable,
 )
-from .groups import FiniteGroup, GroupHom, MapTuple, Subgroup, direct_product, lattice_of
-from .fusion import FusionSystem, class_generators, close_maps
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    MapTuple,
+    Subgroup,
+    direct_product,
+    lattice_of,
+    perm_inverse,
+)
+from .fusion import FusionSystem, class_generators, close_maps, restrict_full
 from .records import Record
 
 
@@ -87,10 +95,7 @@ class FusionMorphism:
         # a bijection onto a larger system is not invertible as a morphism
         if not (self.is_injective and self.is_surjective):
             raise NotSubgroup("morphism is not invertible")
-        back = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            back[y] = x
-        m = FusionMorphism(self.target, self.source, tuple(back))
+        m = FusionMorphism(self.target, self.source, perm_inverse(self.images))
         if not _pushes_class_generators(m):
             _push_every_map(m)
         return m
@@ -303,8 +308,6 @@ def _subsystem_scan(F: FusionSystem, T: Subgroup, E: FusionSystem) -> None:
 
 
 def subsystem_of(F: FusionSystem, T: Subgroup) -> Subsystem:
-    from .fusion import restrict_full
-
     return Subsystem(T, restrict_full(F, T))
 
 

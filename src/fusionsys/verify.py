@@ -138,10 +138,10 @@ def _run(name: str, fn: Callable[[], str]) -> CheckResult:
     try:
         detail = fn()
         return CheckResult(name, True, detail or "ok")
-    except FusionError as exc:
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     except AssertionError as exc:
         return CheckResult(name, False, f"assertion: {exc}")
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -927,11 +927,10 @@ def _control_subgroup_twin(
 def check_conjugation_tables() -> str:
     """The conjugation tables of each lattice agree with ``normalizer_in``,
     ``centralizer_in`` and directly conjugated maps; between members of
-    a subgroup class, the transporter masks agree with the elements that
-    conjugate one into the other, and on every isomorphism
-    ``is_conjugation`` agrees with the maps those elements give and
+    a subgroup class, on every isomorphism ``is_conjugation`` agrees with
+    the maps that the elements conjugating one into the other give, and
     ``control_subgroup`` with its twin."""
-    subs = pairs = controls = 0
+    subs = controls = 0
     for name in catalog.names():
         F = _fusion(name)
         G, lat = F.base, F.lattice
@@ -955,11 +954,7 @@ def check_conjugation_tables() -> str:
                     g for g in range(G.order)
                     if all(G.conj(g, x) in P.member_set for x in Q.members)
                 ]
-                assert lat.transporter_mask(q_idx, p_idx) == mask_of(into), (
-                    f"{name}: transporter mask of {Q.members} into {P.members} disagrees"
-                )
                 conjugations = {tuple(G.conj(g, x) for x in Q.members) for g in into}
-                pairs += 1
                 for phi in F.iso_maps(q_idx, p_idx):
                     assert lat.is_conjugation(q_idx, phi) == (phi in conjugations), (
                         f"{name}: is_conjugation of {phi} disagrees"
@@ -969,8 +964,8 @@ def check_conjugation_tables() -> str:
                     ), f"{name}: control subgroup of {phi} disagrees"
                     controls += 1
     return (
-        f"{subs} subgroups, {pairs} transporter masks and {controls} control "
-        f"subgroups agree with direct conjugation"
+        f"{subs} subgroups, and the S-conjugation tests and control subgroups "
+        f"of {controls} isomorphisms, agree with direct conjugation"
     )
 
 
@@ -1228,9 +1223,9 @@ def orbit_battery() -> list[tuple[str, FusionSystem]]:
 
 
 def check_receptive_representatives() -> str:
-    """``is_receptive``, which tests one isomorphism per double coset,
-    returns what the test of every isomorphism returns, witnesses
-    included, on every subgroup; the saturation reports agree too."""
+    """``is_receptive``, which skips the S-conjugations, returns what the
+    test of every isomorphism returns, witnesses included, on every
+    subgroup; the saturation reports agree too."""
     systems = orbit_battery()
     subs = unsaturated = 0
     for label, F in systems:

@@ -83,61 +83,10 @@ def test_criterion_03_product_oracle():
             assert fusion_equal(product([F1, F2]).product, big), (n1, n2)
 
 
-LEMMA_SUITE = [
-    ("fusion-core", "center-fixed-points"),
-    ("fusion-core", "conjugation-rows"),
-    ("fusion-core", "strongly-closed-bounds"),
-    ("fusion-core", "restriction-saturated"),
-    ("fusion-core", "centric-radical-split"),
-    ("fusion-core", "table-closure"),
-    ("fusion-core", "alperin-generation"),
-    ("fusion-core", "conjugation-tables"),
-    ("fusion-core", "coset-rows"),
-    ("fusion-core", "element-classes"),
-    ("fusion-core", "class-closure"),
-    ("fusion-core", "receptive-representatives"),
-    ("fusion-core", "automizers"),
-    ("fusion-core", "radical-by-order"),
-    ("fusion-core", "saturation-by-provenance"),
-    ("morphisms", "kernel-strongly-closed"),
-    ("morphisms", "iso-inverse"),
-    ("morphisms", "product-universal"),
-    ("morphisms", "commuting-criteria-agree"),
-    ("morphisms", "factor-intersection-central"),
-    ("morphisms", "hom-law-on-generators"),
-    ("morphisms", "push-on-generators"),
-    ("morphisms", "sum-bookkeeping"),
-    ("morphisms", "distributivity"),
-    ("morphisms", "product-by-projection"),
-    ("morphisms", "restriction-is-subsystem"),
-    ("group-core", "coprime-action-trivial"),
-    ("group-core", "fitting-split"),
-    ("group-core", "cayley-tables"),
-    ("group-core", "containment"),
-    ("group-core", "o-p-prime"),
-    ("group-core", "sylow-least-conjugate"),
-    ("factor", "normal-end-properties"),
-    ("factor", "normal-monoid"),
-    ("factor", "projections-normal"),
-    ("factor", "surjective-criterion"),
-    ("factor", "surjective-on-generators"),
-    ("factor", "normal-automorphisms"),
-    ("factor", "factorizations-are-products"),
-    ("factor", "self-map-search"),
-    ("krs", "orbit-is-every-factorization"),
-]
-
-
 def test_criterion_04_lemma_suite():
     with criterion(4, "lemma-suite"):
-        by_suite = {}
-        for suite, check in LEMMA_SUITE:
-            if suite not in by_suite:
-                by_suite[suite] = {
-                    r.name: r for r in verify.run_suite(suite)
-                }
-            result = by_suite[suite][check]
-            assert result.passed, f"{suite}/{check}: {result.detail}"
+        for result in verify.run_suite("all"):
+            assert result.passed, f"{result.name}: {result.detail}"
 
 
 def test_criterion_05_fitting_factorization():

@@ -195,6 +195,23 @@ def test_verify_failure_exits_one(monkeypatch):
     assert report["results"]["passed"] is False
 
 
+def test_verify_fails_a_crashing_check_alone(monkeypatch):
+    def crashing():
+        raise IndexError("synthetic crash")
+
+    checks = list(verify.SUITES["group-core"])
+    checks.insert(1, ("crashing", crashing))
+    monkeypatch.setitem(verify.SUITES, "group-core", checks)
+    code, report = run_cli(["verify", "group-core"])
+    assert code == 1
+    results = report["results"]["checks"]
+    assert [r["name"] for r in results] == [name for name, _ in checks]
+    assert results[1] == {
+        "name": "crashing", "passed": False, "detail": "IndexError: synthetic crash"
+    }
+    assert all(r["passed"] for r in results[:1] + results[2:])
+
+
 @pytest.mark.parametrize(
     "parts",
     [None, [[0, 1], [0, 7]], [[0, 1, 2]]],

@@ -726,8 +726,8 @@ def test_factorize_all_restricts_each_subgroup_once(monkeypatch):
         built.setdefault((id(E), T.members), set()).add(id(part))
         return part
 
-    monkeypatch.setattr(fusion_mod, "restrict_full", recording)
-    monkeypatch.setattr(factor, "restrict_full", recording)
+    for module in (fusion_mod, morphisms, factor):
+        monkeypatch.setattr(module, "restrict_full", recording)
     assert len(factorize_all(F)) == catalog.FACTORIZATION_COUNTS["inner-c3c3c3"]
     assert len(calls) > len(built)
     assert all(len(parts) == 1 for parts in built.values())
