@@ -108,7 +108,7 @@ class FusionSystem:
         conjugation map and only injective maps.  Every internal
         constructor builds the inner maps itself."""
         full = self.lattice.full_index
-        inner = {tuple(row) for row in self.lattice.conj_table()}
+        inner = {tuple(row) for row in self.lattice.conj}
         if not inner <= set(self.maps[full]):
             raise NotSubgroup("table does not contain all inner conjugation maps")
         for i, ms in enumerate(self.maps):
@@ -329,11 +329,11 @@ def fusion_of_group(G: FiniteGroup, p: int, S: Optional[Subgroup] = None) -> Fus
     trans = transporters(rows)
     every = (1 << len(rows)) - 1
     maps: list[list[MapTuple]] = []
-    for members, sub_gens in zip(lat.shape.members, lat.shape.gens):
+    for sub, sub_gens in zip(lat.subs, lat.gens):
         todo = every
         for x in sub_gens:
             todo &= every ^ trans[x].get(None, 0)
-        maps.append(conjugation_cosets(rows, trans, todo, members, sub_gens)[0])
+        maps.append(conjugation_cosets(rows, trans, todo, sub.members, sub_gens)[0])
     F = FusionSystem(SG, p, maps)
     F._sylow_provenance = True
     return F
@@ -530,7 +530,7 @@ def close_maps(
     lat = lattice_of(base)
     classes = _ClassClosure(lat, guardrails.active().table_limit)
     queue: deque[tuple[int, MapTuple]] = deque(
-        (lat.full_index, tuple(row)) for row in lat.conj_table()
+        (lat.full_index, tuple(row)) for row in lat.conj
     )
     queue.extend(seeds)
     seen: set[tuple[int, MapTuple]] = set()
@@ -636,7 +636,7 @@ def control_subgroup(F: FusionSystem, q_idx: int, phi: MapTuple, p_idx: int) -> 
         if tuple(phi[pos_q[row[t]]] for t in preimages) in aut_s_p:
             mask |= coset
     # every subgroup is in the lattice, so this lookup is the closure check
-    n_idx = lat.shape.mask_index.get(mask)
+    n_idx = lat.mask_index.get(mask)
     if n_idx is None:
         raise NotSubgroup(f"{members_of(mask)} is not a subgroup of the base group")
     return lat.subs[n_idx]
@@ -657,7 +657,7 @@ def is_receptive(
     phi are homomorphisms."""
     lat = F.lattice
     for q_idx in F.subgroup_class_of(i):
-        gens = lat.shape.gens[q_idx]
+        gens = lat.gens[q_idx]
         pos_q = lat.pos[q_idx]
         for phi in F.iso_maps(q_idx, i):
             if lat.is_conjugation(q_idx, phi):
@@ -776,7 +776,7 @@ def is_central_subgroup(F: FusionSystem, i: int) -> bool:
         return False
     for q_idx, ms in enumerate(F.maps):
         Q = lat.subs[q_idx]
-        d_idx = lat.shape.mask_index[mask_of(G.products(Q.members, P.members))]
+        d_idx = lat.mask_index[mask_of(G.products(Q.members, P.members))]
         pos_d = lat.pos[d_idx]
         pos_q = [pos_d[x] for x in Q.members]
         pos_p = [pos_d[z] for z in P.members]
@@ -876,13 +876,13 @@ def is_strongly_closed(F: FusionSystem, i: int) -> bool:
     """Every F-class meeting P_i lies in P_i, tested on class masks."""
     F.element_classes()
     index, class_masks = F._element_class_index, F._element_class_masks
-    mask = F.lattice.shape.masks[i]
+    mask = F.lattice.masks[i]
     return all(class_masks[index[x]] | mask == mask for x in F.lattice.subs[i].members)
 
 
 def is_centric(F: FusionSystem, i: int) -> bool:
     lat = F.lattice
-    masks = lat.shape.masks
+    masks = lat.masks
     return all(
         lat.centralizer_mask(j) | masks[j] == masks[j] for j in F.subgroup_class_of(i)
     )
@@ -906,7 +906,7 @@ def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list
     members = F.lattice.subs[i].members
     elems, rows = aut_table(F, i)
     idx = {m: t for t, m in enumerate(elems)}
-    conj = F.lattice.conj_table()
+    conj = F.lattice.conj
     inner = sorted({idx[tuple(conj[x][y] for y in members)] for x in members})
     aut_group = FiniteGroup.from_cayley(rows)
     inner_sub = Subgroup(aut_group, inner, _checked=True)
@@ -917,7 +917,7 @@ def outer_automorphism_group(F: FusionSystem, i: int) -> tuple[FiniteGroup, list
 def out_order(F: FusionSystem, i: int) -> int:
     """|Out_F(P_i)| = |Aut_F(P_i)| / |P_i : Z(P_i)|."""
     lat = F.lattice
-    center = lat.shape.masks[i] & lat.centralizer_mask(i)
+    center = lat.masks[i] & lat.centralizer_mask(i)
     return len(F.aut_maps(i)) * center.bit_count() // len(lat.subs[i].members)
 
 

@@ -126,15 +126,12 @@ class FiniteGroup:
         degree: int = 0,
         perms: Optional[Sequence[Perm]] = None,
         prime_hint: Optional[int] = None,
-        order: Optional[int] = None,
     ):
         if mul_rows is None and perms is None:
             raise ValueError("need a multiplication table or permutations")
         self._mul = mul_rows
         self.perms = tuple(perms) if perms is not None else None
-        self.order = order if order is not None else (
-            len(mul_rows) if mul_rows is not None else len(self.perms)
-        )
+        self.order = len(mul_rows) if mul_rows is not None else len(self.perms)
         self.generators = tuple(generators)
         self.degree = degree
         self.prime_hint = prime_hint
@@ -144,8 +141,6 @@ class FiniteGroup:
         self._inv: Optional[list[int]] = None
         self._orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
-        self._subgroups: Optional[list["Subgroup"]] = None
-        self._shape: Optional[LatticeShape] = None
         self._lattice: Optional[SubgroupLattice] = None
         # Subgroup.as_group() results, keyed by member tuple, so equal
         # subgroups share one standalone group (and its lattice).
@@ -247,6 +242,8 @@ class FiniteGroup:
         if not gens:
             raise NotBijection("generator list is empty")
         k = points if points is not None else len(gens[0])
+        if k < 1:
+            raise NotBijection("a permutation group needs at least one point")
         norm = []
         for g in gens:
             g = tuple(g)
@@ -288,14 +285,7 @@ class FiniteGroup:
             gid = index[g]
             if gid != 0 and gid not in gen_ids:
                 gen_ids.append(gid)
-        return cls(
-            mul_rows,
-            gen_ids,
-            degree=k,
-            perms=elements,
-            prime_hint=prime_hint,
-            order=n,
-        )
+        return cls(mul_rows, gen_ids, degree=k, perms=elements, prime_hint=prime_hint)
 
     @classmethod
     def from_cayley(
@@ -307,6 +297,8 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         """Build from a row-major Cayley table; id 0 must be the identity."""
         n = len(table)
+        if n == 0:
+            raise NotSubgroup("empty Cayley table")
         rows = [list(r) for r in table]
         for r in rows:
             if len(r) != n or min(r) < 0 or max(r) >= n:
@@ -317,6 +309,9 @@ class FiniteGroup:
         for x in range(n):
             if 0 not in rows[x]:
                 raise NotSubgroup(f"element {x} has no inverse")
+        for g in generators or ():
+            if not 0 <= g < n:
+                raise NotSubgroup(f"generator {g} outside 0..{n - 1}")
         group = cls(rows, generators or [], prime_hint=prime_hint)
         if generators is None:
             group = cls(rows, group._greedy_generators(), prime_hint=prime_hint)
@@ -454,7 +449,6 @@ class Subgroup:
                     if parent.mul(x, y) not in self.member_set:
                         raise NotSubgroup(f"not closed under product at ({x},{y})")
         self._pos: Optional[dict[int, int]] = None
-        self._canonical_index: Optional[int] = None
 
     @property
     def order(self) -> int:
@@ -466,10 +460,7 @@ class Subgroup:
     @property
     def canonical_index(self) -> int:
         """Position in the parent's canonical subgroup ordering."""
-        if self._canonical_index is None:
-            subgroups(self.parent)
-            self._canonical_index = self.parent._shape.idx[self.members]
-        return self._canonical_index
+        return lattice_of(self.parent).idx[self.members]
 
     def pos(self, x: int) -> int:
         if self._pos is None:
@@ -675,43 +666,36 @@ def members_of(mask: int) -> tuple[int, ...]:
 
 
 class LatticeShape:
-    """The canonical subgroup lattice of one multiplication table.
+    """The canonical subgroup lattice of one multiplication table, built
+    whole by ``enumerate_subgroups``.
 
     ``members`` lists the member tuples in (order, member tuple) order,
     ``masks`` the same sets as bitmasks and ``gens`` a generating sequence
     of each, the one the enumerator reached it by; ``idx`` and
-    ``mask_index`` find a subgroup by its members or its mask.  The
-    member positions and the maximal subgroups are built on first use.
+    ``mask_index`` find a subgroup by its members or its mask, and
+    ``pos[i]`` gives the position of each member in ``members[i]``.
     ``conj`` (the rows ``conj[g][x] = g x g^-1``) and ``trans``
-    (``transporters(conj)``) come from ``conjugation_tables``, kept by the
-    enumerator of a dense p-group, which needs them, or else filled on
-    first use by the group's ``SubgroupLattice``, and written nowhere
-    else.  All of it
-    depends only on the table, so one shape serves every equal table.
+    (``transporters(conj)``) come from ``conjugation_tables``.  Only the
+    maximal subgroups are built on first use.  All of it depends only on
+    the table, so one shape serves every equal table.
     """
 
     def __init__(
         self,
         lattice: dict[tuple[int, ...], tuple[int, ...]],
-        conj: Optional[list[list[int]]] = None,
-        trans: Optional[list[dict[int, int]]] = None,
+        conj: list[list[int]],
+        trans: list[dict[int, int]],
     ):
         self.members = list(lattice)
         self.gens = list(lattice.values())
         self.idx = {m: i for i, m in enumerate(self.members)}
         self.masks = [mask_of(m) for m in self.members]
         self.mask_index = {m: i for i, m in enumerate(self.masks)}
-        self._pos: Optional[list[dict[int, int]]] = None
-        self._maximal: Optional[list[tuple[int, ...]]] = None
+        self.pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
         self.conj = conj
         self.trans = trans
 
-    def positions(self) -> list[dict[int, int]]:
-        """The position of each member in each member tuple, by index."""
-        if self._pos is None:
-            self._pos = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        return self._pos
-
+    @cached_property
     def maximal_of(self) -> list[tuple[int, ...]]:
         """The maximal subgroups of each subgroup, by index, each list in
         ascending index order.
@@ -722,16 +706,14 @@ class LatticeShape:
         other group that misses some (Sym3 has maximal subgroups of index
         2 and 3), so there this raises ``NotPGroup``.  The bases of fusion
         systems, their subgroups and products are p-groups."""
-        if self._maximal is None:
-            order = len(self.members[-1])
-            p = _least_prime(order)
-            if not _is_p_power(order, p):
-                raise NotPGroup(
-                    f"maximal subgroups are read off index {p} only in a p-group, "
-                    f"not in a group of order {order}"
-                )
-            self._maximal = _maximal_of_index_p(self.members, self.gens, p)
-        return self._maximal
+        order = len(self.members[-1])
+        p = _least_prime(order)
+        if not _is_p_power(order, p):
+            raise NotPGroup(
+                f"maximal subgroups are read off index {p} only in a p-group, "
+                f"not in a group of order {order}"
+            )
+        return _maximal_of_index_p(self.members, self.gens, p)
 
 
 def _maximal_of_index_p(
@@ -783,45 +765,27 @@ _LATTICES: dict[tuple[tuple[int, ...], ...], LatticeShape] = {}
 
 
 def subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All subgroups of ``G`` in canonical (order, member tuple) order."""
-    if G._subgroups is None:
-        limit = guardrails.active().subgroup_limit
-        if G.order > limit:
-            raise GroupTooLarge(
-                f"subgroup enumeration limited to order {limit}, got {G.order}"
-            )
-        if G._mul is None:
-            shape = enumerate_subgroups(G)
-        else:
-            key = tuple(map(tuple, G._mul))
-            shape = _LATTICES.get(key)
-            if shape is None:
-                shape = _LATTICES[key] = enumerate_subgroups(G)
-        subs = [Subgroup(G, m, _checked=True) for m in shape.members]
-        for i, s in enumerate(subs):
-            s._canonical_index = i
-        G._shape = shape
-        G._subgroups = subs
-    return G._subgroups
+    """All subgroups of ``G`` in canonical (order, member tuple) order:
+    the ``subs`` of its lattice."""
+    return lattice_of(G).subs
 
 
 def enumerate_subgroups(G: FiniteGroup) -> LatticeShape:
-    """The shape of the lattice of ``G``: the member tuples of all its
-    subgroups in canonical order, each with the generating sequence it
-    was reached by.
+    """The shape of the lattice of ``G``, whole: the member tuples of all
+    its subgroups in canonical order, each with the generating sequence
+    it was reached by, and the conjugation rows and transporters of G.
 
     A p-group with a dense table, the trivial group included, is
-    extended normally by index p (``_extend_normally``), and the shape
-    keeps the conjugation rows and transporters that needs; any other
-    group closes each subgroup extended by one element of each coset
-    (``_extend_by_cosets``).  ``subgroups`` runs this once per
-    multiplication table; ``verify.enumerate_subgroups_plain`` (one
-    closure per element) is its twin.
+    extended normally by index p (``_extend_normally``), which reads the
+    transporters; any other group closes each subgroup extended by one
+    element of each coset (``_extend_by_cosets``).  ``SubgroupLattice``
+    runs this once per multiplication table;
+    ``verify.enumerate_subgroups_plain`` (one closure per element) is its
+    twin.
     """
     p = _least_prime(G.order)
-    conj = trans = None
+    conj, trans = conjugation_tables(G)
     if _is_p_power(G.order, p) and G._mul is not None:
-        conj, trans = conjugation_tables(G)
         found = list(_extend_normally(G, p, trans).values())
     else:
         found = list(_extend_by_cosets(G).items())
@@ -967,16 +931,18 @@ def _right_coset(G: FiniteGroup, members: Sequence[int], x: int) -> list[int]:
 
 
 class SubgroupLattice:
-    """Containment and conjugation data for all subgroups of a group.
+    """All subgroups of a group, with their containment and conjugation
+    data; ``lattice_of`` keeps one per group, the only per-group cache of
+    subgroups.
 
-    The index tables, member masks and generating sequences come from the
-    group's memoized ``LatticeShape``, so groups with equal multiplication
-    tables share them.  The conjugation action of the group on its
-    subgroups is read off one table of ``g x g^-1`` and one transporter
-    table ``trans[x][y]`` (the mask of the g with g x g^-1 = y), both
-    kept on the shape: the enumerator of a dense p-group leaves them
-    there, and for any other group this class fills them on first use
-    (``conjugation_tables``).  ``lattice_of`` keeps one per group.  Every
+    Building one checks ``subgroup_limit`` and reads the group's
+    ``LatticeShape`` off ``_LATTICES``, so groups with equal
+    multiplication tables share it; ``subs`` lists the ``Subgroup``s in
+    canonical order.  The shape's index tables (``idx``, ``mask_index``),
+    member positions (``pos``), masks, generating sequences (``gens``),
+    conjugation rows ``conj[g][x] = g x g^-1`` and transporter table
+    ``trans[x][y]`` (the mask of the g with g x g^-1 = y) are read here as
+    attributes, and none of them is computed by this class.  Every
     per-subgroup set is a bitmask (bit x for element x) read off the
     transporter table as an AND over the generators x of the subgroup P:
     N_S(P) of the transporters of x into P, C_S(P) of ``trans[x][x]``,
@@ -989,14 +955,27 @@ class SubgroupLattice:
     """
 
     def __init__(self, G: FiniteGroup):
+        limit = guardrails.active().subgroup_limit
+        if G.order > limit:
+            raise GroupTooLarge(
+                f"subgroup enumeration limited to order {limit}, got {G.order}"
+            )
+        if G._mul is None:
+            shape = enumerate_subgroups(G)
+        else:
+            key = tuple(map(tuple, G._mul))
+            shape = _LATTICES.get(key)
+            if shape is None:
+                shape = _LATTICES[key] = enumerate_subgroups(G)
         self.group = G
-        self.subs = subgroups(G)
-        shape = self.shape = G._shape
-        self.idx = shape.idx
+        self.shape = shape
+        self.subs = [Subgroup(G, m, _checked=True) for m in shape.members]
+        self.idx, self.mask_index, self.pos = shape.idx, shape.mask_index, shape.pos
+        self.masks, self.gens = shape.masks, shape.gens
+        self.conj, self.trans = shape.conj, shape.trans
         self.member_sets = [s.member_set for s in self.subs]
-        self.pos = shape.positions()
-        self.full_index = self.idx[self.subs[-1].members]
-        self.trivial_index = self.idx[(0,)]
+        self.full_index = len(self.subs) - 1
+        self.trivial_index = 0
         self._bits = [1 << x for x in range(G.order)]
         self._normalizers: Optional[list[int]] = None
         self._centralizers: Optional[list[int]] = None
@@ -1004,13 +983,13 @@ class SubgroupLattice:
         self._aut_s: dict[int, frozenset[MapTuple]] = {}
         self._cyclic: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
 
-    @cached_property
+    @property
     def maximal_of(self) -> list[tuple[int, ...]]:
         """The maximal subgroups of each subgroup, by index
         (``LatticeShape.maximal_of``).  Read on a group that is not a
         p-group it raises ``NotPGroup``; the rest of the lattice serves
         any group."""
-        return self.shape.maximal_of()
+        return self.shape.maximal_of
 
     def index_of(self, members: Iterable[int]) -> int:
         key = tuple(sorted(members))
@@ -1025,36 +1004,26 @@ class SubgroupLattice:
         # a repeated entry carries, which leaves fewer bits than entries
         if mask.bit_count() != len(m):
             return None
-        return self.shape.mask_index.get(mask)
-
-    def conj_table(self) -> list[list[int]]:
-        """``conj[g][x] = g x g^-1`` over the whole group."""
-        self.transporter_table()
-        return self.shape.conj
-
-    def transporter_table(self) -> list[dict[int, int]]:
-        """``trans[x][y]``: the mask of the g with g x g^-1 = y, for every
-        x and every conjugate y of x (``transporters``)."""
-        shape = self.shape
-        if shape.trans is None:
-            shape.conj, shape.trans = conjugation_tables(self.group)
-        return shape.trans
+        return self.mask_index.get(mask)
 
     def normalizer_mask(self, i: int) -> int:
-        """N_S(P_i) as a mask: the g that conjugate each generator of P_i
-        into P_i."""
+        """N_S(P_i) as a mask: the AND over the generators x of P_i of
+        the transporters of x into P_i (``normalizer_mask``)."""
         if self._normalizers is None:
-            self._normalizers = _normalizer_masks(self.transporter_table(), self.shape)
+            self._normalizers = [
+                normalizer_mask(self.trans, gens, mask)
+                for gens, mask in zip(self.gens, self.masks)
+            ]
         return self._normalizers[i]
 
     def centralizer_mask(self, i: int) -> int:
         """C_S(P_i) as a mask: the AND of ``trans[x][x]`` = C_S(x) over
         the generators x of P_i."""
         if self._centralizers is None:
-            trans = self.transporter_table()
+            trans = self.trans
             every = (1 << len(trans)) - 1
             centralizers = []
-            for gens in self.shape.gens:
+            for gens in self.gens:
                 mask = every
                 for x in gens:
                     mask &= trans[x][x]
@@ -1066,9 +1035,9 @@ class SubgroupLattice:
         """Whether the map ``phi`` on P_q is c_g for some g in S: both
         are homomorphisms, so they agree on P_q when they agree on its
         generators, and the g that do form an AND of transporters."""
-        trans, pos = self.transporter_table(), self.pos[q]
+        trans, pos = self.trans, self.pos[q]
         mask = (1 << len(trans)) - 1
-        for x in self.shape.gens[q]:
+        for x in self.gens[q]:
             mask &= trans[x].get(phi[pos[x]], 0)
             if not mask:
                 return False
@@ -1090,8 +1059,8 @@ class SubgroupLattice:
         ``verify.coset_rows_plain`` multiplies each coset out and sorts it."""
         if i not in self._coset_rows:
             self._coset_rows[i] = tuple(zip(*conjugation_cosets(
-                self.conj_table(), self.transporter_table(), self.normalizer_mask(i),
-                self.subs[i].members, self.shape.gens[i],
+                self.conj, self.trans, self.normalizer_mask(i),
+                self.subs[i].members, self.gens[i],
             )))
         return self._coset_rows[i]
 
@@ -1112,15 +1081,9 @@ class SubgroupLattice:
                 while y:
                     mask |= bits[y]
                     y = G.mul(y, x)
-                by_index.setdefault(self.shape.mask_index[mask], []).append(x)
+                by_index.setdefault(self.mask_index[mask], []).append(x)
             self._cyclic = tuple((i, tuple(xs)) for i, xs in sorted(by_index.items()))
         return self._cyclic
-
-
-def _normalizer_masks(trans: list[dict[int, int]], shape: LatticeShape) -> list[int]:
-    """N(P) as a mask for every subgroup P of the shape: the AND over the
-    generators x of P of the transporters of x into P."""
-    return [normalizer_mask(trans, gens, mask) for gens, mask in zip(shape.gens, shape.masks)]
 
 
 def lattice_of(G: FiniteGroup) -> SubgroupLattice:

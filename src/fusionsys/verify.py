@@ -24,7 +24,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupHom,
-    LatticeShape,
     MapTuple,
     Subgroup,
     SubgroupLattice,
@@ -36,6 +35,7 @@ from .groups import (
     conjugate_masks,
     cycles_to_perm,
     direct_product,
+    enumerate_subgroups,
     fitting_split,
     group_prime,
     injective_homs,
@@ -519,9 +519,8 @@ def check_containment() -> str:
     groups = [(name, _fusion(name).base) for name in catalog.names()]
     groups += list(small_base_groups().items())
     for name, G in groups:
-        subgroups(G)
-        fresh = LatticeShape(dict(zip(G._shape.members, G._shape.gens)))
-        assert fresh.maximal_of() == containment_plain(G), (
+        fresh = enumerate_subgroups(G)
+        assert fresh.maximal_of == containment_plain(G), (
             f"{name}: maximal subgroups differ from the pairwise loop"
         )
     return f"maximal subgroups of {len(groups)} p-group lattices equal the pairwise loop"
@@ -1095,7 +1094,7 @@ def close_maps_plain(
     store: list[set[MapTuple]] = [set() for _ in lat.subs]
     by_image: list[list[tuple[int, MapTuple]]] = [[] for _ in lat.subs]
     queue: deque[tuple[int, MapTuple]] = deque(
-        (lat.full_index, tuple(row)) for row in lat.conj_table()
+        (lat.full_index, tuple(row)) for row in lat.conj
     )
     queue.extend(seeds)
     while queue:

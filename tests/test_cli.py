@@ -290,6 +290,35 @@ def test_malformed_group_or_fusion_json_is_a_usage_error(tmp_path, command, data
     assert report["error"]["code"] == "UsageError"
 
 
+CAYLEY_C2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "command,data,error",
+    [
+        ("group load", {"points": 0, "generators": [[]]}, "NotBijection"),
+        ("group load", {"cayley": CAYLEY_C2, "generators": [5]}, "NotSubgroup"),
+        ("group load", {"cayley": CAYLEY_C2, "generators": [-1]}, "NotSubgroup"),
+        ("group load", {"cayley": []}, "NotSubgroup"),
+        (
+            "analyze",
+            {"p": 2, "base": {"cayley": CAYLEY_C2, "generators": [5]},
+             "subgroups": [[0], [0, 1]], "hom_table": []},
+            "NotSubgroup",
+        ),
+    ],
+    ids=["no-points", "generator-above-table", "negative-generator", "empty-table",
+         "fusion-base-generator-above-table"],
+)
+def test_malformed_group_is_rejected_without_a_traceback(tmp_path, command, data, error):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    code, report = run_cli(command.split() + ["--in", str(f)])
+    assert (code, report["error"]["code"]) == (1, error)
+    assert "results" not in report
+    assert "Traceback" not in report["error"]["message"]
+
+
 def test_empty_required_input_path_is_a_usage_error(tmp_path):
     code, report = run_cli(["factorize", "--catalog", "inner-c2c2", "--exhaustive"])
     fact = tmp_path / "fact.json"

@@ -369,36 +369,35 @@ def test_p_group_lattice_makes_no_closure(monkeypatch):
 
 def test_lattice_shape_records_masks_and_generators():
     d8 = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4)
-    subgroups(d8)
-    shape = d8._shape
-    for members, mask, gens in zip(shape.members, shape.masks, shape.gens):
+    shape = enumerate_subgroups(d8)
+    for members, mask, gens, pos in zip(shape.members, shape.masks, shape.gens, shape.pos):
         assert groups.members_of(mask) == members
         assert shape.mask_index[mask] == shape.idx[members]
         assert d8.generated_subgroup(gens).members == members
+        assert [pos[m] for m in members] == list(range(len(members)))
+    # the group's lattice is the one home of its subgroups
+    assert subgroups(d8) is lattice_of(d8).subs
+    assert [s.members for s in subgroups(d8)] == shape.members
 
 
 def test_lattice_shape_keeps_the_enumerators_transporters(monkeypatch):
-    # fresh shapes, so no earlier lattice has filled the tables
+    # fresh shapes, so the tables read are the enumerator's
     monkeypatch.setattr(groups, "_LATTICES", {})
     # a dense p-group: the enumerator's rows and transporters are kept on
     # the shape, and the group's lattice reads them from there
     d8, _ = perm_group([[1, 2, 3, 4]], [[1, 3]], points=4).full_subgroup().as_group()
-    subgroups(d8)
-    shape = d8._shape
-    every = range(d8.order)
-    assert shape.conj == [d8.conj_row(g, every) for g in every]
-    assert shape.trans == groups.transporters(shape.conj)
     lat = lattice_of(d8)
-    assert lat.conj_table() is shape.conj
-    assert lat.transporter_table() is shape.trans
-    # Sym3 is no p-group: its shape gets the tables on first use
+    every = range(d8.order)
+    assert lat.conj == [d8.conj_row(g, every) for g in every]
+    assert lat.trans == groups.transporters(lat.conj)
+    assert lat.conj is lat.shape.conj
+    assert lat.trans is lat.shape.trans
+    # Sym3 is no p-group: its shape holds both tables straight after
+    # enumeration all the same
     s3 = perm_group([[1, 2]], [[1, 2, 3]], points=3)
-    subgroups(s3)
-    assert s3._shape.conj is None and s3._shape.trans is None
-    assert lattice_of(s3).transporter_table() is s3._shape.trans
-    assert s3._shape.trans == groups.transporters(
-        [s3.conj_row(g, range(6)) for g in range(6)]
-    )
+    shape = enumerate_subgroups(s3)
+    assert shape.conj == [s3.conj_row(g, range(6)) for g in range(6)]
+    assert shape.trans == groups.transporters(shape.conj)
 
 
 def test_maximal_subgroups_are_refused_off_p_groups():

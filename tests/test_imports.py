@@ -1,5 +1,7 @@
 """Every name a package module imports is used in it (``__init__``, which
-re-exports, is left out).  Parsed with the standard ``ast`` module alone."""
+re-exports, is left out), and no module but ``groups`` reaches into a
+lattice's ``LatticeShape``.  Parsed with the standard ``ast`` module
+alone."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fusionsys"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+OUTSIDE_GROUPS = sorted(p for p in PACKAGE.glob("*.py") if p.name != "groups.py")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +53,16 @@ def test_module_has_no_unused_import(path):
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+@pytest.mark.parametrize("path", OUTSIDE_GROUPS, ids=[p.stem for p in OUTSIDE_GROUPS])
+def test_module_reads_no_lattice_shape(path):
+    """The group layer owns each ``LatticeShape``; every other module reads
+    a lattice through ``SubgroupLattice`` (``groups.lattice_of``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("shape", "_shape")
+    )
+    assert reads == [], f"{path.name}: shape attributes (line, name) {reads}"
