@@ -1,5 +1,8 @@
 """Command-line frontend.
 
+Every command that reads a group or a fusion system takes one flag set,
+``--in FILE`` or ``--catalog NAME`` and an optional ``--p PRIME``, and
+``_load_group``/``_load_fusion`` are the one place that input is resolved.
 Every command prints a JSON report with a canonical layout; identical
 inputs give byte-identical reports.  Wall-clock timings are only included
 behind ``--timings`` because they would break that guarantee.
@@ -18,7 +21,9 @@ from typing import Optional
 
 from . import catalog, serialize
 from .errors import FusionError, UsageError
-from .groups import FiniteGroup, GroupHom, Subgroup, is_prime, sylow
+from .groups import (
+    FiniteGroup, GroupHom, Subgroup, characteristic_subgroups, is_prime, sylow
+)
 from .fusion import (
     FusionSystem,
     conjugacy,
@@ -58,7 +63,7 @@ _INPUT_FLAGS = ("infile", "fact1", "fact2", "omega")
 def _read_inputs(args) -> dict:
     """The parsed JSON of every input file on the command line, each read
     once; the report hashes and the handler use the same data."""
-    paths = ((attr, getattr(args, attr, None)) for attr in _INPUT_FLAGS)
+    paths = ((attr, getattr(args, attr)) for attr in _INPUT_FLAGS)
     return {attr: _load_json(path) for attr, path in paths if path}
 
 
@@ -68,31 +73,28 @@ def _required_input(args, inputs: dict, attr: str) -> dict:
     return inputs[attr] if attr in inputs else _load_json(getattr(args, attr))
 
 
-def _load_group_arg(args, inputs: dict) -> tuple[FiniteGroup, Optional[int], dict]:
-    if getattr(args, "catalog", None):
+def _load_group(args, inputs: dict) -> tuple[FiniteGroup, Optional[int]]:
+    """The group of ``--catalog`` or ``--in``, and ``--p`` or the entry's prime."""
+    if args.catalog:
         b = catalog.built(args.catalog)
-        data = {"catalog": args.catalog}
-        return b.group, b.entry.prime, data
+        return b.group, args.p or b.entry.prime
     if "infile" in inputs:
-        data = inputs["infile"]
-        prime = getattr(args, "p", None)
-        return serialize.group_from_json(data, prime_hint=prime), prime, data
+        return serialize.group_from_json(inputs["infile"], prime_hint=args.p), args.p
     raise UsageError("need --in FILE or --catalog NAME")
 
 
-def _load_fusion_arg(args, inputs: dict) -> tuple[FusionSystem, dict]:
-    if getattr(args, "catalog", None):
-        b = catalog.built(args.catalog)
-        return b.fusion, {"catalog": args.catalog}
-    if "infile" in inputs:
-        data = inputs["infile"]
-        if isinstance(data, dict) and "hom_table" in data:
-            return serialize.fusion_from_json(data), data
-        if getattr(args, "p", None) is None:
-            raise UsageError("group input needs --p PRIME")
-        G = serialize.group_from_json(data, prime_hint=args.p)
-        return fusion_of_group(G, args.p), data
-    raise UsageError("need --in FILE or --catalog NAME")
+def _load_fusion(args, inputs: dict) -> FusionSystem:
+    """A catalog entry's system, a fusion-system file, or F_S(G) of a group file."""
+    if args.catalog:
+        return catalog.built(args.catalog).fusion
+    data = inputs.get("infile")
+    if isinstance(data, dict) and "hom_table" in data:
+        return serialize.fusion_from_json(data)
+    # test the key, not the data: a file holding JSON null is a group file
+    if "infile" in inputs and args.p is None:
+        raise UsageError("group input needs --p PRIME")
+    G, p = _load_group(args, inputs)
+    return fusion_of_group(G, p)
 
 
 def _load_omega(inputs: dict, F: FusionSystem) -> Optional[OmegaContext]:
@@ -114,17 +116,14 @@ def _factorization_from_arg(F: FusionSystem, data: dict) -> Factorization:
 
 
 def cmd_group_load(args, inputs: dict) -> dict:
-    G, _, _ = _load_group_arg(args, inputs)
+    G, _ = _load_group(args, inputs)
     return {"group": serialize.group_to_json(G), "order": G.order}
 
 
 def cmd_group_describe(args, inputs: dict) -> dict:
-    G, prime, _ = _load_group_arg(args, inputs)
+    G, p = _load_group(args, inputs)
     desc = serialize.group_description(G)
-    p = getattr(args, "p", None) or prime
     if p:
-        from .groups import characteristic_subgroups
-
         chars = characteristic_subgroups(G, p)
         desc["p"] = p
         desc["sylow"] = serialize.subgroup_to_json(sylow(G, p))
@@ -136,8 +135,7 @@ def cmd_group_describe(args, inputs: dict) -> dict:
 
 
 def cmd_fusion_of_group(args, inputs: dict) -> dict:
-    G, prime, _ = _load_group_arg(args, inputs)
-    p = getattr(args, "p", None) or prime
+    G, p = _load_group(args, inputs)
     if not p:
         raise UsageError("need --p PRIME")
     F = fusion_of_group(G, p)
@@ -148,7 +146,7 @@ def cmd_fusion_generate(args, inputs: dict) -> dict:
     data = _required_input(args, inputs, "infile")
     if "group" not in data or "generators" not in data:
         raise UsageError("generate input needs 'group', 'p' and 'generators'")
-    p = data.get("p", getattr(args, "p", None))
+    p = data.get("p", args.p)
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise UsageError("generate input needs a prime")
     G = serialize.group_from_json(data["group"], prime_hint=p)
@@ -161,7 +159,7 @@ def cmd_fusion_generate(args, inputs: dict) -> dict:
 
 
 def cmd_analyze(args, inputs: dict) -> dict:
-    F, _ = _load_fusion_arg(args, inputs)
+    F = _load_fusion(args, inputs)
     report = saturation_report(F)
     inv = fusion_invariants(F)
     classes = conjugacy(F)
@@ -183,7 +181,7 @@ def cmd_analyze(args, inputs: dict) -> dict:
 
 
 def cmd_factorize(args, inputs: dict) -> dict:
-    F, _ = _load_fusion_arg(args, inputs)
+    F = _load_fusion(args, inputs)
     omega = _load_omega(inputs, F)
     if args.exhaustive:
         facts = factorize_all(F, omega)
@@ -200,7 +198,7 @@ def cmd_factorize(args, inputs: dict) -> dict:
 
 
 def cmd_krs(args, inputs: dict) -> dict:
-    F, _ = _load_fusion_arg(args, inputs)
+    F = _load_fusion(args, inputs)
     omega = _load_omega(inputs, F)
     fact1 = _factorization_from_arg(F, _required_input(args, inputs, "fact1"))
     fact2 = _factorization_from_arg(F, _required_input(args, inputs, "fact2"))
@@ -212,7 +210,7 @@ def cmd_krs(args, inputs: dict) -> dict:
 
 
 def cmd_goldschmidt(args, inputs: dict) -> dict:
-    G, prime, _ = _load_group_arg(args, inputs)
+    G, _ = _load_group(args, inputs)
     F = fusion_of_group(G, 2)
     fact = factorize(F)
     closures = goldschmidt_factor(G, fact)
@@ -267,93 +265,70 @@ def cmd_catalog_show(args, inputs: dict) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to a file")
-    common.add_argument(
-        "--timings", action="store_true", help="include wall-clock timings"
-    )
+    common.add_argument("--timings", action="store_true", help="include wall-clock timings")
+    source = argparse.ArgumentParser(add_help=False, parents=[common])
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--catalog")
+    source.add_argument("--p", type=int)
+
+    def command(where, name, handler, parent, **kw) -> argparse.ArgumentParser:
+        sp = where.add_parser(name, parents=[parent], **kw)
+        sp.set_defaults(handler=handler)
+        return sp
 
     parser = argparse.ArgumentParser(
         prog="fusionsys",
         description="exact computations with saturated fusion systems over finite p-groups",
     )
+    # every namespace carries every input attribute, whatever the command
+    parser.set_defaults(**dict.fromkeys(_INPUT_FLAGS + ("catalog", "p")))
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="load or describe a finite group")
     gsub = g.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("load", cmd_group_load), ("describe", cmd_group_describe)):
-        sp = gsub.add_parser(name, parents=[common])
-        sp.add_argument("--in", dest="infile")
-        sp.add_argument("--catalog")
-        sp.add_argument("--p", type=int)
-        sp.set_defaults(handler=fn)
+    command(gsub, "load", cmd_group_load, source)
+    command(gsub, "describe", cmd_group_describe, source)
 
     f = sub.add_parser("fusion", help="build a fusion system")
     fsub = f.add_subparsers(dest="subcommand", required=True)
-    sp = fsub.add_parser("of-group", parents=[common])
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--catalog")
-    sp.add_argument("--p", type=int)
-    sp.set_defaults(handler=cmd_fusion_of_group)
-    sp = fsub.add_parser("generate", parents=[common])
+    command(fsub, "of-group", cmd_fusion_of_group, source)
+    sp = command(fsub, "generate", cmd_fusion_generate, common)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--p", type=int)
-    sp.set_defaults(handler=cmd_fusion_generate)
 
-    sp = sub.add_parser(
-        "analyze", parents=[common], help="saturation and structural invariants"
-    )
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--catalog")
-    sp.add_argument("--p", type=int)
-    sp.set_defaults(handler=cmd_analyze)
+    command(sub, "analyze", cmd_analyze, source, help="saturation and structural invariants")
 
-    sp = sub.add_parser(
-        "factorize", parents=[common], help="indecomposable direct factors"
-    )
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--catalog")
-    sp.add_argument("--p", type=int)
+    sp = command(sub, "factorize", cmd_factorize, source, help="indecomposable direct factors")
     sp.add_argument("--omega", help="JSON file with automorphism maps")
     sp.add_argument("--exhaustive", action="store_true")
-    sp.set_defaults(handler=cmd_factorize)
 
-    sp = sub.add_parser(
-        "krs",
-        parents=[common],
-        help="link two factorizations by a normal automorphism",
+    sp = command(
+        sub, "krs", cmd_krs, source, help="link two factorizations by a normal automorphism"
     )
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--catalog")
-    sp.add_argument("--p", type=int)
     sp.add_argument("--fact1", required=True)
     sp.add_argument("--fact2", required=True)
     sp.add_argument("--omega")
-    sp.set_defaults(handler=cmd_krs)
 
-    sp = sub.add_parser(
-        "goldschmidt", parents=[common], help="lift a p=2 factorization to the group"
+    sp = command(
+        sub, "goldschmidt", cmd_goldschmidt, common, help="lift a p=2 factorization to the group"
     )
     sp.add_argument("--in", dest="infile")
     sp.add_argument("--catalog")
-    sp.set_defaults(handler=cmd_goldschmidt)
 
-    sp = sub.add_parser("verify", parents=[common], help="run a property suite")
+    sp = command(sub, "verify", cmd_verify, common, help="run a property suite")
     sp.add_argument("suite", choices=SUITE_NAMES)
-    sp.set_defaults(handler=cmd_verify)
 
     c = sub.add_parser("catalog", help="bundled example groups")
     csub = c.add_subparsers(dest="subcommand", required=True)
-    sp = csub.add_parser("list", parents=[common])
-    sp.set_defaults(handler=cmd_catalog_list)
-    sp = csub.add_parser("show", parents=[common])
-    sp.add_argument("name")
-    sp.set_defaults(handler=cmd_catalog_show)
+    command(csub, "list", cmd_catalog_list, common)
+    command(csub, "show", cmd_catalog_show, common).add_argument("name")
 
     return parser
 
 
 def _input_digests(args, inputs: dict) -> dict:
     digests = {attr: serialize.digest(data) for attr, data in inputs.items()}
-    if getattr(args, "catalog", None):
+    if args.catalog:
         digests["catalog"] = args.catalog
     return digests
 
@@ -382,9 +357,8 @@ def _execute(argv, args: argparse.Namespace) -> tuple[int, dict]:
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
-        p = getattr(args, "p", None)
-        if p is not None and not is_prime(p):
-            raise UsageError(f"--p {p} is not a prime")
+        if args.p is not None and not is_prime(args.p):
+            raise UsageError(f"--p {args.p} is not a prime")
         inputs = _read_inputs(args)
         report["inputs"] = _input_digests(args, inputs)
         results = args.handler(args, inputs)
@@ -392,9 +366,7 @@ def _execute(argv, args: argparse.Namespace) -> tuple[int, dict]:
         report["error"] = exc.payload()
         report["hash"] = serialize.digest(report["error"])
         return exc.exit_code, report
-    mathematical_failure = (
-        args.handler is cmd_verify and not results.get("passed", True)
-    )
+    mathematical_failure = args.handler is cmd_verify and not results.get("passed", True)
     report["results"] = results
     report["hash"] = serialize.digest(results)
     if args.timings:

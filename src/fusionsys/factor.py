@@ -568,11 +568,15 @@ def _factorization(F: FusionSystem, bases: Sequence[tuple[int, ...]]) -> Factori
 
 def factorization_of(F: FusionSystem, bases: Sequence[Sequence[int]]) -> Factorization:
     """The factorization of ``F`` on part bases given from outside the
-    program; the one place such bases are validated."""
+    program; the one place such bases are validated.  Unless S is
+    trivial, a factorization has at least one part and no part of order 1
+    (``_factorization`` reads no parts as the one part S)."""
     keys = [tuple(sorted(members)) for members in bases]
     for key in keys:
         if key not in F.lattice.idx:
             raise NotSubsystem(f"part base {key} is not a subgroup of the base group")
+    if F.base.order > 1 and (not keys or min(map(len, keys)) == 1):
+        raise NotSubgroup("input is not a factorization of the system")
     fact = _factorization(F, keys)
     if not is_product_decomposition(F, list(fact.parts)):
         raise NotSubgroup("input is not a factorization of the system")

@@ -53,7 +53,7 @@ class FusionSystem:
     """A fusion system over a finite p-group.
 
     The table must be closed: it holds the conjugation maps of the base,
-    only injective maps, and is closed under restriction, composition
+    only injective homomorphisms, and is closed under restriction, composition
     and inverses.  Every internal constructor closes its table, and
     ``serialize.fusion_from_json`` runs ``validate_table`` and
     ``validate_closure`` on a table read from outside.  The generator
@@ -105,17 +105,27 @@ class FusionSystem:
 
     def validate_table(self) -> None:
         """Check a table read from outside: it holds every inner
-        conjugation map and only injective maps.  Every internal
-        constructor builds the inner maps itself."""
-        full = self.lattice.full_index
-        inner = {tuple(row) for row in self.lattice.conj}
-        if not inner <= set(self.maps[full]):
+        conjugation map and only injective homomorphisms.  Every internal
+        constructor builds the inner maps itself.  f(x g) = f(x) f(g) is
+        tested for every x in P_i and every g in ``lat.gens[i]`` (g = 1 on
+        the trivial subgroup, which has no generators), which is exact for
+        the reason ``morphisms.hom_law_on_generators`` gives.  A map whose image is
+        not a subgroup, ids outside S included, fails ``index_of`` first."""
+        lat, mul = self.lattice, self.base.mul
+        inner = {tuple(row) for row in lat.conj}
+        if not inner <= set(self.maps[lat.full_index]):
             raise NotSubgroup("table does not contain all inner conjugation maps")
         for i, ms in enumerate(self.maps):
-            size = len(self.lattice.subs[i].members)
+            members, pos = lat.subs[i].members, lat.pos[i]
+            gens = lat.gens[i] or members
+            # (x, x g, g) as positions in P_i
+            law = [(pos[x], pos[mul(x, g)], pos[g]) for x in members for g in gens]
             for m in ms:
-                if len(set(m)) != size:
+                if len(set(m)) != len(members):
                     raise NotSubgroup("table contains a non-injective map")
+                lat.index_of(m)
+                if any(m[xg] != mul(m[x], m[g]) for x, xg, g in law):
+                    raise NotSubgroup("table contains a map that is not a homomorphism")
 
     def validate_closure(self) -> None:
         """Full divisibility/composition/inversion closure check."""

@@ -123,7 +123,6 @@ class FiniteGroup:
         mul_rows: Optional[list[list[int]]],
         generators: Sequence[int],
         *,
-        degree: int = 0,
         perms: Optional[Sequence[Perm]] = None,
         prime_hint: Optional[int] = None,
     ):
@@ -133,7 +132,7 @@ class FiniteGroup:
         self.perms = tuple(perms) if perms is not None else None
         self.order = len(mul_rows) if mul_rows is not None else len(self.perms)
         self.generators = tuple(generators)
-        self.degree = degree
+        self.degree = len(self.perms[0]) if self.perms else 0
         self.prime_hint = prime_hint
         self._perm_index = (
             {p: i for i, p in enumerate(self.perms)} if self.perms is not None else None
@@ -285,7 +284,7 @@ class FiniteGroup:
             gid = index[g]
             if gid != 0 and gid not in gen_ids:
                 gen_ids.append(gid)
-        return cls(mul_rows, gen_ids, degree=k, perms=elements, prime_hint=prime_hint)
+        return cls(mul_rows, gen_ids, perms=elements, prime_hint=prime_hint)
 
     @classmethod
     def from_cayley(
@@ -503,18 +502,10 @@ class Subgroup:
                 [pos[self.parent.mul(a, b)] for b in to_parent] for a in to_parent
             ]
             perms = None
-            degree = 0
             if self.parent.perms is not None:
                 perms = tuple(self.parent.perms[m] for m in to_parent)
-                degree = self.parent.degree
             gens = [pos[g] for g in _greedy_generating_sequence(self.parent, self.members)]
-            grp = FiniteGroup(
-                rows,
-                gens,
-                degree=degree,
-                perms=perms,
-                prime_hint=self.parent.prime_hint,
-            )
+            grp = FiniteGroup(rows, gens, perms=perms, prime_hint=self.parent.prime_hint)
             cached = self.parent._as_groups[self.members] = (grp, to_parent)
         return cached
 
@@ -522,22 +513,20 @@ class Subgroup:
         """Greedy irredundant generating sequence (parent ids)."""
         return _greedy_generating_sequence(self.parent, self.members)
 
-    def centralizer_in(self, ambient: Optional["Subgroup"] = None) -> "Subgroup":
+    def centralizer_in(self) -> "Subgroup":
         G = self.parent
-        pool = ambient.members if ambient is not None else range(G.order)
         members = [
             g
-            for g in pool
+            for g in range(G.order)
             if all(G.mul(g, x) == G.mul(x, g) for x in self.members)
         ]
         return Subgroup(G, members, _checked=True)
 
-    def normalizer_in(self, ambient: Optional["Subgroup"] = None) -> "Subgroup":
+    def normalizer_in(self) -> "Subgroup":
         G = self.parent
-        pool = ambient.members if ambient is not None else range(G.order)
         members = [
             g
-            for g in pool
+            for g in range(G.order)
             if all(G.conj(g, x) in self.member_set for x in self.members)
         ]
         return Subgroup(G, members, _checked=True)
@@ -1622,17 +1611,15 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> DirectProduct:
             row[y] = enc(G1.mul(a1, a2), G2.mul(b1, b2))
         rows.append(row)
     perms = None
-    degree = 0
     if G1.perms is not None and G2.perms is not None:
-        k1, k2 = G1.degree, G2.degree
-        degree = k1 + k2
+        k1 = G1.degree
         perms = []
         for x in range(n):
             a, b = divmod(x, n2)
             pa, pb = G1.perms[a], G2.perms[b]
             perms.append(tuple(pa) + tuple(v + k1 for v in pb))
     gens = [enc(g, 0) for g in G1.generators] + [enc(0, h) for h in G2.generators]
-    prod = FiniteGroup(rows, gens, degree=degree, perms=perms, prime_hint=G1.prime_hint)
+    prod = FiniteGroup(rows, gens, perms=perms, prime_hint=G1.prime_hint)
 
     full1, full2, fullp = G1.full_subgroup(), G2.full_subgroup(), prod.full_subgroup()
     embed1 = GroupHom(full1, fullp, tuple(enc(a, 0) for a in range(n1)), _checked=True)

@@ -234,6 +234,20 @@ def test_mathematical_rejection_exit_code(tmp_path, parts):
     assert report["error"]["code"] == "NotSubsystem"
 
 
+@pytest.mark.parametrize("parts", [[], [[0], [0, 1, 2]]], ids=["no-parts", "trivial-part"])
+def test_factorization_needs_a_part_and_no_trivial_one(tmp_path, parts):
+    """Against the one-part factorization of sigma3 (S = C3), no parts at
+    all and a trivial part beside S are mathematical rejections (exit 1),
+    never read as S and never left for the certificate to trip over."""
+    bad, whole = tmp_path / "bad.json", tmp_path / "whole.json"
+    bad.write_text(json.dumps({"parts": parts}))
+    whole.write_text(json.dumps({"parts": [[0, 1, 2]]}))
+    code, report = run_cli(
+        ["krs", "--catalog", "sigma3", "--fact1", str(bad), "--fact2", str(whole)]
+    )
+    assert (code, report["error"]["code"]) == (1, "NotSubgroup")
+
+
 @pytest.mark.parametrize(
     "flag,data",
     [
@@ -306,9 +320,16 @@ CAYLEY_C2 = [[0, 1], [1, 0]]
              "subgroups": [[0], [0, 1]], "hom_table": []},
             "NotSubgroup",
         ),
+        (
+            "analyze",
+            {"p": 5, "base": {"points": 5, "generators": [[[1, 2, 3, 4, 5]]]},
+             "subgroups": [[0], [0, 1, 2, 3, 4]],
+             "hom_table": [[[[0]], [[0]]], [[], [[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]]]]},
+            "NotSubgroup",
+        ),
     ],
     ids=["no-points", "generator-above-table", "negative-generator", "empty-table",
-         "fusion-base-generator-above-table"],
+         "fusion-base-generator-above-table", "fusion-map-not-a-homomorphism"],
 )
 def test_malformed_group_is_rejected_without_a_traceback(tmp_path, command, data, error):
     f = tmp_path / "input.json"
@@ -440,6 +461,57 @@ def test_usage_error_exit_code():
 def test_unknown_suite_exit_code():
     with pytest.raises(SystemExit):  # argparse rejects the choice
         run_cli(["verify", "nonsense"])
+
+
+SOURCE_FLAGS = {"--catalog", "--in", "--out", "--p", "--timings"}
+COMMON_FLAGS = {"--out", "--timings"}
+
+# each command: its option strings, its positionals, its required flags,
+# and a command line that parses
+COMMAND_FLAGS = {
+    "group load": (SOURCE_FLAGS, [], set(), []),
+    "group describe": (SOURCE_FLAGS, [], set(), []),
+    "fusion of-group": (SOURCE_FLAGS, [], set(), []),
+    "fusion generate": ({"--in", "--out", "--p", "--timings"}, [], {"--in"}, ["--in", "g"]),
+    "analyze": (SOURCE_FLAGS, [], set(), []),
+    "factorize": (SOURCE_FLAGS | {"--exhaustive", "--omega"}, [], set(), []),
+    "krs": (
+        SOURCE_FLAGS | {"--fact1", "--fact2", "--omega"},
+        [],
+        {"--fact1", "--fact2"},
+        ["--fact1", "a", "--fact2", "b"],
+    ),
+    "goldschmidt": ({"--catalog", "--in", "--out", "--timings"}, [], set(), []),
+    "verify": (COMMON_FLAGS, ["suite"], set(), ["all"]),
+    "catalog list": (COMMON_FLAGS, [], set(), []),
+    "catalog show": (COMMON_FLAGS, ["name"], set(), ["sigma3"]),
+}
+
+
+def _commands(parser, path=()):
+    """(name, parser) of every command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_every_command_keeps_its_flags():
+    parser = cli.build_parser()
+    found = {}
+    for name, sub in _commands(parser):
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        flags = {s for a in actions for s in a.option_strings}
+        positionals = [a.dest for a in actions if not a.option_strings]
+        required = {a.option_strings[0] for a in actions if a.option_strings and a.required}
+        found[name] = (flags, positionals, required)
+    assert found == {name: spec[:3] for name, spec in COMMAND_FLAGS.items()}
+    for name, (*_, tail) in COMMAND_FLAGS.items():
+        args = parser.parse_args(name.split() + tail)
+        for attr in ("infile", "fact1", "fact2", "omega", "catalog", "p"):
+            assert hasattr(args, attr), (name, attr)
 
 
 def test_suite_names_match_the_verify_suites():

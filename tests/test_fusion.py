@@ -377,7 +377,7 @@ def test_fusion_of_group_matches_the_pass_over_every_element(cycles, points, p):
     F = fusion_of_group(G, p)
     S = sylow(G, p)
     assert len(S.as_group()[0].generators) > 1
-    assert len(S.centralizer_in(G.full_subgroup()).members) > 1
+    assert len(S.centralizer_in().members) > 1
     assert list(F.map_sets) == [frozenset(ms) for ms in fusion_table_plain(G, p)]
 
 

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in it (``__init__``, which
-re-exports, is left out), and no module but ``groups`` reaches into a
-lattice's ``LatticeShape``.  Parsed with the standard ``ast`` module
-alone."""
+re-exports, is left out), every import but one sits at module level, and
+no module but ``groups`` reaches into a lattice's ``LatticeShape``.
+Parsed with the standard ``ast`` module alone."""
 
 import ast
 from pathlib import Path
@@ -66,3 +66,21 @@ def test_module_reads_no_lattice_shape(path):
         if isinstance(node, ast.Attribute) and node.attr in ("shape", "_shape")
     )
     assert reads == [], f"{path.name}: shape attributes (line, name) {reads}"
+
+
+# The one import made inside a function: the verify command loads the
+# property suites, which keeps the CLI's cold start short.
+FUNCTION_IMPORTS = {("cli", "cmd_verify", "verify")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inner = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    inner |= {(path.stem, fn.name, a.asname or a.name) for a in node.names}
+    extra = sorted(inner - FUNCTION_IMPORTS)
+    assert extra == [], f"{path.name}: imports inside functions (module, function, name) {extra}"

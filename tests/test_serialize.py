@@ -121,6 +121,16 @@ def test_fusion_json_rejects_non_injective_map():
         serialize.fusion_from_json(data)
 
 
+def test_fusion_json_rejects_a_map_that_is_not_a_homomorphism():
+    S = FiniteGroup.from_permutations([(1, 2, 3, 4, 0)])
+    data = serialize.fusion_to_json(inner_fusion(S))
+    # g -> g^2, g^2 -> g: a bijection of C5 that is no homomorphism, and
+    # the table stays closed under restriction, composition and inverses
+    data["hom_table"][1][1].append([0, 2, 1, 3, 4])
+    with pytest.raises(NotSubgroup, match="not a homomorphism"):
+        serialize.fusion_from_json(data)
+
+
 def test_fusion_json_rejects_table_not_closed():
     F = catalog.built("inner-c2c2").fusion
     data = json.loads(json.dumps(serialize.fusion_to_json(F)))
